@@ -18,8 +18,8 @@ from .constructions import (boson_sugawara, central_charges, cocycle_basis,
                             fermion_vosa, g_fermion_system, super_construction,
                             susy_report, verify_odd_cocycle, vertex_module,
                             weight_report)
-from .fields import (bracket_from_ope, commutator_direct, field_from_tree,
-                     locality_order, ope_singular_part, state_field)
+from .fields import (bracket_check, field_from_tree, locality_order,
+                     ope_singular_part, state_field)
 from .liealg import CATALOG, LieAlgebra, sl2
 from .modules import (BasisState, Mode, StateVector, VermaModule, grade_str,
                       module_from_descriptor)
@@ -230,29 +230,13 @@ def cmd_brackets(args) -> int:
     module = _module(args.module)
     A = _field(args.field_a)
     B = _field(args.field_b)
-    depth2 = _depth2(args)
-    loc = locality_order(A, B, module, depth2=depth2,
-                         max_order=args.max_order, window=args.window)
-    order = loc["order"]
-    checked = 0
-    failures = []
-    states = [s for g2 in range(depth2 + 1)
-              for s in module.level_basis(g2)]
-    for m in range(-args.window, args.window + 1):
-        for n in range(-args.window, args.window + 1):
-            for state in states:
-                direct = commutator_direct(A, m, B, n, module, state)
-                expanded = bracket_from_ope(A, m, B, n, order, module, state)
-                checked += 1
-                if direct != expanded:
-                    failures.append({"m": m, "n": n, "state": str(state)})
-    ok = not failures
-    report = {"order": order, "bracket": loc["bracket"],
-              "checked": checked, "failures": failures, "valid": ok}
+    report = bracket_check(A, B, module, _depth2(args), args.max_order,
+                           args.window)
+    ok = report["valid"]
     return _emit(args, report,
-                 f"{checked} bracket values "
+                 f"{report['checked']} bracket values "
                  + ("all match the expansion" if ok
-                    else f"with {len(failures)} MISMATCHES"),
+                    else f"with {len(report['failures'])} MISMATCHES"),
                  0 if ok else 1)
 
 

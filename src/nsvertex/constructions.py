@@ -16,8 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import (Field, ScaledSum, check_vosa_axioms, closure_spans,
-                     commutator_direct, generator_field, state_field,
-                     virasoro_bracket_check, _vec_of)
+                     commutator_direct, generator_field, grading_holds,
+                     state_field, sweep_relation, virasoro_bracket_check,
+                     _vec_of)
 from .liealg import LieAlgebra, casimir_constant_sl2
 from .modules import (AffineModule, BasisState, FermionFock, Mode, Module,
                       StateVector, TensorModule, _acc, state_grade2)
@@ -116,44 +117,50 @@ def g_fermion_system(lie: LieAlgebra) -> Construction:
     return Construction("g_fermion", module, fields, fermion_omega(module), data)
 
 
-def current_bracket_report(cons: Construction, depth2: int = 2,
-                           window: int = 2) -> dict:
-    """[S^a_m, S^b_n] = i Gamma_ab^c S^c_{m+n} + g m delta_ab delta_{m+n},
-    swept over basis states; the measured level is read off the central
-    term and compared with the dual Coxeter number."""
-    module = cons.module
-    lie = cons.data["lie"]
-    S = cons.data["current_fields"]
-    g = lie.dual_coxeter()
-    states = [s for g2 in range(depth2 + 1) for s in module.level_basis(g2)]
+def _current_algebra_sweep(module: Module, lie: LieAlgebra, S: list, level,
+                           depth2: int, window: int) -> dict:
+    """[S^a_m, S^b_n] = i Gamma_ab^c S^c_{m+n} + level m delta_ab delta_{m+n}
+    swept pair by pair; failure entries carry the 1-based a and b."""
     checked = 0
     failures = []
     for a in range(lie.dim):
         for b in range(lie.dim):
-            gamma = lie.bracket_coeffs(a, b)
-            for m in range(-window, window + 1):
-                for n in range(-window, window + 1):
-                    for state in states:
-                        lhs = _vec_of(commutator_direct(S[a], m, S[b], n,
-                                                        module, state))
-                        u = StateVector.basis(state)
-                        rhs = StateVector({})
-                        for c, coeff in gamma:
-                            rhs = rhs + S[c].apply(m + n, module, u).scaled(
-                                I * coeff)
-                        if a == b and m + n == 0 and m:
-                            rhs = rhs + u.scaled(g * m)
-                        checked += 1
-                        if lhs != rhs:
-                            failures.append({"a": a + 1, "b": b + 1,
-                                             "m": m, "n": n})
+            def rhs(m, n, state):
+                u = StateVector.basis(state)
+                out = StateVector({})
+                for c, coeff in lie.bracket_coeffs(a, b):
+                    out = out + S[c].apply(m + n, module, u).scaled(I * coeff)
+                if a == b and m + n == 0 and m:
+                    out = out + u.scaled(level * m)
+                return out
+
+            swept = sweep_relation(
+                module, depth2, window,
+                lambda m, n, state: _vec_of(commutator_direct(
+                    S[a], m, S[b], n, module, state)),
+                rhs)
+            checked += swept["checked"]
+            failures += [{"a": a + 1, "b": b + 1, **f}
+                         for f in swept["failures"]]
+    return {"checked": checked, "failures": failures}
+
+
+def current_bracket_report(cons: Construction, depth2: int = 2,
+                           window: int = 2) -> dict:
+    """The current algebra at level g swept over basis states; the
+    measured level is read off the central term and compared with the
+    dual Coxeter number."""
+    module = cons.module
+    S = cons.data["current_fields"]
+    g = cons.data["lie"].dual_coxeter()
+    swept = _current_algebra_sweep(module, cons.data["lie"], S, g, depth2,
+                                   window)
     # central term of [S^1_1, S^1_{-1}] on the vacuum
     vac = BasisState((), 0)
     level_vec = _vec_of(commutator_direct(S[0], 1, S[0], -1, module, vac))
     measured = level_vec.coefficient(vac)
-    return {"checked": checked, "failures": failures,
-            "measured_level": measured, "expected_level": g,
-            "valid": not failures and measured == g}
+    return {**swept, "measured_level": measured, "expected_level": g,
+            "valid": not swept["failures"] and measured == g}
 
 
 def current_square_state(cons: Construction) -> StateVector:
@@ -259,7 +266,9 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
     brackets that pair G with currents and fermions, the super Virasoro
     relations closed by G, the grading and translation actions, the
     value of G on its own state, and agreement of G with its explicit
-    normal-ordered formula."""
+    normal-ordered formula.  `checks` maps each relation to a boolean;
+    `failures` maps each swept relation to its failing (m, n, state)
+    points."""
     module = cons.module
     lie = cons.data["lie"]
     d = cons.data["degree"]
@@ -273,79 +282,55 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
     c = 2 * module.inner(omega, omega)
     root_d = Scalar.sqrt_fraction(d)
     inv_root_d = Scalar.sqrt_fraction(1 / d)
-    states = [s for g2 in range(depth2 + 1) for s in module.level_basis(g2)]
-    checks = {}
+    states = module.basis_upto(depth2)
+    failures = {"b_current_algebra": _current_algebra_sweep(
+        module, lie, B, Scalar.of(d), depth2, window)["failures"]}
 
-    def sweep(fn):
-        for m in range(-window, window + 1):
-            for n in range(-window, window + 1):
-                for state in states:
-                    if not fn(m, n, state, StateVector.basis(state)):
-                        return False
-        return True
+    def sweep(name, lhs, rhs):
+        failures[name] = sweep_relation(module, depth2, window, lhs,
+                                        rhs)["failures"]
 
-    def b_currents(m, n, state, u):
-        for a in range(dim):
-            for b in range(dim):
-                lhs = _vec_of(commutator_direct(B[a], m, B[b], n, module, state))
-                rhs = StateVector({})
-                for cc, coeff in lie.bracket_coeffs(a, b):
-                    rhs = rhs + B[cc].apply(m + n, module, u).scaled(I * coeff)
-                if a == b and m + n == 0 and m:
-                    rhs = rhs + u.scaled(Scalar.of(d) * m)
-                if lhs != rhs:
-                    return False
-        return True
-    checks["b_current_algebra"] = sweep(b_currents)
+    # [G_{m-1/2}, B^a_n] = -n sqrt(d) psi^a at the summed index
+    sweep("g_with_currents",
+          lambda m, n, state: [_vec_of(commutator_direct(
+              G, m, B[a], n, module, state)) for a in range(dim)],
+          lambda m, n, state: [psi[a].apply(
+              m + n - 1, module, StateVector.basis(state)).scaled(root_d * -n)
+              for a in range(dim)])
 
-    def g_with_currents(m, n, state, u):
-        # [G_{m-1/2}, B^a_n] = -n sqrt(d) psi^a at the summed index
-        for a in range(dim):
-            lhs = _vec_of(commutator_direct(G, m, B[a], n, module, state))
-            rhs = psi[a].apply(m + n - 1, module, u).scaled(root_d * -n)
-            if lhs != rhs:
-                return False
-        return True
-    checks["g_with_currents"] = sweep(g_with_currents)
+    # {G_{m-1/2}, psi^a_{n+1/2}} = d^(-1/2) B^a_{m+n}
+    sweep("g_with_fermions",
+          lambda m, n, state: [_vec_of(commutator_direct(
+              G, m, psi[a], n, module, state)) for a in range(dim)],
+          lambda m, n, state: [B[a].apply(
+              m + n, module, StateVector.basis(state)).scaled(inv_root_d)
+              for a in range(dim)])
 
-    def g_with_fermions(m, n, state, u):
-        # {G_{m-1/2}, psi^a_{n+1/2}} = d^(-1/2) B^a_{m+n}
-        for a in range(dim):
-            lhs = _vec_of(commutator_direct(G, m, psi[a], n, module, state))
-            rhs = B[a].apply(m + n, module, u).scaled(inv_root_d)
-            if lhs != rhs:
-                return False
-        return True
-    checks["g_with_fermions"] = sweep(g_with_fermions)
-
-    def ns_anticommutator(m, n, state, u):
+    def ns_rhs(m, n, state):
         # {G_r, G_s} = 2 L_{r+s} + (c/3)(r^2 - 1/4) delta_{r+s}
-        lhs = _vec_of(commutator_direct(G, m, G, n, module, state))
+        u = StateVector.basis(state)
         rhs = L.apply(m + n, module, u).scaled(2)
         if m + n == 1:
             r = Fraction(2 * m - 1, 2)
             rhs = rhs + u.scaled(c * Fraction(1, 3) * (r * r - Fraction(1, 4)))
-        return lhs == rhs
-    checks["ns_anticommutator"] = sweep(ns_anticommutator)
+        return rhs
 
-    def virasoro_g(m, n, state, u):
-        # [L_m, G_r] = (m/2 - r) G_{m+r}
-        lhs = _vec_of(commutator_direct(L, m + 1, G, n, module, state))
-        r = Fraction(2 * n - 1, 2)
-        return lhs == G.apply(m + n, module, u).scaled(Fraction(m, 2) - r)
-    checks["virasoro_g"] = sweep(virasoro_g)
+    sweep("ns_anticommutator",
+          lambda m, n, state: _vec_of(commutator_direct(G, m, G, n, module,
+                                                        state)),
+          ns_rhs)
 
-    vb = virasoro_bracket_check(module, omega, depth2=depth2, window=window)
-    checks["virasoro"] = vb["valid"]
+    # [L_m, G_r] = (m/2 - r) G_{m+r}
+    sweep("virasoro_g",
+          lambda m, n, state: _vec_of(commutator_direct(L, m + 1, G, n, module,
+                                                        state)),
+          lambda m, n, state: G.apply(m + n, module, StateVector.basis(
+              state)).scaled(Fraction(m, 2) - Fraction(2 * n - 1, 2)))
 
-    ok = True
-    for state in states:
-        u = StateVector.basis(state)
-        if L.apply(1, module, u) != u.scaled(Fraction(state_grade2(state), 2)):
-            ok = False
-        if L.apply(0, module, u) != module.operator_T(u):
-            ok = False
-    checks["grading_translation"] = ok
+    failures["virasoro"] = virasoro_bracket_check(
+        module, omega, depth2=depth2, window=window)["failures"]
+    checks = {name: not found for name, found in failures.items()}
+    checks["grading_translation"] = grading_holds(module, L, states)
 
     # G_{3/2} tau = (2c/3) vac
     checks["g_on_tau"] = G.apply(2, module, tau) == \
@@ -362,7 +347,7 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
                 ok = False
     checks["explicit_formula"] = ok
 
-    return {"checks": checks, "central_charge": c,
+    return {"checks": checks, "failures": failures, "central_charge": c,
             "degree": d, "valid": all(checks.values())}
 
 

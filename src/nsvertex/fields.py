@@ -82,9 +82,6 @@ class Field:
             self._prods[(other, k)] = cached
         return cached
 
-    def derivative(self) -> "Field":
-        return DerivativeField(self)
-
 
 class IdentityField(Field):
     weight2 = 0
@@ -280,19 +277,15 @@ def _bracket_apply(A, na, B, nb, eps, module, state) -> dict:
 
 
 def _t_apply(A, B, N, eps, p, q, module, state) -> dict:
-    """Coefficient of (z-w)^N [A(z), B(w)]_eps at z^(-p-1) w^(-q-1)."""
+    """Coefficient of (z-w)^N [A(z), B(w)]_eps at z^(-p-1) w^(-q-1):
+    sum_k (-1)^k C(N, k) [A(p+N-k), B(q+k)]_eps."""
     out = {}
     for k in range(N + 1):
         c = math.comb(N, k)
         coeff = Fraction(-c if k % 2 else c)
-        na, nb = p + N - k, q + k
-        for st, cc in B.act(nb, module, state).items():
-            for st2, c2 in A.act(na, module, st).items():
-                _acc(out, st2, cc * c2 * coeff)
-        back = coeff if eps else -coeff
-        for st, cc in A.act(na, module, state).items():
-            for st2, c2 in B.act(nb, module, st).items():
-                _acc(out, st2, cc * c2 * back)
+        for st, cc in _bracket_apply(A, p + N - k, B, q + k, eps, module,
+                                     state).items():
+            _acc(out, st, cc * coeff)
     return out
 
 
@@ -308,22 +301,16 @@ def locality_order(A: Field, B: Field, module: Module, depth2: int = 4,
     N-1.
     """
     predicted = A.parity & B.parity
-    states = [s for g2 in range(depth2 + 1) for s in module.level_basis(g2)]
+    states = module.basis_upto(depth2)
+    slots = range(-window, window + 1)
     witness = {0: None, 1: None}
     for N in range(max_order + 1):
         for eps in (predicted, 1 - predicted):
-            found = None
-            for state in states:
-                for p in range(-window, window + 1):
-                    for q in range(-window, window + 1):
-                        val = _t_apply(A, B, N, eps, p, q, module, state)
-                        if val:
-                            found = (N, p, q, state)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
+            # state-major search; the first nonzero point is the witness
+            found = next(((N, p, q, state) for state in states
+                          for p in slots for q in slots
+                          if _t_apply(A, B, N, eps, p, q, module, state)),
+                         None)
             if found is None:
                 return {"order": N,
                         "bracket": "anticommutator" if eps else "commutator",
@@ -334,11 +321,6 @@ def locality_order(A: Field, B: Field, module: Module, depth2: int = 4,
 
 
 # -- brackets through the expansion -----------------------------------------
-
-def nth_product(A: Field, B: Field, n: int) -> Field:
-    """The field extracted from the order-(n+1) pole of the expansion."""
-    return A.prod(B, n)
-
 
 def ope_singular_part(A: Field, B: Field, module: Module, order: int) -> dict:
     """States of the products A_j B for 0 <= j < order."""
@@ -361,6 +343,23 @@ def bracket_from_ope(A: Field, m: int, B: Field, n: int, order: int,
         for st, cc in A.prod(B, j).act(m + n - j, module, state).items():
             _acc(out, st, cc * Fraction(c))
     return out
+
+
+def bracket_check(A: Field, B: Field, module: Module, depth2: int,
+                  max_order: int, window: int) -> dict:
+    """The locality order of A and B on the window, then every direct
+    bracket [A(m), B(n)] against its expansion through the products
+    A_j B, j below that order."""
+    loc = locality_order(A, B, module, depth2=depth2, max_order=max_order,
+                         window=window)
+    order = loc["order"]
+    swept = sweep_relation(
+        module, depth2, window,
+        lambda m, n, state: commutator_direct(A, m, B, n, module, state),
+        lambda m, n, state: bracket_from_ope(A, m, B, n, order, module,
+                                             state))
+    return {"order": order, "bracket": loc["bracket"], **swept,
+            "valid": not swept["failures"]}
 
 
 # -- closure of a generator set ---------------------------------------------
@@ -408,12 +407,9 @@ def closure_spans(module: Module, field_list, depth2: int) -> list:
                 shift = w2 - 2 - 2 * n
                 if g2 + shift > depth2:
                     break
-                out = {}
-                for state, coeff in vec.items():
-                    for st, cc in f.act(n, module, state).items():
-                        _acc(out, st, coeff * cc)
+                out = f.apply(n, module, vec).data
                 if out and spaces[g2 + shift].add(out):
-                    work.append((g2 + shift, dict(out)))
+                    work.append((g2 + shift, out))
                 n -= 1
     return spaces
 
@@ -459,29 +455,51 @@ def _vec_of(d: dict) -> StateVector:
     return StateVector._wrap(dict(d))
 
 
+def sweep_relation(module: Module, depth2: int, window: int, lhs, rhs) -> dict:
+    """Certify lhs(m, n, state) == rhs(m, n, state) for m, n in
+    [-window, window] and every basis state of grade <= depth2/2.
+
+    Points run m-major (m, then n, then state); each point where the
+    sides differ adds the failure {"m": m, "n": n, "state": str(state)}.
+    """
+    states = module.basis_upto(depth2)
+    points = range(-window, window + 1)
+    failures = [{"m": m, "n": n, "state": str(state)}
+                for m in points for n in points for state in states
+                if lhs(m, n, state) != rhs(m, n, state)]
+    return {"checked": len(points) ** 2 * len(states), "failures": failures}
+
+
 def virasoro_bracket_check(module: Module, omega: StateVector,
                            depth2: int = 4, window: int = 2) -> dict:
     """[L_m, L_n] = (m-n) L_{m+n} + (c/12)(m^3-m) delta_{m+n} swept over
     basis states, with c measured as twice the norm of omega."""
     L = state_field(module, omega)
     c = 2 * module.inner(omega, omega)
-    states = [s for g2 in range(depth2 + 1) for s in module.level_basis(g2)]
-    checked = 0
-    failures = []
-    for m in range(-window, window + 1):
-        for n in range(-window, window + 1):
-            for state in states:
-                lhs = _vec_of(commutator_direct(L, m + 1, L, n + 1, module, state))
-                rhs = L.apply(m + n + 1, module,
-                              StateVector.basis(state)).scaled(m - n)
-                if m + n == 0 and m ** 3 - m:
-                    rhs = rhs + StateVector.basis(state).scaled(
-                        c * Fraction(m ** 3 - m, 12))
-                checked += 1
-                if lhs != rhs:
-                    failures.append({"m": m, "n": n, "state": str(state)})
-    return {"central_charge": c, "checked": checked,
-            "failures": failures, "valid": not failures}
+
+    def rhs(m, n, state):
+        u = StateVector.basis(state)
+        out = L.apply(m + n + 1, module, u).scaled(m - n)
+        if m + n == 0 and m ** 3 - m:
+            out = out + u.scaled(c * Fraction(m ** 3 - m, 12))
+        return out
+
+    swept = sweep_relation(
+        module, depth2, window,
+        lambda m, n, state: _vec_of(commutator_direct(L, m + 1, L, n + 1,
+                                                      module, state)),
+        rhs)
+    return {"central_charge": c, **swept, "valid": not swept["failures"]}
+
+
+def grading_holds(module: Module, L: Field, states) -> bool:
+    """L(1) u = grade(u) u and L(0) u = T u on every given basis state."""
+    for state in states:
+        u = StateVector.basis(state)
+        if L.apply(1, module, u) != u.scaled(Fraction(state_grade2(state), 2)) \
+                or L.apply(0, module, u) != module.operator_T(u):
+            return False
+    return True
 
 
 def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
@@ -495,7 +513,7 @@ def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
     omega.
     """
     vac = BasisState((), 0)
-    states = [s for g2 in range(depth2 + 1) for s in module.level_basis(g2)]
+    states = module.basis_upto(depth2)
     named = sorted(fields.items())
     L = state_field(module, omega)
     c_measured = 2 * module.inner(omega, omega)
@@ -557,14 +575,7 @@ def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
     checks["virasoro"] = virasoro_bracket_check(
         module, omega, depth2=depth2, window=2)["valid"]
 
-    ok = True
-    for state in states:
-        u = StateVector.basis(state)
-        if L.apply(1, module, u) != u.scaled(Fraction(state_grade2(state), 2)):
-            ok = False
-        if L.apply(0, module, u) != module.operator_T(u):
-            ok = False
-    checks["grading"] = ok
+    checks["grading"] = grading_holds(module, L, states)
 
     ok = True
     for _, f in named:
@@ -590,7 +601,7 @@ def check_borcherds(module: Module, depth2: int = 2, nwin: int = 2,
     first computes the state A(n) applied to b and then takes its field.
     Agreement over the swept (a, b, n, m, v) window is the associativity
     content of the expansion."""
-    vac_states = [s for g2 in range(depth2 + 1) for s in module.level_basis(g2)]
+    vac_states = module.basis_upto(depth2)
     checked = 0
     failures = []
     for sa in vac_states:
@@ -614,47 +625,6 @@ def check_borcherds(module: Module, depth2: int = 2, nwin: int = 2,
                             failures.append({"a": str(sa), "b": str(sb),
                                              "n": n, "m": m, "v": str(v)})
     return {"checked": checked, "failures": failures, "valid": not failures}
-
-
-def check_module_action(module: Module, vacuum_module: Module, fields: dict,
-                        omega: StateVector, depth2: int = 2,
-                        window: int = 2, max_order: int = 8) -> dict:
-    """Module axioms: the same field trees act on another graded module
-    with the commutators still governed by the vacuum-module products."""
-    named = sorted(fields.items())
-    states = [s for g2 in range(depth2 + 1) for s in module.level_basis(g2)]
-    L = state_field(vacuum_module, omega)
-    checks = {}
-
-    ok = True
-    table = {}
-    for i, (na, fa) in enumerate(named):
-        for nb, fb in named[i:]:
-            N = locality_order(fa, fb, vacuum_module, depth2=depth2,
-                               max_order=max_order, window=window)["order"]
-            table[f"{na},{nb}"] = N
-            for m in range(-window, window + 1):
-                for n in range(-window, window + 1):
-                    for state in states:
-                        lhs = commutator_direct(fa, m, fb, n, module, state)
-                        rhs = bracket_from_ope(fa, m, fb, n, N, module, state)
-                        if lhs != rhs:
-                            ok = False
-    checks["commutators"] = ok
-
-    ok = True
-    for _, f in named:
-        for n in range(-window, window + 2):
-            for state in states:
-                u = StateVector.basis(state)
-                lhs = module.operator_T(_vec_of(f.act(n, module, state))) \
-                    - f.apply(n, module, module.operator_T(u))
-                if lhs != f.apply(n - 1, module, u).scaled(-n):
-                    ok = False
-    checks["translation"] = ok
-
-    return {"checks": checks, "locality_table": table,
-            "valid": all(checks.values())}
 
 
 # -- expression-tree serialization ------------------------------------------

@@ -43,6 +43,7 @@ class LieAlgebra:
             if not (0 <= a < b < c < dim):
                 raise ValueError(f"bad structure constant triple {(a, b, c)}")
         self._bracket_table = None
+        self._dual_coxeter = None
 
     def gamma_entry(self, a: int, b: int, c: int) -> Scalar:
         """Gamma_ab^c, antisymmetrized over all three indices."""
@@ -129,10 +130,12 @@ class LieAlgebra:
 
     def dual_coxeter(self) -> Scalar:
         """g = (1/2) sum_{a,c} (Gamma_ac^b)^2 for any fixed b."""
-        report = self.validate()
-        if not report["valid"]:
-            raise ValueError(f"invalid structure constants for {self.name}")
-        return report["dual_coxeter"]
+        if self._dual_coxeter is None:
+            report = self.validate()
+            if not report["valid"]:
+                raise ValueError(f"invalid structure constants for {self.name}")
+            self._dual_coxeter = report["dual_coxeter"]
+        return self._dual_coxeter
 
     # -- serialization ---------------------------------------------------
 

@@ -238,6 +238,10 @@ class Module:
     def dims(self, depth2: int) -> list:
         return [len(self.level_basis(n2)) for n2 in range(depth2 + 1)]
 
+    def basis_upto(self, depth2: int) -> list:
+        """Basis states of every grade up to depth2/2, lowest grade first."""
+        return [s for g2 in range(depth2 + 1) for s in self.level_basis(g2)]
+
     # -- mode application ------------------------------------------------
 
     def apply_to_basis(self, mode: Mode, state: BasisState) -> dict:
@@ -302,12 +306,6 @@ class Module:
             for st, c in self.apply_to_basis(mode, state).items():
                 _acc(out, st, coeff * c)
         return StateVector._wrap(out)
-
-    def apply_word(self, modes, vec: StateVector) -> StateVector:
-        """Apply a sequence of modes, rightmost first."""
-        for mode in reversed(list(modes)):
-            vec = self.apply(mode, vec)
-        return vec
 
     # -- inner products --------------------------------------------------
 

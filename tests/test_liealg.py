@@ -158,3 +158,27 @@ def test_complex_gamma_fails_real_check():
     bad = LieAlgebra("badc", 3, {(0, 1, 2): Scalar({-1: 1})})
     report = bad.validate()
     assert not report["checks"]["real"]
+
+
+def test_dual_coxeter_validates_once(monkeypatch):
+    g = sl2()
+    calls = []
+    validate = LieAlgebra.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(LieAlgebra, "validate", counting)
+    assert g.dual_coxeter() == rational(2)
+    assert g.dual_coxeter() == rational(2)
+    assert len(calls) == 1
+
+
+def test_invalid_algebra_raises_on_every_call():
+    # sl2 plus a central direction: Jacobi holds, the normalization fails
+    bad = LieAlgebra("bad", 4, {(0, 1, 2): Scalar.root(2)})
+    assert not bad.validate()["valid"]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            bad.dual_coxeter()
