@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import (Field, ScaledSum, check_vosa_axioms, closure_spans,
-                     commutator_direct, generator_field, grading_holds,
+                     commutator_direct, creating_state, grading_holds,
                      state_field, sweep_relation, virasoro_bracket_check,
                      _vec_of)
 from .liealg import LieAlgebra, casimir_constant_sl2
@@ -65,6 +65,13 @@ class Construction:
                                  max_order=max_order)
 
 
+def _generators(module: Module, kind: str, count: int) -> dict:
+    """The module's own fields of generator colors 0..count-1, named
+    kind1..kind<count>."""
+    return {f"{kind}{a + 1}": state_field(module, creating_state(kind, a))
+            for a in range(count)}
+
+
 # -- free fermions ----------------------------------------------------------
 
 def fermion_omega(module: FermionFock) -> StateVector:
@@ -78,7 +85,7 @@ def fermion_omega(module: FermionFock) -> StateVector:
 
 def fermion_vosa(colors: int = 1) -> Construction:
     module = FermionFock(colors)
-    fields = {f"psi{a + 1}": generator_field("psi", a) for a in range(colors)}
+    fields = _generators(module, "psi", colors)
     return Construction("fermion", module, fields, fermion_omega(module))
 
 
@@ -110,7 +117,7 @@ def _current_state(lie: LieAlgebra, c: int) -> StateVector:
 def g_fermion_system(lie: LieAlgebra) -> Construction:
     """dim-many fermions with the currents S^a induced by the bracket."""
     module = FermionFock(lie.dim)
-    fields = {f"psi{a + 1}": generator_field("psi", a) for a in range(lie.dim)}
+    fields = _generators(module, "psi", lie.dim)
     currents = [_current_state(lie, c) for c in range(lie.dim)]
     current_fields = [state_field(module, s) for s in currents]
     data = {"lie": lie, "currents": currents, "current_fields": current_fields}
@@ -188,7 +195,7 @@ def sugawara_omega(module: AffineModule) -> StateVector:
 
 def boson_sugawara(lie: LieAlgebra, level: int) -> Construction:
     module = AffineModule(lie, level)
-    fields = {f"x{a + 1}": generator_field("x", a) for a in range(lie.dim)}
+    fields = _generators(module, "x", lie.dim)
     omega = sugawara_omega(module)
     data = {"lie": lie, "level": level,
             "closed_form": sugawara_central_charge(lie.dim,
@@ -233,15 +240,16 @@ def super_construction(lie: LieAlgebra, level: int) -> Construction:
 
     G = state_field(module, tau)
     current_fields = [state_field(module, s) for s in currents]
-    psi = [generator_field("psi", a) for a in range(dim)]
+    psi = list(_generators(module, "psi", dim).values())
     explicit_terms = [(inv_root * Fraction(1, 3), psi[a].prod(
         current_fields[a], -1)) for a in range(dim)]
     if level == 0:
         b_fields = list(current_fields)
     else:
-        b_fields = [ScaledSum([(ONE, generator_field("x", a)),
-                               (ONE, current_fields[a])]) for a in range(dim)]
-        explicit_terms = [(inv_root, generator_field("x", a).prod(psi[a], -1))
+        x = list(_generators(module, "x", dim).values())
+        b_fields = [ScaledSum([(ONE, x[a]), (ONE, current_fields[a])])
+                    for a in range(dim)]
+        explicit_terms = [(inv_root, x[a].prod(psi[a], -1))
                           for a in range(dim)] + explicit_terms
     # slot 0 is the physical -1/2 mode of a weight-3/2 field
     omega = G.apply(0, module, tau).scaled(Fraction(1, 2))
@@ -250,7 +258,7 @@ def super_construction(lie: LieAlgebra, level: int) -> Construction:
     for a in range(dim):
         fields[f"psi{a + 1}"] = psi[a]
         if level > 0:
-            fields[f"x{a + 1}"] = generator_field("x", a)
+            fields[f"x{a + 1}"] = x[a]
     data = {"lie": lie, "level": level, "degree": d,
             "tau": tau, "tau1": tau1, "tau2": tau2,
             "currents": currents, "current_fields": current_fields,
@@ -275,7 +283,7 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
     dim = lie.dim
     G = cons.fields["G"]
     B = cons.data["b_fields"]
-    psi = [generator_field("psi", a) for a in range(dim)]
+    psi = list(_generators(module, "psi", dim).values())
     tau = cons.data["tau"]
     omega = cons.omega
     L = state_field(module, omega)

@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .modules import (BasisState, Mode, Module, StateVector, _acc,
-                      mode_parity, state_grade2, state_parity)
+from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
+                      StateVector, _acc, mode_parity, state_grade2,
+                      state_parity)
 from .scalars import ONE, ZERO, Scalar
-
-GENERATOR_WEIGHT2 = {"psi": 1, "x": 2, "G": 3, "L": 4}
 
 
 def gbinom(k: int, j: int) -> int:
@@ -207,26 +206,28 @@ def realize(field: Field, module: Module) -> StateVector:
     return StateVector._wrap(dict(field.act(-1, module, BasisState((), 0))))
 
 
-_GENERATOR_FIELDS = {}
-_STATE_FIELDS = {}
-_IDENTITY = IdentityField()
-
-
 def identity_field() -> Field:
-    return _IDENTITY
+    """A new identity field, for callers that have no module."""
+    return IdentityField()
 
 
 def generator_field(kind: str, color: int = 0) -> Field:
-    f = _GENERATOR_FIELDS.get((kind, color))
-    if f is None:
-        f = GeneratorField(kind, color)
-        _GENERATOR_FIELDS[(kind, color)] = f
-    return f
+    """A new generator field, for callers that have no module; inside a
+    module, state_field of the creating state gives the shared one."""
+    return GeneratorField(kind, color)
+
+
+def creating_state(kind: str, color: int = 0) -> BasisState:
+    """The one-mode state that a generator's slot -1 creates from the
+    vacuum."""
+    return BasisState((Mode(kind, color, -GENERATOR_WEIGHT2[kind]),), 0)
 
 
 def state_field(module: Module, arg) -> Field:
     """The field of a state of the vacuum module, built recursively:
-    the head mode contributes its own field at the slot that creates it."""
+    the head mode contributes its own field at the slot that creates it.
+    Basis fields are memoized on the module, so they live as long as it
+    does."""
     if isinstance(arg, BasisState):
         return _basis_field(module, arg)
     terms = [(coeff, _basis_field(module, state)) for state, coeff in arg.items()]
@@ -240,23 +241,21 @@ def state_field(module: Module, arg) -> Field:
 def _basis_field(module: Module, state: BasisState) -> Field:
     if state.floor != 0:
         raise ValueError("state-field correspondence needs the vacuum floor")
-    key = (module, state)
-    f = _STATE_FIELDS.get(key)
+    f = module._field_cache.get(state)
     if f is not None:
         return f
     word = state.word
     if not word:
-        f = _IDENTITY
+        f = IdentityField()
     else:
         head = word[0]
-        gf = generator_field(head.kind, head.color)
-        slot = slot_of_index2(gf.weight2, head.n2)
-        if len(word) == 1:
-            f = gf if slot == -1 else gf.prod(_IDENTITY, slot)
+        slot = slot_of_index2(GENERATOR_WEIGHT2[head.kind], head.n2)
+        if len(word) == 1 and slot == -1:
+            f = GeneratorField(head.kind, head.color)
         else:
-            rest = _basis_field(module, BasisState(word[1:], 0))
-            f = gf.prod(rest, slot)
-    _STATE_FIELDS[key] = f
+            gf = _basis_field(module, creating_state(head.kind, head.color))
+            f = gf.prod(_basis_field(module, BasisState(word[1:], 0)), slot)
+    module._field_cache[state] = f
     return f
 
 
@@ -573,7 +572,7 @@ def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
     checks["locality"] = ok
 
     checks["virasoro"] = virasoro_bracket_check(
-        module, omega, depth2=depth2, window=2)["valid"]
+        module, omega, depth2=depth2, window=window)["valid"]
 
     checks["grading"] = grading_holds(module, L, states)
 

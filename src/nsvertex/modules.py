@@ -25,6 +25,8 @@ from .scalars import ONE, ZERO, I, Scalar
 
 KIND_RANK = {"x": 0, "L": 1, "G": 2, "psi": 3}
 ODD_KINDS = frozenset({"psi", "G"})
+# twice the conformal weight of the field of each generator kind
+GENERATOR_WEIGHT2 = {"psi": 1, "x": 2, "G": 3, "L": 4}
 
 
 class Mode(NamedTuple):
@@ -174,6 +176,7 @@ class Module:
         self._apply_cache = {}
         self._inner_cache = {}
         self._basis_cache = {}
+        self._field_cache = {}
 
     # -- interface supplied by concrete modules -------------------------
 
@@ -410,25 +413,13 @@ class Module:
         for st, c in self._translate_basis(rest).items():
             for st2, c2 in self.apply_to_basis(head, st).items():
                 _acc(out, st2, c * c2)
-        kappa = _translation_coeff(head)
+        # [T, A_{-a}] = (a - w + 1) A_{-a-1} for a mode of a weight-w field
+        kappa = Fraction(-head.n2 - GENERATOR_WEIGHT2[head.kind] + 2, 2)
         if kappa:
             shifted = Mode(head.kind, head.color, head.n2 - 2)
             for st, c in self.apply_to_basis(shifted, rest).items():
                 _acc(out, st, c * kappa)
         return out
-
-
-def _translation_coeff(mode: Mode) -> Fraction:
-    """[T, A_{-a}] = (a - w + 1) A_{-a-1} for a mode of a weight-w field;
-    w = 1/2, 1, 3/2, 2 for psi, x, G, L."""
-    a2 = -mode.n2
-    if mode.kind == "psi":
-        return Fraction(a2 + 1, 2)
-    if mode.kind == "G":
-        return Fraction(a2 - 1, 2)
-    if mode.kind == "x":
-        return Fraction(a2, 2)
-    return Fraction(a2 - 2, 2)
 
 
 class FermionFock(Module):
@@ -677,11 +668,7 @@ class QuotientModule(Module):
 
 
 def _parse_spin2(value) -> int:
-    if isinstance(value, str):
-        spin = Fraction(value)
-    else:
-        spin = Fraction(value)
-    spin2 = spin * 2
+    spin2 = Fraction(value) * 2
     if spin2.denominator != 1 or spin2 < 0:
         raise ValueError(f"spin must be a nonnegative half-integer, got {value!r}")
     return int(spin2)

@@ -47,24 +47,6 @@ def _mul_rad(r: int, s: int) -> tuple[int, int]:
     return outer, core
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square rational system by Gaussian elimination."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
 class Scalar:
     """An element of Q adjoined square roots of square-free integers."""
 
@@ -191,39 +173,29 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        """Multiplicative inverse via a dense rational solve.
+        """Multiplicative inverse by conjugate products.
 
-        The radicands of self generate a finite subgroup of the
-        square-free integers under the sqrt-multiplication rule; on that
-        2**k dimensional Q-span, multiplication by self is linear, and
-        inverting it is a small linear solve.
+        While the denominator d is irrational, one generator p of its
+        radicands (i if any radicand is negative, else a prime) is
+        removed by multiplying numerator and d by sigma_p(d), the sign
+        flip of every term whose radicand p divides; d sigma_p(d) no
+        longer involves p.  The rational d left at the end divides the
+        numerator.
         """
         if not self._t:
             raise ZeroDivisionError("scalar division by zero")
-        if self.is_rational():
-            return Scalar._new({1: 1 / self._t[1]})
-        rads = {1} | set(self._t)
-        changed = True
-        while changed:
-            changed = False
-            for r in list(rads):
-                for s in list(rads):
-                    _, rad = _mul_rad(r, s)
-                    if rad not in rads:
-                        rads.add(rad)
-                        changed = True
-        basis = sorted(rads)
-        index = {r: k for k, r in enumerate(basis)}
-        n = len(basis)
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for j, b in enumerate(basis):
-            for r, cr in self._t.items():
-                f, rad = _mul_rad(r, b)
-                mat[index[rad]][j] += cr * f
-        rhs = [Fraction(0)] * n
-        rhs[index[1]] = Fraction(1)
-        sol = _solve_linear(mat, rhs)
-        return Scalar._new({basis[j]: sol[j] for j in range(n) if sol[j]})
+        num, den = _ONE, self
+        while not den.is_rational():
+            if any(r < 0 for r in den._t):
+                conj = den.conjugate()
+            else:
+                r = next(r for r in den._t if r != 1)
+                p = next(k for k in range(2, r + 1) if r % k == 0)
+                conj = Scalar._new({rad: (-c if rad % p == 0 else c)
+                                    for rad, c in den._t.items()})
+            num, den = num * conj, den * conj
+        q = den._t[1]
+        return Scalar._new({r: c / q for r, c in num._t.items()})
 
     def __truediv__(self, other):
         other = _coerce(other)

@@ -292,9 +292,27 @@ def test_field_tree_roundtrip():
         assert back.weight2 == f.weight2 and back.parity == f.parity
         for n in range(-3, 3):
             assert back.act(n, mod, st) == f.act(n, mod, st)
-    assert field_from_tree({"gen": "psi", "color": 0}) is psi
+    back = field_from_tree({"gen": "psi", "color": 0})
+    assert isinstance(back, GeneratorField)
+    assert (back.kind, back.color) == ("psi", 0)
     assert isinstance(field_from_tree({"gen": "id"}), IdentityField)
     with pytest.raises(ValueError):
         field_from_tree({"gen": "bogus"})
     with pytest.raises(ValueError):
         field_from_tree({"what": 1})
+
+
+def test_vosa_axioms_certify_virasoro_at_requested_window(monkeypatch):
+    from nsvertex import fields
+    seen = []
+    real = fields.virasoro_bracket_check
+
+    def spy(module, omega, depth2=4, window=2):
+        seen.append(window)
+        return real(module, omega, depth2=depth2, window=window)
+
+    monkeypatch.setattr(fields, "virasoro_bracket_check", spy)
+    mod, psi, omega = fermion_setup()
+    report = check_vosa_axioms(mod, {"psi": psi}, omega, depth2=1, window=1)
+    assert report["checks"]["virasoro"]
+    assert seen == [1]

@@ -79,6 +79,15 @@ def test_inverse_in_composite_field():
     assert a * a.inverse() == ONE
     b = I + Scalar.root(2) - rational(1, 3)
     assert b * b.inverse() == ONE
+    # four or more independent radicals, among them i, sqrt5 and sqrt7
+    rng = random.Random(7)
+    rads = [1, -1, 2, 3, 5, 7, -5, 10, 14, -21, 35, 30]
+    for _ in range(40):
+        t = {r: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for r in rng.sample(rads, rng.randint(4, 7))}
+        a = Scalar(t) + I + Scalar.root(5) + Scalar.root(7)
+        assert a * a.inverse() == ONE
+        assert a.inverse().inverse() == a
 
 
 def test_division():
