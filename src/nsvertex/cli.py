@@ -502,6 +502,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # a negative window or order would empty every sweep and pass
+        if min(getattr(args, "window", 0), getattr(args, "max_order", 0)) < 0:
+            raise ValueError("--window and --max-order must be nonnegative")
         return args.func(args)
     except (ValueError, KeyError, TypeError, ZeroDivisionError,
             OSError, json.JSONDecodeError) as exc:

@@ -16,12 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import (Field, ScaledSum, check_vosa_axioms, closure_spans,
-                     commutator_direct, creating_state, grading_holds,
-                     state_field, sweep_relation, virasoro_bracket_check,
-                     _vec_of)
+                     commutator_direct, creating_state, grading_sweep,
+                     state_field, sweep, sweep_relation,
+                     virasoro_bracket_check, window_points, _vec_of)
 from .liealg import LieAlgebra, casimir_constant_sl2
 from .modules import (AffineModule, BasisState, FermionFock, Mode, Module,
-                      StateVector, TensorModule, _acc, state_grade2)
+                      StateVector, TensorModule, _acc)
 from .scalars import ONE, I, Scalar
 
 
@@ -127,29 +127,22 @@ def g_fermion_system(lie: LieAlgebra) -> Construction:
 def _current_algebra_sweep(module: Module, lie: LieAlgebra, S: list, level,
                            depth2: int, window: int) -> dict:
     """[S^a_m, S^b_n] = i Gamma_ab^c S^c_{m+n} + level m delta_ab delta_{m+n}
-    swept pair by pair; failure entries carry the 1-based a and b."""
-    checked = 0
-    failures = []
-    for a in range(lie.dim):
-        for b in range(lie.dim):
-            def rhs(m, n, state):
-                u = StateVector.basis(state)
-                out = StateVector({})
-                for c, coeff in lie.bracket_coeffs(a, b):
-                    out = out + S[c].apply(m + n, module, u).scaled(I * coeff)
-                if a == b and m + n == 0 and m:
-                    out = out + u.scaled(level * m)
-                return out
+    swept pair by pair; points carry the 1-based a and b."""
+    def rhs(a, b, m, n, state):
+        u = StateVector.basis(state)
+        out = StateVector({})
+        for c, coeff in lie.bracket_coeffs(a - 1, b - 1):
+            out = out + S[c].apply(m + n, module, u).scaled(I * coeff)
+        if a == b and m + n == 0 and m:
+            out = out + u.scaled(level * m)
+        return out
 
-            swept = sweep_relation(
-                module, depth2, window,
-                lambda m, n, state: _vec_of(commutator_direct(
-                    S[a], m, S[b], n, module, state)),
-                rhs)
-            checked += swept["checked"]
-            failures += [{"a": a + 1, "b": b + 1, **f}
-                         for f in swept["failures"]]
-    return {"checked": checked, "failures": failures}
+    pairs = range(1, lie.dim + 1)
+    return sweep(({"a": a, "b": b, **p} for a in pairs for b in pairs
+                  for p in window_points(module, depth2, window)),
+                 lambda a, b, m, n, state: _vec_of(commutator_direct(
+                     S[a - 1], m, S[b - 1], n, module, state)),
+                 rhs)
 
 
 def current_bracket_report(cons: Construction, depth2: int = 2,
@@ -274,9 +267,8 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
     brackets that pair G with currents and fermions, the super Virasoro
     relations closed by G, the grading and translation actions, the
     value of G on its own state, and agreement of G with its explicit
-    normal-ordered formula.  `checks` maps each relation to a boolean;
-    `failures` maps each swept relation to its failing (m, n, state)
-    points."""
+    normal-ordered formula.  `failures` maps each relation to its failing
+    points, and `checks` maps it to whether that list is empty."""
     module = cons.module
     lie = cons.data["lie"]
     d = cons.data["degree"]
@@ -287,19 +279,20 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
     tau = cons.data["tau"]
     omega = cons.omega
     L = state_field(module, omega)
-    c = 2 * module.inner(omega, omega)
+    vir = virasoro_bracket_check(module, omega, depth2=depth2, window=window)
+    c = vir["central_charge"]
     root_d = Scalar.sqrt_fraction(d)
     inv_root_d = Scalar.sqrt_fraction(1 / d)
     states = module.basis_upto(depth2)
     failures = {"b_current_algebra": _current_algebra_sweep(
         module, lie, B, Scalar.of(d), depth2, window)["failures"]}
 
-    def sweep(name, lhs, rhs):
+    def check(name, lhs, rhs):
         failures[name] = sweep_relation(module, depth2, window, lhs,
                                         rhs)["failures"]
 
     # [G_{m-1/2}, B^a_n] = -n sqrt(d) psi^a at the summed index
-    sweep("g_with_currents",
+    check("g_with_currents",
           lambda m, n, state: [_vec_of(commutator_direct(
               G, m, B[a], n, module, state)) for a in range(dim)],
           lambda m, n, state: [psi[a].apply(
@@ -307,7 +300,7 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
               for a in range(dim)])
 
     # {G_{m-1/2}, psi^a_{n+1/2}} = d^(-1/2) B^a_{m+n}
-    sweep("g_with_fermions",
+    check("g_with_fermions",
           lambda m, n, state: [_vec_of(commutator_direct(
               G, m, psi[a], n, module, state)) for a in range(dim)],
           lambda m, n, state: [B[a].apply(
@@ -323,37 +316,38 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
             rhs = rhs + u.scaled(c * Fraction(1, 3) * (r * r - Fraction(1, 4)))
         return rhs
 
-    sweep("ns_anticommutator",
+    check("ns_anticommutator",
           lambda m, n, state: _vec_of(commutator_direct(G, m, G, n, module,
                                                         state)),
           ns_rhs)
 
     # [L_m, G_r] = (m/2 - r) G_{m+r}
-    sweep("virasoro_g",
+    check("virasoro_g",
           lambda m, n, state: _vec_of(commutator_direct(L, m + 1, G, n, module,
                                                         state)),
           lambda m, n, state: G.apply(m + n, module, StateVector.basis(
               state)).scaled(Fraction(m, 2) - Fraction(2 * n - 1, 2)))
 
-    failures["virasoro"] = virasoro_bracket_check(
-        module, omega, depth2=depth2, window=window)["failures"]
-    checks = {name: not found for name, found in failures.items()}
-    checks["grading_translation"] = grading_holds(module, L, states)
+    failures["virasoro"] = vir["failures"]
+    failures["grading_translation"] = grading_sweep(module, L,
+                                                    depth2)["failures"]
 
     # G_{3/2} tau = (2c/3) vac
-    checks["g_on_tau"] = G.apply(2, module, tau) == \
-        module.vacuum().scaled(c * Fraction(2, 3))
+    failures["g_on_tau"] = sweep(
+        [{"n": 2}], lambda n: G.apply(n, module, tau),
+        lambda n: module.vacuum().scaled(c * Fraction(2, 3)))["failures"]
 
-    checks["central_charge_closed_form"] = \
-        c == Scalar.of(cons.data["closed_form"])
+    failures["central_charge_closed_form"] = sweep(
+        [{"c": c}], lambda c: c,
+        lambda c: Scalar.of(cons.data["closed_form"]))["failures"]
 
     explicit = ScaledSum(cons.data["explicit_terms"])
-    ok = True
-    for n in range(-window, window + 1):
-        for state in states:
-            if G.act(n, module, state) != explicit.act(n, module, state):
-                ok = False
-    checks["explicit_formula"] = ok
+    failures["explicit_formula"] = sweep(
+        ({"n": n, "state": state} for n in range(-window, window + 1)
+         for state in states),
+        lambda n, state: G.act(n, module, state),
+        lambda n, state: explicit.act(n, module, state))["failures"]
+    checks = {name: not found for name, found in failures.items()}
 
     return {"checks": checks, "failures": failures, "central_charge": c,
             "degree": d, "valid": all(checks.values())}
@@ -409,19 +403,19 @@ def weight_report(vm: dict, depth2: int = 4) -> dict:
     grade, level by level."""
     cons, module, h = vm["construction"], vm["module"], vm["h"]
     L = state_field(cons.module, cons.omega)
-    levels = []
-    ok_all = True
-    for n2 in range(depth2 + 1):
-        basis = module.level_basis(n2)
-        ok = True
-        for state in basis:
-            u = StateVector.basis(state)
-            got = L.apply(1, module, u)
-            if got != u.scaled(Scalar.of(h) + Fraction(n2, 2)):
-                ok = False
-        levels.append({"grade": Fraction(n2, 2), "dim": len(basis), "valid": ok})
-        ok_all = ok_all and ok
-    return {"h": h, "levels": levels, "valid": ok_all}
+    bases = [module.level_basis(n2) for n2 in range(depth2 + 1)]
+    swept = sweep(
+        ({"grade": Fraction(n2, 2), "state": state}
+         for n2, basis in enumerate(bases) for state in basis),
+        lambda grade, state: L.apply(1, module, StateVector.basis(state)),
+        lambda grade, state: StateVector.basis(state).scaled(
+            Scalar.of(h) + grade))
+    failed = {f["grade"] for f in swept["failures"]}
+    levels = [{"grade": Fraction(n2, 2), "dim": len(basis),
+               "valid": Fraction(n2, 2) not in failed}
+              for n2, basis in enumerate(bases)]
+    return {"h": h, "levels": levels, "failures": swept["failures"],
+            "valid": not swept["failures"]}
 
 
 # -- central terms ----------------------------------------------------------
@@ -443,9 +437,10 @@ def cocycle_span(A: dict) -> tuple:
     a1, a2 = A.get(1, Fraction(0)), A.get(2, Fraction(0))
     beta = (a2 - 2 * a1) / 6
     alpha = a1 - beta
-    for n, v in A.items():
-        if v != alpha * n + beta * n ** 3:
-            raise ValueError(f"not in the span at n = {n}")
+    off = sweep(({"n": n} for n in A), lambda n: A[n],
+                lambda n: alpha * n + beta * n ** 3)["failures"]
+    if off:
+        raise ValueError(f"not in the span at n = {off[0]['n']}")
     return alpha, beta
 
 
@@ -473,14 +468,12 @@ def verify_jacobi_cocycle(A: dict, nmax: int) -> bool:
     def a(k):
         return A[k] if k in A else -A[-k]
 
-    for m in range(-nmax, nmax + 1):
-        for n in range(-nmax, nmax + 1):
-            p = -m - n
-            if abs(p) > nmax:
-                continue
-            if (m - n) * a(p) + (n - p) * a(m) + (p - m) * a(n):
-                return False
-    return True
+    span = range(-nmax, nmax + 1)
+    return not sweep(
+        ({"m": m, "n": n, "p": -m - n} for m in span for n in span
+         if abs(m + n) <= nmax),
+        lambda m, n, p: (m - n) * a(p) + (n - p) * a(m) + (p - m) * a(n),
+        lambda m, n, p: 0)["failures"]
 
 
 def odd_central_term(c, smax2: int) -> dict:
@@ -496,19 +489,21 @@ def odd_central_term(c, smax2: int) -> dict:
 
 def verify_super_cocycle(A: dict, C: dict) -> bool:
     """2 A(n) + (s - n/2) C(r) + (r - n/2) C(s) = 0 over r + s + n = 0,
-    swept over all pairs the two tables cover."""
+    swept over all pairs the two tables cover; an index n that A does
+    not table fails."""
     def a(k):
         return A[k] if k in A else -A[-k]
 
-    for r2, cr in C.items():
-        for s2, cs in C.items():
-            n = -(r2 + s2) // 2
-            if n not in A and -n not in A:
-                return False
-            r, s = Fraction(r2, 2), Fraction(s2, 2)
-            if 2 * a(n) + (s - Fraction(n, 2)) * cr + (r - Fraction(n, 2)) * cs:
-                return False
-    return True
+    def mixed(r2, s2):
+        n = -(r2 + s2) // 2
+        if n not in A and -n not in A:
+            return None
+        r, s = Fraction(r2, 2), Fraction(s2, 2)
+        return 2 * a(n) + (s - Fraction(n, 2)) * C[r2] \
+            + (r - Fraction(n, 2)) * C[s2]
+
+    return not sweep(({"r2": r2, "s2": s2} for r2 in C for s2 in C),
+                     mixed, lambda r2, s2: 0)["failures"]
 
 
 def verify_odd_cocycle(c, smax2: int) -> bool:

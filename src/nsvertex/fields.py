@@ -21,7 +21,7 @@ from fractions import Fraction
 from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
                       StateVector, _acc, mode_parity, state_grade2,
                       state_parity)
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 
 
 def gbinom(k: int, j: int) -> int:
@@ -425,27 +425,32 @@ def generate_closure(module: Module, generators, depth2: int,
     gens = list(generators.values()) if isinstance(generators, dict) \
         else list(generators)
     spaces = closure_spans(module, gens, depth2)
-    states = []
-    for sp in spaces:
-        for pivot in sorted(sp.rows):
-            states.append(StateVector._wrap(dict(sp.rows[pivot])))
+    states = [StateVector._wrap(dict(sp.rows[pivot]))
+              for sp in spaces for pivot in sorted(sp.rows)]
     if len(states) > max_fields:
         raise ValueError(f"closure exceeds {max_fields} fields")
     fields = [state_field(module, vec) for vec in states]
-    table = {}
-    ok = True
-    for i, fa in enumerate(fields):
-        for j in range(i, len(fields)):
-            try:
-                loc = locality_order(fa, fields[j], module, depth2=depth2,
-                                     max_order=max_order, window=window)
-                table[(i, j)] = {"order": loc["order"],
-                                 "bracket": loc["bracket"]}
-            except ValueError:
-                table[(i, j)] = None
-                ok = False
+    table = locality_table(list(enumerate(fields)), module, depth2,
+                           max_order, window)
     return {"dims": [len(sp) for sp in spaces], "states": states,
-            "fields": fields, "locality_table": table, "valid": ok}
+            "fields": fields, "locality_table": table,
+            "valid": None not in table.values()}
+
+
+def locality_table(named, module: Module, depth2: int, max_order: int,
+                   window: int) -> dict:
+    """Locality order and bracket of each pair (a, b), b not before a, of
+    a (key, field) list; None if not local at order <= max_order."""
+    table = {}
+    for i, (a, A) in enumerate(named):
+        for b, B in named[i:]:
+            try:
+                loc = locality_order(A, B, module, depth2=depth2,
+                                     max_order=max_order, window=window)
+                table[a, b] = {"order": loc["order"], "bracket": loc["bracket"]}
+            except ValueError:
+                table[a, b] = None
+    return table
 
 
 # -- axiom suites -----------------------------------------------------------
@@ -454,19 +459,31 @@ def _vec_of(d: dict) -> StateVector:
     return StateVector._wrap(dict(d))
 
 
-def sweep_relation(module: Module, depth2: int, window: int, lhs, rhs) -> dict:
-    """Certify lhs(m, n, state) == rhs(m, n, state) for m, n in
-    [-window, window] and every basis state of grade <= depth2/2.
+def sweep(points, lhs, rhs) -> dict:
+    """Certify lhs(**p) == rhs(**p) at every point p of an ordered
+    iterable of dicts; returns the number of points checked and, in
+    order, each point where the sides differ, basis states as strings."""
+    checked, failures = 0, []
+    for p in points:
+        checked += 1
+        if lhs(**p) != rhs(**p):
+            failures.append({k: str(v) if isinstance(v, BasisState) else v
+                             for k, v in p.items()})
+    return {"checked": checked, "failures": failures}
 
-    Points run m-major (m, then n, then state); each point where the
-    sides differ adds the failure {"m": m, "n": n, "state": str(state)}.
-    """
+
+def window_points(module: Module, depth2: int, window: int):
+    """{"m", "n", "state"} for m, n in [-window, window] and every basis
+    state of grade <= depth2/2, m-major."""
     states = module.basis_upto(depth2)
-    points = range(-window, window + 1)
-    failures = [{"m": m, "n": n, "state": str(state)}
-                for m in points for n in points for state in states
-                if lhs(m, n, state) != rhs(m, n, state)]
-    return {"checked": len(points) ** 2 * len(states), "failures": failures}
+    slots = range(-window, window + 1)
+    return ({"m": m, "n": n, "state": state}
+            for m in slots for n in slots for state in states)
+
+
+def sweep_relation(module: Module, depth2: int, window: int, lhs, rhs) -> dict:
+    """Certify lhs(m, n, state) == rhs(m, n, state) at every window point."""
+    return sweep(window_points(module, depth2, window), lhs, rhs)
 
 
 def virasoro_bracket_check(module: Module, omega: StateVector,
@@ -491,14 +508,15 @@ def virasoro_bracket_check(module: Module, omega: StateVector,
     return {"central_charge": c, **swept, "valid": not swept["failures"]}
 
 
-def grading_holds(module: Module, L: Field, states) -> bool:
-    """L(1) u = grade(u) u and L(0) u = T u on every given basis state."""
-    for state in states:
-        u = StateVector.basis(state)
-        if L.apply(1, module, u) != u.scaled(Fraction(state_grade2(state), 2)) \
-                or L.apply(0, module, u) != module.operator_T(u):
-            return False
-    return True
+def grading_sweep(module: Module, L: Field, depth2: int) -> dict:
+    """L(1) u = grade(u) u and L(0) u = T u on every basis state of grade
+    <= depth2/2."""
+    u = StateVector.basis
+    return sweep(({"state": s} for s in module.basis_upto(depth2)),
+                 lambda state: (L.apply(1, module, u(state)),
+                                L.apply(0, module, u(state))),
+                 lambda state: (u(state).scaled(Fraction(state_grade2(state), 2)),
+                                module.operator_T(u(state))))
 
 
 def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
@@ -507,88 +525,70 @@ def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
     """Axioms of a vertex operator superalgebra on a swept window.
 
     fields maps names to generating fields; omega is the conformal
-    state.  Returns a report with per-check booleans, the pairwise
-    locality table, and the central charge measured as twice the norm of
-    omega.
+    state.  Returns each check's failing points and whether it holds,
+    the pairwise locality table (None for a non-local pair), and the
+    central charge measured as twice the norm of omega.
     """
     vac = BasisState((), 0)
     states = module.basis_upto(depth2)
     named = sorted(fields.items())
-    L = state_field(module, omega)
-    c_measured = 2 * module.inner(omega, omega)
-    checks = {}
-
-    ok = module.operator_T(module.vacuum()).is_zero()
-    for _, f in named:
-        w = (f.weight2 + 2) // 2
-        for n in range(0, w + window):
-            if f.act(n, module, vac):
-                ok = False
-        st = realize(f, module)
-        for b, _ in st.items():
-            if state_grade2(b) != f.weight2 or state_parity(b) != f.parity:
-                ok = False
-    checks["vacuum"] = ok
-
-    ok = True
-    for state in states:
-        if state.floor != 0:
-            ok = False
-            break
-        back = realize(state_field(module, state), module)
-        if back != StateVector.basis(state):
-            ok = False
-    checks["state_field"] = ok
-
+    vir = virasoro_bracket_check(module, omega, depth2=depth2, window=window)
     spans = closure_spans(module, [f for _, f in named], depth2)
-    checks["irreducibility"] = all(
-        len(spans[g2]) == len(module.level_basis(g2))
-        for g2 in range(depth2 + 1))
+    table = {f"{a},{b}": loc for (a, b), loc in locality_table(
+        named, module, depth2, max_order, window).items()}
 
-    ok = True
-    for _, f in named:
-        for n in range(-window, window + 2):
-            for state in states:
-                u = StateVector.basis(state)
-                lhs = module.operator_T(_vec_of(f.act(n, module, state))) \
-                    - f.apply(n, module, module.operator_T(u))
-                rhs = f.apply(n - 1, module, u).scaled(-n)
-                if lhs != rhs:
-                    ok = False
-    checks["translation"] = ok
+    def field_points(slots):
+        return ({"field": name, "n": n, "state": state} for name, _ in named
+                for n in slots for state in states)
 
-    table = {}
-    ok = True
-    for i, (name_a, fa) in enumerate(named):
-        for name_b, fb in named[i:]:
-            try:
-                loc = locality_order(fa, fb, module, depth2=depth2,
-                                     max_order=max_order, window=window)
-                table[f"{name_a},{name_b}"] = {"order": loc["order"],
-                                               "bracket": loc["bracket"]}
-            except ValueError:
-                table[f"{name_a},{name_b}"] = {"order": None}
-                ok = False
-    checks["locality"] = ok
+    def stray(field, n):
+        # slots n >= 0 kill the vacuum; slot -1 keeps weight and parity
+        f = fields[field]
+        return [st for st in f.act(n, module, vac) if n >= 0 or (
+            state_grade2(st), state_parity(st)) != (f.weight2, f.parity)]
 
-    checks["virasoro"] = virasoro_bracket_check(
-        module, omega, depth2=depth2, window=window)["valid"]
+    def translated(field, n, state):
+        # [T, A(n)] u, to match -n A(n-1) u
+        f = fields[field]
+        return module.operator_T(_vec_of(f.act(n, module, state))) \
+            - f.apply(n, module, module.operator_T(StateVector.basis(state)))
 
-    checks["grading"] = grading_holds(module, L, states)
+    def misparity(field, n, state):
+        want = (state_parity(state) + fields[field].parity) & 1
+        return [st for st in fields[field].act(n, module, state)
+                if state_parity(st) != want]
 
-    ok = True
-    for _, f in named:
-        for n in range(-window, window + 1):
-            for state in states:
-                want = (state_parity(state) + f.parity) & 1
-                for st in f.act(n, module, state):
-                    if state_parity(st) != want:
-                        ok = False
-    checks["parity"] = ok
-
-    return {"checks": checks,
-            "locality_table": table,
-            "central_charge": c_measured,
+    failures = {
+        "vacuum": sweep([{"state": vac}], lambda state: module.operator_T(
+            StateVector.basis(state)), lambda state: StateVector())["failures"]
+        + sweep(({"field": name, "n": n} for name, f in named
+                 for n in range(-1, (f.weight2 + 2) // 2 + window)),
+                stray, lambda field, n: [])["failures"],
+        "state_field": sweep(
+            ({"state": s} for s in states),
+            lambda state: state.floor == 0
+            and realize(state_field(module, state), module),
+            StateVector.basis)["failures"],
+        "irreducibility": sweep(
+            ({"grade2": g2} for g2 in range(depth2 + 1)),
+            lambda grade2: len(spans[grade2]),
+            lambda grade2: len(module.level_basis(grade2)))["failures"],
+        "translation": sweep(
+            field_points(range(-window, window + 2)), translated,
+            lambda field, n, state: fields[field].apply(
+                n - 1, module, StateVector.basis(state)).scaled(-n)
+        )["failures"],
+        "locality": [{"pair": pair} for pair, loc in table.items()
+                     if loc is None],
+        "virasoro": vir["failures"],
+        "grading": grading_sweep(module, state_field(module, omega),
+                                 depth2)["failures"],
+        "parity": sweep(field_points(range(-window, window + 1)), misparity,
+                        lambda field, n, state: [])["failures"],
+    }
+    checks = {name: not found for name, found in failures.items()}
+    return {"checks": checks, "failures": failures, "locality_table": table,
+            "central_charge": vir["central_charge"],
             "valid": all(checks.values())}
 
 

@@ -1,8 +1,9 @@
-"""The certifying sweep over (m, n, state) and the reports built on it.
+"""The certifying sweep and the reports built on it.
 
-Each sweep relation is checked at every m, n in [-window, window] and
-every basis state of grade up to depth2/2, m-major.  The expected
-failure lists below are written out by hand, and the failing bracket
+`sweep` checks two sides at every point of an ordered list of dicts;
+the (m, n, state) window runs m, n over [-window, window] and every
+basis state of grade up to depth2/2, m-major.  The expected failure
+lists below are written out by hand, and the failing bracket, axiom
 and supersymmetry runs are cross-checked against loops that do not use
 the sweep primitive.
 """
@@ -10,12 +11,17 @@ the sweep primitive.
 import json
 from fractions import Fraction
 
+import pytest
+
 from nsvertex.cli import main
-from nsvertex.constructions import super_construction, susy_report
+from nsvertex.constructions import (boson_sugawara, current_bracket_report,
+                                    fermion_vosa, g_fermion_system,
+                                    super_construction, susy_report,
+                                    _current_algebra_sweep)
 from nsvertex.fields import (bracket_check, bracket_from_ope,
-                             commutator_direct, field_from_tree,
-                             locality_order, state_field, sweep_relation,
-                             _vec_of)
+                             check_vosa_axioms, commutator_direct,
+                             field_from_tree, locality_order, state_field,
+                             sweep, sweep_relation, _vec_of)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FermionFock, Mode, StateVector,
                               VermaModule)
@@ -113,3 +119,144 @@ def test_susy_report_names_failing_points():
         r = Fraction(2 * m - 1, 2)
         rhs = rhs + u.scaled(c * Fraction(1, 3) * (r * r - Fraction(1, 4)))
     assert _vec_of(commutator_direct(G, m, G, n, module, state)) != rhs
+
+
+def test_sweep_visits_points_in_order_and_prints_states():
+    psi = BasisState((Mode("psi", 0, -1),), 0)
+    seen = []
+
+    def lhs(k, state):
+        seen.append((k, state))
+        return k % 2
+
+    points = [{"k": k, "state": psi} for k in (3, 0, 1, 2)]
+    rep = sweep(iter(points), lhs, lambda k, state: 0)
+    assert seen == [(3, psi), (0, psi), (1, psi), (2, psi)]
+    assert rep == {"checked": 4, "failures": [{"k": 3, "state": str(psi)},
+                                              {"k": 1, "state": str(psi)}]}
+    # the points themselves are left alone
+    assert points[0]["state"] is psi
+    assert sweep([], lhs, lhs) == {"checked": 0, "failures": []}
+    assert sweep(iter(()), lhs, lhs) == {"checked": 0, "failures": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["brackets", "--module", NS, "--field-a", G_TREE, "--field-b", G_TREE,
+     "--depth", "1", "--window", "-1"],
+    ["axioms", "--construction", "fermion", "--window", "-3"],
+    ["ope", "--module", '{"type":"fermion","colors":1}', "--field-a",
+     '{"gen":"psi"}', "--field-b", '{"gen":"psi"}', "--max-order", "-1"],
+    ["susy-check", "--algebra", "sl2", "--level", "1", "--max-order", "-2"],
+])
+def test_negative_window_or_order_is_rejected(capsys, monkeypatch, argv):
+    # rejected before any construction is built or any sweep runs
+    import nsvertex.cli as cli
+    for name in ("super_construction", "fermion_vosa", "bracket_check",
+                 "locality_order"):
+        monkeypatch.setattr(cli, name, None)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be nonnegative" in captured.err
+
+
+def test_window_zero_is_still_a_valid_sweep(capsys):
+    code = main(["axioms", "--construction", "fermion", "--depth", "1",
+                 "--window", "0"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def test_vosa_axioms_name_a_nonlocal_pair():
+    cons = fermion_vosa(1)
+    rep = check_vosa_axioms(cons.module, cons.fields, cons.omega, depth2=2,
+                            window=2, max_order=0)
+    assert rep["locality_table"] == {"psi1,psi1": None}
+    assert rep["checks"]["locality"] is False
+    assert rep["failures"]["locality"] == [{"pair": "psi1,psi1"}]
+    assert rep["valid"] is False
+    for name, found in rep["failures"].items():
+        assert rep["checks"][name] is (name != "locality")
+        assert bool(found) is (name == "locality")
+
+
+def test_vosa_axioms_with_doubled_omega_match_hand_loops():
+    cons = fermion_vosa(1)
+    module, omega = cons.module, cons.omega.scaled(2)
+    depth2, window = 3, 1
+    rep = check_vosa_axioms(module, cons.fields, omega, depth2=depth2,
+                            window=window)
+    L = state_field(module, omega)
+    c = 2 * module.inner(omega, omega)
+    states = [s for g2 in range(depth2 + 1) for s in module.level_basis(g2)]
+
+    grading = []
+    for state in states:
+        u = StateVector.basis(state)
+        grade = Fraction(sum(-mode.n2 for mode in state.word), 2)
+        if L.apply(1, module, u) != u.scaled(grade) \
+                or L.apply(0, module, u) != module.operator_T(u):
+            grading.append({"state": str(state)})
+
+    virasoro = []
+    for m in range(-window, window + 1):
+        for n in range(-window, window + 1):
+            for state in states:
+                u = StateVector.basis(state)
+                lhs = L.apply(m + 1, module, L.apply(n + 1, module, u)) \
+                    - L.apply(n + 1, module, L.apply(m + 1, module, u))
+                rhs = L.apply(m + n + 1, module, u).scaled(m - n)
+                if m + n == 0:
+                    rhs = rhs + u.scaled(c * Fraction(m ** 3 - m, 12))
+                if lhs != rhs:
+                    virasoro.append({"m": m, "n": n, "state": str(state)})
+
+    assert grading and virasoro
+    assert rep["failures"]["grading"] == grading
+    assert rep["failures"]["virasoro"] == virasoro
+    assert rep["central_charge"] == c
+    # omega plays no part in the other checks
+    for name in ("vacuum", "state_field", "irreducibility", "translation",
+                 "locality", "parity"):
+        assert rep["failures"][name] == []
+    assert {k for k, v in rep["checks"].items() if not v} == {
+        "grading", "virasoro"}
+
+
+AXIOM_CHECKS = ["vacuum", "state_field", "irreducibility", "translation",
+                "locality", "virasoro", "grading", "parity"]
+
+
+@pytest.mark.parametrize("build, depth2", [
+    (lambda: fermion_vosa(1), 2),
+    (lambda: g_fermion_system(sl2()), 1),
+    (lambda: boson_sugawara(sl2(), 1), 1),
+    (lambda: super_construction(sl2(), 1), 1),
+])
+def test_vosa_axioms_of_the_constructions_have_no_failures(build, depth2):
+    cons = build()
+    rep = cons.axiom_report(depth2=depth2, window=1)
+    assert list(rep["checks"]) == AXIOM_CHECKS
+    assert list(rep["failures"]) == AXIOM_CHECKS
+    assert all(v is True for v in rep["checks"].values())
+    assert all(found == [] for found in rep["failures"].values())
+    assert rep["valid"] is True
+    assert None not in rep["locality_table"].values()
+
+
+def test_current_algebra_sweep_order_and_count():
+    # a wrong level breaks exactly the central term: a == b, m + n = 0,
+    # m != 0, at every state; the sweep runs a, b, m, n, state
+    cons = g_fermion_system(sl2())
+    module, lie = cons.module, cons.data["lie"]
+    S = cons.data["current_fields"]
+    g = lie.dual_coxeter()
+    states = module.basis_upto(1)
+    rep = _current_algebra_sweep(module, lie, S, g + 1, 1, 1)
+    assert rep["checked"] == 3 * 3 * 3 * 3 * len(states)
+    expect = [{"a": a, "b": a, "m": m, "n": -m, "state": str(state)}
+              for a in (1, 2, 3) for m in (-1, 1) for state in states]
+    assert rep["failures"] == expect
+    ok = current_bracket_report(cons, depth2=1, window=1)
+    assert ok["checked"] == rep["checked"]
+    assert ok["failures"] == [] and ok["valid"] is True
