@@ -8,6 +8,7 @@ for identical arguments and seed.
 """
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -510,6 +511,11 @@ def main(argv=None) -> int:
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # a module's field memo holds fields whose caches are keyed by the
+        # module; such cycles outlive the call until the cyclic collector
+        # runs, so free them here instead of letting them pile up
+        gc.collect()
 
 
 if __name__ == "__main__":

@@ -185,7 +185,7 @@ class NthProduct(Field):
             cj = gbinom(k, j)
             if not cj:
                 continue
-            coeff = Fraction(-cj if j % 2 else cj)
+            coeff = -cj if j % 2 else cj
             for st, c in b.act(m + j, module, state).items():
                 for st2, c2 in a.act(k - j, module, st).items():
                     _acc(out, st2, c * c2 * coeff)
@@ -281,7 +281,7 @@ def _t_apply(A, B, N, eps, p, q, module, state) -> dict:
     out = {}
     for k in range(N + 1):
         c = math.comb(N, k)
-        coeff = Fraction(-c if k % 2 else c)
+        coeff = -c if k % 2 else c
         for st, cc in _bracket_apply(A, p + N - k, B, q + k, eps, module,
                                      state).items():
             _acc(out, st, cc * coeff)
@@ -340,7 +340,7 @@ def bracket_from_ope(A: Field, m: int, B: Field, n: int, order: int,
         if not c:
             continue
         for st, cc in A.prod(B, j).act(m + n - j, module, state).items():
-            _acc(out, st, cc * Fraction(c))
+            _acc(out, st, cc * c)
     return out
 
 

@@ -194,6 +194,16 @@ def test_malformed_inputs_exit_two(capsys):
         assert "error" in err
 
 
+def test_float_or_bool_scalar_in_module_exits_two(capsys):
+    for c in ("1.5", "true"):
+        code, out, err = run(capsys, [
+            "gram", "--module", '{"type":"ns_verma","c":%s,"h":0}' % c,
+            "--level", "1"])
+        assert code == 2, c
+        assert out == ""
+        assert "a term list, an integer or a fraction string" in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nosuch"])

@@ -36,6 +36,17 @@ def test_repeated_cli_runs_keep_no_modules_alive():
     assert _live_modules() <= first
 
 
+def test_cli_call_frees_its_modules_before_returning():
+    # collect only what earlier tests left behind; after the call the
+    # test must find no module of the call without collecting itself
+    gc.collect()
+    before = {id(obj) for obj in gc.get_objects() if isinstance(obj, Module)}
+    _run_quietly(AXIOMS)
+    left = [obj for obj in gc.get_objects()
+            if isinstance(obj, Module) and id(obj) not in before]
+    assert left == []
+
+
 def test_construction_fields_are_module_state_fields():
     cons = super_construction(sl2(), 1)
     assert cons.fields["psi1"] is state_field(cons.module,

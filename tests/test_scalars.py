@@ -142,6 +142,15 @@ def test_json_round_trip():
     assert ZERO.to_json() == []
 
 
+def test_from_json_rejects_floats_bools_and_other_forms():
+    for bad in (1.5, True, False, None, {"num": 1, "rad": 2}):
+        with pytest.raises(ValueError, match="a term list, an integer or "
+                                             "a fraction string"):
+            Scalar.from_json(bad)
+    assert Scalar.from_json(3) == rational(3)
+    assert Scalar.from_json("-3/4") == rational(-3, 4)
+
+
 def test_as_fraction():
     assert rational(7, 3).as_fraction() == Fraction(7, 3)
     with pytest.raises(ValueError):
