@@ -3,8 +3,8 @@
 A field is expanded in unit slots, A(z) = sum_n A(n) z^(-n-1); a field
 of weight w has physical modes A_m = A(m + w - 1), so slot -1 always
 creates the corresponding state from the vacuum.  Slot actions on basis
-states are memoized per field, and composite fields (n-th products,
-derivatives, sums) evaluate through the universal expansion
+states are memoized per field, and composite fields (n-th products and
+sums) evaluate through the universal expansion
 
   (A_k B)(m) = sum_j (-1)^j C(k,j) [A(k-j)B(m+j)
                - (-1)^(k+eps) B(k+m-j)A(j)],
@@ -55,11 +55,11 @@ class Field:
 
     def act(self, n: int, module: Module, state: BasisState) -> dict:
         """A(n) applied to a basis state; the result dict is frozen."""
-        if 2 * n > state_grade2(state) + self.weight2 - 2:
-            return {}
         key = (module, n, state)
         out = self._cache.get(key)
         if out is None:
+            if 2 * n > state_grade2(state) + self.weight2 - 2:
+                return {}
             out = self._act(n, module, state)
             self._cache[key] = out
         return out
@@ -139,27 +139,6 @@ class ScaledSum(Field):
         return " + ".join(f"({c})·{f}" for c, f in self.terms)
 
 
-class DerivativeField(Field):
-    """(dA)(n) = -n A(n-1); weight goes up by one."""
-
-    def __init__(self, base: Field):
-        super().__init__()
-        self.base = base
-        self.weight2 = base.weight2 + 2
-        self.parity = base.parity
-
-    def _act(self, n, module, state):
-        if n == 0:
-            return {}
-        out = {}
-        for st, c in self.base.act(n - 1, module, state).items():
-            _acc(out, st, c * (-n))
-        return out
-
-    def __str__(self):
-        return f"d({self.base})"
-
-
 class NthProduct(Field):
     def __init__(self, a: Field, b: Field, k: int):
         super().__init__()
@@ -224,18 +203,22 @@ def creating_state(kind: str, color: int = 0) -> BasisState:
 
 
 def state_field(module: Module, arg) -> Field:
-    """The field of a state of the vacuum module, built recursively:
-    the head mode contributes its own field at the slot that creates it.
-    Basis fields are memoized on the module, so they live as long as it
-    does."""
+    """The field of a state or vector of the vacuum module, built
+    recursively: the head mode contributes its own field at the slot that
+    creates it.  Fields are memoized on the module, so equal vectors share
+    one field and every field lives as long as the module does."""
     if isinstance(arg, BasisState):
         return _basis_field(module, arg)
-    terms = [(coeff, _basis_field(module, state)) for state, coeff in arg.items()]
-    if not terms:
-        raise ValueError("the zero vector has no field")
-    if len(terms) == 1 and terms[0][0] == ONE:
-        return terms[0][1]
-    return ScaledSum(terms)
+    key = frozenset(arg.items())
+    f = module._field_cache.get(key)
+    if f is None:
+        terms = [(c, _basis_field(module, st)) for st, c in arg.items()]
+        if not terms:
+            raise ValueError("the zero vector has no field")
+        f = terms[0][1] if len(terms) == 1 and terms[0][0] == ONE \
+            else ScaledSum(terms)
+        module._field_cache[key] = f
+    return f
 
 
 def _basis_field(module: Module, state: BasisState) -> Field:
@@ -599,31 +582,33 @@ def check_borcherds(module: Module, depth2: int = 2, nwin: int = 2,
     The left side expands the n-th product mode by mode; the right side
     first computes the state A(n) applied to b and then takes its field.
     Agreement over the swept (a, b, n, m, v) window is the associativity
-    content of the expansion."""
-    vac_states = module.basis_upto(depth2)
-    checked = 0
-    failures = []
-    for sa in vac_states:
-        A = state_field(module, sa)
-        for sb in vac_states:
-            B = state_field(module, sb)
-            N = locality_order(A, B, module, depth2=depth2,
-                               max_order=max_order, window=window)["order"]
-            for n in range(-nwin, N):
-                prod_state = _vec_of(A.act(n, module, sb))
-                U = state_field(module, prod_state) if prod_state else None
-                for m in range(-window, window + 1):
-                    for v in vac_states:
-                        lhs = _vec_of(A.prod(B, n).act(m, module, v))
-                        if U is None:
-                            rhs = StateVector._wrap({})
-                        else:
-                            rhs = U.apply(m, module, StateVector.basis(v))
-                        checked += 1
-                        if lhs != rhs:
-                            failures.append({"a": str(sa), "b": str(sb),
-                                             "n": n, "m": m, "v": str(v)})
-    return {"checked": checked, "failures": failures, "valid": not failures}
+    content of the expansion.  Each pair (a, b) sweeps n from -nwin up
+    to its locality order, then m in [-window, window], then v."""
+    states = module.basis_upto(depth2)
+
+    def points():
+        for a in states:
+            A = state_field(module, a)
+            for b in states:
+                N = locality_order(A, state_field(module, b), module,
+                                   depth2=depth2, max_order=max_order,
+                                   window=window)["order"]
+                yield from ({"a": a, "b": b, "n": n, "m": m, "v": v}
+                            for n in range(-nwin, N)
+                            for m in range(-window, window + 1)
+                            for v in states)
+
+    def lhs(a, b, n, m, v):
+        A, B = state_field(module, a), state_field(module, b)
+        return _vec_of(A.prod(B, n).act(m, module, v))
+
+    def rhs(a, b, n, m, v):
+        ab = state_field(module, a).act(n, module, b)
+        return state_field(module, ab).apply(
+            m, module, StateVector.basis(v)) if ab else StateVector()
+
+    swept = sweep(points(), lhs, rhs)
+    return {**swept, "valid": not swept["failures"]}
 
 
 # -- expression-tree serialization ------------------------------------------
@@ -655,8 +640,7 @@ def field_from_tree(tree) -> Field:
 
 
 def field_to_tree(field: Field):
-    """Inverse of field_from_tree; derivatives serialize through the
-    identity-slot product they equal."""
+    """Inverse of field_from_tree."""
     if isinstance(field, IdentityField):
         return {"gen": "id"}
     if isinstance(field, GeneratorField):
@@ -664,8 +648,6 @@ def field_to_tree(field: Field):
     if isinstance(field, NthProduct):
         return {"nprod": [field_to_tree(field.a), field_to_tree(field.b),
                           field.k]}
-    if isinstance(field, DerivativeField):
-        return {"nprod": [field_to_tree(field.base), {"gen": "id"}, -2]}
     if isinstance(field, ScaledSum):
         return {"lincomb": [[c.to_json(), field_to_tree(f)]
                             for c, f in field.terms]}

@@ -37,10 +37,6 @@ def row_reduce(matrix: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int
     return rows[:r], pivots
 
 
-def rank(matrix: list[list[Scalar]]) -> int:
-    return len(row_reduce(matrix)[1])
-
-
 def kernel_basis(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
     """Basis of the right kernel {x : M x = 0}, one vector per free column."""
     if not matrix:
@@ -63,12 +59,6 @@ def _as_fraction_matrix(matrix: list[list[Scalar]]) -> list[list[Fraction]]:
     for row in matrix:
         out.append([x.as_fraction() for x in row])
     return out
-
-
-def inertia(matrix: list[list[Scalar]]) -> tuple[int, int, int]:
-    """Signature (positive, zero, negative) of a rational symmetric matrix."""
-    pos, zero, neg, _ = inertia_with_witness(matrix)
-    return pos, zero, neg
 
 
 def inertia_with_witness(matrix) -> tuple[int, int, int, list[Fraction] | None]:

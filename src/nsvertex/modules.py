@@ -2,8 +2,8 @@
 
 Covers fermionic Fock spaces, Verma modules for the Virasoro and
 Neveu-Schwarz algebras, induced modules of affine Lie algebras with a
-highest-weight floor, tensor products of an affine module with a Fock
-space, and Gram-kernel quotients of any of these.
+highest-weight floor, and tensor products of an affine module with a
+Fock space.
 
 Conventions.  Mode indices are stored doubled (``n2 = 2n``) so
 half-integers stay integral.  A basis word lists creation modes sorted
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .liealg import LieAlgebra, sl2, sl2_floor
-from .linalg import inertia_with_witness, kernel_basis, row_reduce
+from .linalg import inertia_with_witness, kernel_basis
 from .scalars import ONE, ZERO, I, Scalar
 
 KIND_RANK = {"x": 0, "L": 1, "G": 2, "psi": 3}
@@ -388,15 +388,7 @@ class Module:
                 "has_ghost": first_negative is not None,
                 "first_negative_grade": first_negative}
 
-    # -- grading operators ----------------------------------------------
-
-    def operator_D(self, vec: StateVector) -> StateVector:
-        out = {}
-        for state, coeff in vec.items():
-            g2 = state_grade2(state)
-            if g2:
-                _acc(out, state, coeff * Fraction(g2, 2))
-        return StateVector._wrap(out)
+    # -- translation -----------------------------------------------------
 
     def operator_T(self, vec: StateVector) -> StateVector:
         out = {}
@@ -589,82 +581,6 @@ class TensorModule(Module):
 
     def creation_modes(self, max_n2: int) -> list:
         return self.left.creation_modes(max_n2) + self.right.creation_modes(max_n2)
-
-
-class QuotientModule(Module):
-    """A module modulo the kernel of its Hermitian pairing.
-
-    The kernel is an invariant submodule, so mode actions descend; states
-    are represented by base basis states away from kernel pivots, and
-    every application reduces its output modulo the kernel at the output
-    grade.
-    """
-
-    def __init__(self, base: Module):
-        super().__init__()
-        self.base = base
-        self.kinds = base.kinds
-        self._level_data = {}
-
-    def _level(self, n2: int):
-        data = self._level_data.get(n2)
-        if data is None:
-            basis = self.base.level_basis(n2)
-            kernel = self.base.kernel_vectors(n2)
-            rows = [[vec.coefficient(b) for b in basis] for vec in kernel]
-            reduced, pivots = row_reduce(rows) if rows else ([], [])
-            reducers = {}
-            for row, p in zip(reduced, pivots):
-                reducers[basis[p]] = [(basis[j], row[j]) for j in range(len(basis))
-                                      if row[j] and j != p]
-            reps = [b for j, b in enumerate(basis) if j not in pivots]
-            data = (reps, reducers)
-            self._level_data[n2] = data
-        return data
-
-    def reduce(self, d: dict) -> dict:
-        out = {}
-        grades = {state_grade2(s) for s in d}
-        reducers = {}
-        for g2 in grades:
-            reducers.update(self._level(g2)[1])
-        for state, coeff in d.items():
-            red = reducers.get(state)
-            if red is None:
-                _acc(out, state, coeff)
-            else:
-                for rep_state, rc in red:
-                    _acc(out, rep_state, -coeff * rc)
-        return out
-
-    def level_basis(self, n2: int) -> list:
-        if n2 < 0:
-            return []
-        return self._level(n2)[0]
-
-    def floor_dim(self) -> int:
-        return self.base.floor_dim()
-
-    def floor_pairing(self, i, j):
-        return self.base.floor_pairing(i, j)
-
-    def check_mode(self, mode: Mode):
-        self.base.check_mode(mode)
-
-    def _apply_uncached(self, mode: Mode, state: BasisState) -> dict:
-        return self.reduce(self.base.apply_to_basis(mode, state))
-
-    def inner_basis(self, b1: BasisState, b2: BasisState) -> Scalar:
-        return self.base.inner_basis(b1, b2)
-
-    def bracket(self, m1, m2):
-        return self.base.bracket(m1, m2)
-
-    def creation_modes(self, max_n2: int):
-        return self.base.creation_modes(max_n2)
-
-    def translation_floor(self, floor: int) -> dict:
-        return self.base.translation_floor(floor)
 
 
 def _parse_spin2(value) -> int:

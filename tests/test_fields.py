@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from nsvertex.fields import (DerivativeField, GeneratorField, IdentityField,
+from nsvertex.fields import (GeneratorField, IdentityField, ScaledSum,
                              bracket_from_ope, check_borcherds,
                              check_vosa_axioms, commutator_direct, gbinom,
                              generator_field, identity_field, locality_order,
@@ -23,6 +23,11 @@ from nsvertex.modules import (AffineModule, BasisState, FermionFock, Mode,
 from nsvertex.scalars import ONE, ZERO, Scalar, rational
 
 PSI = lambda n2, color=0: Mode("psi", color, n2)
+
+
+def derivative_act(f, n, mod, st):
+    """(dA)(n) = -n A(n-1) on a basis state, in closed form."""
+    return {s: c * (-n) for s, c in f.act(n - 1, mod, st).items()} if n else {}
 
 
 def fermion_setup():
@@ -107,7 +112,7 @@ def test_ope_singular_parts():
     assert opell[2].is_zero()
     assert opell[1] == omega.scaled(2)
     assert opell[0] == mod.operator_T(omega)
-    assert opell[0] == realize(DerivativeField(L), mod)
+    assert opell[0] == realize(L.prod(identity_field(), -2), mod)
 
 
 def test_locality_orders():
@@ -126,14 +131,12 @@ def test_locality_orders():
 
 def test_derivative_field():
     mod, psi, _ = fermion_setup()
-    dpsi = DerivativeField(psi)
+    dpsi = psi.prod(identity_field(), -2)
     assert dpsi.weight2 == 3
     assert realize(dpsi, mod) == StateVector.basis(BasisState((PSI(-3),), 0))
     st = BasisState((PSI(-1),), 0)
     for n in range(-3, 3):
-        got = dpsi.act(n, mod, st)
-        want = {s: c * (-n) for s, c in psi.act(n - 1, mod, st).items() if n}
-        assert got == (want if n else {})
+        assert dpsi.act(n, mod, st) == derivative_act(psi, n, mod, st)
 
 
 def test_identity_is_product_unit():
@@ -210,7 +213,6 @@ def test_borcherds_small_window():
 def test_scaled_sum_rejects_mixed_weight():
     mod, psi, omega = fermion_setup()
     L = state_field(mod, omega)
-    from nsvertex.fields import ScaledSum
     with pytest.raises(ValueError):
         ScaledSum([(1, psi), (1, L)])
 
@@ -233,11 +235,10 @@ def test_derivative_is_identity_slot_product():
     states = [s for g2 in range(5) for s in mod.level_basis(g2)]
     for f in (psi, L):
         via_id = f.prod(identity_field(), -2)
-        d = DerivativeField(f)
-        assert via_id.weight2 == d.weight2
+        assert via_id.weight2 == f.weight2 + 2
         for n in range(-4, 5):
             for st in states:
-                assert d.act(n, mod, st) == via_id.act(n, mod, st)
+                assert via_id.act(n, mod, st) == derivative_act(f, n, mod, st)
 
 
 def test_translated_state_realizes_derivative_field():
@@ -248,11 +249,10 @@ def test_translated_state_realizes_derivative_field():
             if shifted.is_zero():
                 continue
             A = state_field(mod, b)
-            dA = DerivativeField(A)
             B = state_field(mod, shifted)
             for n in range(-3, 4):
                 for st in mod.level_basis(2):
-                    assert B.act(n, mod, st) == dA.act(n, mod, st)
+                    assert B.act(n, mod, st) == derivative_act(A, n, mod, st)
 
 
 def test_generate_closure_fermion():
@@ -287,7 +287,7 @@ def test_field_tree_roundtrip():
     mod, psi, omega = fermion_setup()
     L = state_field(mod, omega)
     st = BasisState((PSI(-1),), 0)
-    for f in (psi, L, DerivativeField(psi), psi.prod(psi, -2)):
+    for f in (psi, L, psi.prod(identity_field(), -2), psi.prod(psi, -2)):
         back = field_from_tree(field_to_tree(f))
         assert back.weight2 == f.weight2 and back.parity == f.parity
         for n in range(-3, 3):
@@ -316,3 +316,29 @@ def test_vosa_axioms_certify_virasoro_at_requested_window(monkeypatch):
     report = check_vosa_axioms(mod, {"psi": psi}, omega, depth2=1, window=1)
     assert report["checks"]["virasoro"]
     assert seen == [1]
+
+
+def test_state_field_is_one_field_per_vector():
+    mod = FermionFock(2)
+    v = StateVector({BasisState((PSI(-3, a), PSI(-1, a)), 0): 1
+                     for a in range(2)})
+    f = state_field(mod, v)
+    assert isinstance(f, ScaledSum)
+    assert state_field(mod, StateVector(dict(v.items()))) is f
+    assert state_field(mod, v.scaled(2)) is not f
+    assert state_field(FermionFock(2), v) is not f
+
+
+def test_vosa_axioms_build_one_field_for_omega(monkeypatch):
+    from nsvertex import fields
+    from nsvertex.constructions import fermion_vosa
+    built = []
+
+    class Spy(ScaledSum):
+        def __init__(self, terms):
+            super().__init__(terms)
+            built.append(self)
+
+    monkeypatch.setattr(fields, "ScaledSum", Spy)
+    assert fermion_vosa(1).axiom_report(depth2=2, window=2)["valid"]
+    assert len(built) == 1

@@ -1,4 +1,4 @@
-"""Graded module engine: dimensions, pairings, quotients, operators.
+"""Graded module engine: dimensions, pairings, Gram kernels, operators.
 
 Dimension oracles are independent knapsack DPs over creation-mode
 grades; character oracles for the affine quotients are theta series over
@@ -12,9 +12,10 @@ from fractions import Fraction
 import pytest
 
 from nsvertex.liealg import sl2
+from nsvertex.linalg import row_reduce
 from nsvertex.modules import (AffineModule, BasisState, FermionFock, Mode,
-                              QuotientModule, StateVector, TensorModule,
-                              VermaModule, adjoint_mode, module_from_descriptor,
+                              StateVector, TensorModule, VermaModule,
+                              adjoint_mode, module_from_descriptor,
                               state_grade2, state_parity)
 from nsvertex.scalars import ONE, ZERO, I, Scalar, rational
 
@@ -367,49 +368,44 @@ def test_cross_grade_inner_vanishes():
     assert mod.inner(u, v) == ZERO
 
 
-# -- quotients --------------------------------------------------------------
+# -- Gram kernels ----------------------------------------------------------
 
-def test_quotient_closure_and_dims():
-    base = VermaModule("virasoro", rational(1, 2), rational(0))
-    quo = QuotientModule(base)
+def test_gram_kernel_is_invariant_under_modes():
+    # the kernel is a submodule, so the quotient's mode actions descend
+    mod = VermaModule("virasoro", rational(1, 2), rational(0))
+    assert mod.kernel_vectors(2) and mod.kernel_vectors(6)
     for n2 in range(0, 11, 2):
-        reps = set(quo.level_basis(n2))
-        assert len(reps) == base.irreducible_dims(n2)[n2]
-        for mode in (LL(-2), LL(-4), LL(2)):
-            for rep in reps:
-                out = quo.apply_to_basis(mode, rep)
-                target = quo.level_basis(n2 - mode.n2)
-                assert set(out) <= set(target)
+        for k in mod.kernel_vectors(n2):
+            for mode in (LL(-2), LL(-4), LL(2)):
+                out = mod.apply(mode, k)
+                for b in mod.level_basis(n2 - mode.n2):
+                    assert mod.inner(out, StateVector.basis(b)) == ZERO
 
 
-def test_quotient_pairing_nondegenerate():
-    base = AffineModule(sl2(), 1)
-    quo = QuotientModule(base)
+def test_gram_rank_is_irreducible_dim():
+    mod = AffineModule(sl2(), 1)
     for n2 in (0, 2, 4):
-        assert len(quo.kernel_vectors(n2)) == 0
-        assert len(quo.level_basis(n2)) == base.irreducible_dims(n2)[n2]
+        _, matrix = mod.gram(n2)
+        assert len(row_reduce(matrix)[1]) == mod.irreducible_dims(n2)[n2]
 
 
-def test_quotient_action_matches_base_modulo_kernel():
-    base = AffineModule(sl2(), 1)
-    quo = QuotientModule(base)
-    vac = base.vacuum()
-    raw = base.apply(XX(0, -2), base.apply(XX(0, -2), vac))
-    red = StateVector(quo.reduce(dict(raw.items())))
-    diff = raw - red
-    # the discarded part is orthogonal to everything at its grade
-    for b in base.level_basis(4):
-        assert base.inner(diff, StateVector.basis(b)) == ZERO
+def test_affine_kernel_vectors_are_orthogonal_to_their_grade():
+    mod = AffineModule(sl2(), 1)
+    kernel = mod.kernel_vectors(4)
+    assert kernel
+    for k in kernel:
+        for b in mod.level_basis(4):
+            assert mod.inner(k, StateVector.basis(b)) == ZERO
 
 
 # -- grading operators ------------------------------------------------------
 
-def test_operator_D_eigenvalues():
+def test_L0_acts_as_h_plus_grade():
     mod = VermaModule("ns", rational(1), rational(0))
     for n2 in range(6):
         for b in mod.level_basis(n2):
-            out = mod.operator_D(StateVector.basis(b))
-            assert out == StateVector.basis(b).scaled(Fraction(n2, 2))
+            u = StateVector.basis(b)
+            assert mod.apply(LL(0), u) == u.scaled(mod.h + Fraction(n2, 2))
 
 
 def test_translation_on_verma_matches_lowering_mode():

@@ -18,10 +18,11 @@ from nsvertex.constructions import (boson_sugawara, current_bracket_report,
                                     fermion_vosa, g_fermion_system,
                                     super_construction, susy_report,
                                     _current_algebra_sweep)
-from nsvertex.fields import (bracket_check, bracket_from_ope,
-                             check_vosa_axioms, commutator_direct,
-                             field_from_tree, locality_order, state_field,
-                             sweep, sweep_relation, _vec_of)
+from nsvertex.fields import (NthProduct, bracket_check, bracket_from_ope,
+                             check_borcherds, check_vosa_axioms,
+                             commutator_direct, field_from_tree,
+                             locality_order, state_field, sweep,
+                             sweep_relation, _vec_of)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FermionFock, Mode, StateVector,
                               VermaModule)
@@ -260,3 +261,53 @@ def test_current_algebra_sweep_order_and_count():
     ok = current_bracket_report(cons, depth2=1, window=1)
     assert ok["checked"] == rep["checked"]
     assert ok["failures"] == [] and ok["valid"] is True
+
+
+def borcherds_hand_loop(module, depth2, nwin=2, window=2, max_order=8):
+    """check_borcherds as nested loops, without the sweep primitive."""
+    vac_states = module.basis_upto(depth2)
+    checked = 0
+    failures = []
+    for sa in vac_states:
+        A = state_field(module, sa)
+        for sb in vac_states:
+            B = state_field(module, sb)
+            N = locality_order(A, B, module, depth2=depth2,
+                               max_order=max_order, window=window)["order"]
+            for n in range(-nwin, N):
+                prod_state = _vec_of(A.act(n, module, sb))
+                U = state_field(module, prod_state) if prod_state else None
+                for m in range(-window, window + 1):
+                    for v in vac_states:
+                        lhs = _vec_of(A.prod(B, n).act(m, module, v))
+                        if U is None:
+                            rhs = StateVector._wrap({})
+                        else:
+                            rhs = U.apply(m, module, StateVector.basis(v))
+                        checked += 1
+                        if lhs != rhs:
+                            failures.append({"a": str(sa), "b": str(sb),
+                                             "n": n, "m": m, "v": str(v)})
+    return {"checked": checked, "failures": failures, "valid": not failures}
+
+
+@pytest.mark.parametrize("depth2", [3, 4])
+def test_borcherds_sweep_matches_hand_loop(depth2):
+    rep = check_borcherds(FermionFock(1), depth2=depth2)
+    assert rep == borcherds_hand_loop(FermionFock(1), depth2)
+    assert rep["checked"] > 0 and rep["valid"] is True
+
+
+def test_failing_borcherds_sweep_matches_hand_loop(monkeypatch):
+    # doubling every 0-th product breaks the left side wherever A_0 B acts;
+    # the basis fields of the fermion module use only (-2)-nd products
+    real = NthProduct._act
+
+    def doubled(self, m, module, state):
+        out = real(self, m, module, state)
+        return {s: c * 2 for s, c in out.items()} if self.k == 0 else out
+
+    monkeypatch.setattr(NthProduct, "_act", doubled)
+    rep = check_borcherds(FermionFock(1), depth2=3)
+    assert rep["failures"] and rep["valid"] is False
+    assert rep == borcherds_hand_loop(FermionFock(1), 3)
