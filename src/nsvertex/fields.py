@@ -11,6 +11,9 @@ sums) evaluate through the universal expansion
 
 with eps the parity product.  Every action is cut off exactly by the
 grading bound: a slot whose output grade would be negative gives zero.
+On the vacuum module of its fields, bracket_from_ope instead takes each
+product A_j B as the field of its state, Y(A_j B vac, z), an identity
+that check_borcherds certifies.
 """
 
 from __future__ import annotations
@@ -316,15 +319,37 @@ def commutator_direct(A: Field, m: int, B: Field, n: int,
 
 def bracket_from_ope(A: Field, m: int, B: Field, n: int, order: int,
                      module: Module, state: BasisState) -> dict:
-    """[A(m), B(n)]_eps = sum_j C(m, j) (A_j B)(m + n - j), j < order."""
+    """[A(m), B(n)]_eps = sum_j C(m, j) (A_j B)(m + n - j), j < order.
+
+    On the vacuum module of A and B (one floor state, T vac = 0, and A
+    and B the module's own state fields) A_j B is the memoized field of
+    its state, Y(A_j B vac, z), which check_borcherds certifies against
+    the expansion; everywhere else it is the NthProduct expansion."""
     out = {}
     for j in range(order):
         c = gbinom(m, j)
-        if not c:
+        P = _product_field(A, B, j, module) if c else None
+        if P is None:
             continue
-        for st, cc in A.prod(B, j).act(m + n - j, module, state).items():
+        for st, cc in P.act(m + n - j, module, state).items():
             _acc(out, st, cc * c)
     return out
+
+
+def _product_field(A: Field, B: Field, j: int,
+                   module: Module) -> Field | None:
+    """A_j B as bracket_from_ope evaluates it, decided once per (A, B, j)
+    and kept in the module's field memo; None for a zero state."""
+    P = module._field_cache.get((A, B, j), False)
+    if P is False:
+        P = A.prod(B, j)
+        if module.floor_dim() == 1 and not module.translation_floor(0) \
+                and all((v := realize(f, module))
+                        and state_field(module, v) is f for f in (A, B)):
+            v = realize(P, module)
+            P = state_field(module, v) if v else None
+        module._field_cache[A, B, j] = P
+    return P
 
 
 def bracket_check(A: Field, B: Field, module: Module, depth2: int,

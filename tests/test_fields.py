@@ -11,15 +11,19 @@ from fractions import Fraction
 
 import pytest
 
+from nsvertex.constructions import super_construction
 from nsvertex.fields import (GeneratorField, IdentityField, ScaledSum,
                              bracket_from_ope, check_borcherds,
-                             check_vosa_axioms, commutator_direct, gbinom,
-                             generator_field, identity_field, locality_order,
+                             check_vosa_axioms, closure_spans,
+                             commutator_direct, creating_state,
+                             field_from_tree, gbinom, generator_field,
+                             identity_field, locality_order,
                              ope_singular_part, realize, slot_of_index2,
                              state_field)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (AffineModule, BasisState, FermionFock, Mode,
-                              StateVector, VermaModule)
+                              StateVector, VermaModule,
+                              module_from_descriptor)
 from nsvertex.scalars import ONE, ZERO, Scalar, rational
 
 PSI = lambda n2, color=0: Mode("psi", color, n2)
@@ -342,3 +346,83 @@ def test_vosa_axioms_build_one_field_for_omega(monkeypatch):
     monkeypatch.setattr(fields, "ScaledSum", Spy)
     assert fermion_vosa(1).axiom_report(depth2=2, window=2)["valid"]
     assert len(built) == 1
+
+
+# -- products through the state-field map -----------------------------------
+
+# every j below 4 covers the singular products of fields of weight <= 2
+ORDER = 4
+
+
+def super_setup():
+    """The sl2 super construction at level 1 with G, L, psi1, x1 and the
+    lowest composite of the closure at grade 1, all module state fields."""
+    cons = super_construction(sl2(), 1)
+    mod = cons.module
+    rows = closure_spans(mod, list(cons.fields.values()), 2)[2].rows
+    composite = state_field(mod, StateVector(dict(rows[min(rows)])))
+    assert isinstance(composite, ScaledSum)
+    return mod, [cons.fields["G"], state_field(mod, cons.omega),
+                 cons.fields["psi1"], cons.fields["x1"], composite]
+
+
+def tree_expanded(A, B, j, mod) -> bool:
+    """Whether A_j B was evaluated on mod through its product tree: its
+    slot cache holds a point other than the vacuum at slot -1."""
+    vac = BasisState((), 0)
+    return any(key[0] is mod and key[1:] != (-1, vac)
+               for key in A.prod(B, j)._cache)
+
+
+def test_bracket_through_state_fields_matches_product_trees():
+    mod, fields = super_setup()
+    G = fields[0]
+    assert not realize(G.prod(G, 1), mod)
+    checked = 0
+    for i, A in enumerate(fields):
+        for B in fields[i:]:
+            for m in range(-1, 2):
+                for n in range(-1, 2):
+                    for b in mod.basis_upto(2):
+                        tree = StateVector()
+                        for j in range(ORDER):
+                            tree = tree + StateVector(dict(A.prod(B, j).act(
+                                m + n - j, mod, b))).scaled(gbinom(m, j))
+                        got = bracket_from_ope(A, m, B, n, ORDER, mod, b)
+                        assert StateVector(dict(got)) == tree
+                        checked += 1
+    assert checked == 15 * 9 * 10
+
+
+def test_bracket_sweep_expands_no_product_tree():
+    mod, fields = super_setup()
+    for A in fields:
+        for B in fields:
+            for m in range(-1, 2):
+                for n in range(-1, 2):
+                    for b in mod.basis_upto(2):
+                        bracket_from_ope(A, m, B, n, ORDER, mod, b)
+    assert not any(tree_expanded(A, B, j, mod) for A in fields
+                   for B in fields for j in range(ORDER))
+
+
+@pytest.mark.parametrize("case", ["field_trees", "verma", "spin_floor"])
+def test_bracket_expands_trees_off_the_vacuum_module(case):
+    if case == "field_trees":
+        mod = module_from_descriptor(
+            {"type": "ns_verma", "c": "7/10", "h": "1/10"})
+        A, B = field_from_tree({"gen": "G"}), field_from_tree({"gen": "L"})
+    elif case == "verma":
+        # the vacuum Verma module at h = 0 still has T vac = L(-1) vac
+        mod = VermaModule("ns", Fraction(7, 10), 0)
+        A, B = (state_field(mod, creating_state(k)) for k in ("G", "L"))
+    else:
+        mod = AffineModule(sl2(), 1, 1)
+        A, B = (state_field(mod, creating_state("x", a)) for a in (0, 1))
+    order = 2
+    for m in range(-1, 2):
+        for n in range(-1, 2):
+            for b in mod.basis_upto(2):
+                assert bracket_from_ope(A, m, B, n, order, mod, b) == \
+                    commutator_direct(A, m, B, n, mod, b)
+    assert all(tree_expanded(A, B, j, mod) for j in range(order))
