@@ -1,13 +1,16 @@
 """Exact dense linear algebra over the scalar field.
 
-Row reduction and kernels work over the full field (radicals allowed);
-inertia of a symmetric form is computed by congruence elimination and is
-restricted to rational entries, where signs are decidable.
+Row reduction and kernels work over the full field (radicals allowed).
+The inertia of a symmetric form is restricted to rational entries, where
+signs are decidable: its congruence elimination runs fraction-free on
+the integer matrix left after clearing denominators once, and a
+negative-norm witness is solved for only when one exists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -54,11 +57,50 @@ def kernel_basis(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
     return basis
 
 
-def _as_fraction_matrix(matrix: list[list[Scalar]]) -> list[list[Fraction]]:
-    out = []
-    for row in matrix:
-        out.append([x.as_fraction() for x in row])
-    return out
+def _integer_matrix(matrix) -> list[list[int]]:
+    """The rational matrix times the least common multiple of its denominators."""
+    q = [[x.as_fraction() if isinstance(x, Scalar) else Fraction(x) for x in row]
+         for row in matrix]
+    den = lcm(*(x.denominator for row in q for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in q]
+
+
+def _swap(a: list[list[int]], idx: list[int], i: int, k: int):
+    """Exchange positions i and k of a symmetric block and of its index list."""
+    a[i], a[k] = a[k], a[i]
+    for row in a:
+        row[i], row[k] = row[k], row[i]
+    idx[i], idx[k] = idx[k], idx[i]
+
+
+def _content_free(block: list[list[int]]) -> list[list[int]]:
+    """The block divided by the gcd of its entries."""
+    g = 0
+    for row in block:
+        g = gcd(g, *row)
+        if g == 1:
+            return block
+    return [[x // g for x in row] for row in block] if g else block
+
+
+def _orthogonal_witness(a0: list[list[int]], done: list[int],
+                        target: dict[int, int]) -> list[Fraction]:
+    """The w with w[t] = target[t] on the targets, supported on those and
+    on done, and a0-orthogonal to the basis vector of every index in done.
+
+    The a0-block on done is nonsingular (congruent to the pivots
+    eliminated there), so w is unique.
+    """
+    rhs = [-sum(v * a0[p][t] for t, v in target.items()) for p in done]
+    system = [[Scalar.of(a0[p][q]) for q in done] + [Scalar.of(b)]
+              for p, b in zip(done, rhs)]
+    solved, _ = row_reduce(system)
+    w = [Fraction(0)] * len(a0)
+    for t, v in target.items():
+        w[t] = Fraction(v)
+    for p, row in zip(done, solved):
+        w[p] = row[-1].as_fraction()
+    return w
 
 
 def inertia_with_witness(matrix) -> tuple[int, int, int, list[Fraction] | None]:
@@ -68,87 +110,75 @@ def inertia_with_witness(matrix) -> tuple[int, int, int, list[Fraction] | None]:
     None when the form is positive semidefinite.  Congruence elimination:
     nonzero diagonal pivots contribute their sign, a zero-diagonal block
     with a nonzero off-diagonal entry is a hyperbolic pair (+1, -1).
+
+    The elimination runs on integers.  The matrix is scaled once by the
+    common denominator of its entries, and after each pivot the remaining
+    block is a positive multiple of the rational Schur complement: it is
+    rescaled by the pivot's absolute value and divided by the gcd of its
+    entries.  Every zero test and sign, and so the pivot order, is that of
+    the rational elimination.  Only the order of the pivots is kept; the
+    witness is built at the first negative pivot or hyperbolic pair, from
+    one rational solve on the pivots eliminated before it.
     """
-    a = _as_fraction_matrix(matrix) if matrix and isinstance(matrix[0][0], Scalar) else [
-        [Fraction(x) for x in row] for row in matrix
-    ]
-    n = len(a)
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    a0 = _integer_matrix(matrix)
     for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
+        for j in range(i + 1, n):
+            if a0[i][j] != a0[j][i]:
                 raise ValueError("matrix is not symmetric")
-    # u[i] tracks the congruence: current a = U a0 U^T restricted to active rows
-    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a = [row[:] for row in a0]
+    idx = list(range(n))    # basis index at each position of the block
+    done = []               # basis indices of the pivots eliminated so far
     pos = neg = zero = 0
     witness = None
-    i = 0
-    while i < n:
-        k = next((j for j in range(i, n) if a[j][j] != 0), None)
+    while a:
+        m = len(a)
+        k = next((j for j in range(m) if a[j][j]), None)
         if k is not None:
-            if k != i:
-                a[i], a[k] = a[k], a[i]
-                for row in a:
-                    row[i], row[k] = row[k], row[i]
-                u[i], u[k] = u[k], u[i]
-            d = a[i][i]
+            if k:
+                _swap(a, idx, 0, k)
+            d = a[0][0]
             if d > 0:
                 pos += 1
+                sign = 1
             else:
                 neg += 1
                 if witness is None:
-                    witness = u[i][:]
-            fs = [a[r][i] / d for r in range(i + 1, n)]
-            for r in range(i + 1, n):
-                f = fs[r - i - 1]
-                if f:
-                    u[r] = [ur - f * ui for ur, ui in zip(u[r], u[i])]
-            for r in range(i + 1, n):
-                for s in range(i + 1, n):
-                    a[r][s] -= fs[r - i - 1] * fs[s - i - 1] * d
-            i += 1
-            continue
-        hyp = None
-        for r in range(i, n):
-            for s in range(r + 1, n):
-                if a[r][s] != 0:
-                    hyp = (r, s)
-                    break
-            if hyp:
+                    witness = _orthogonal_witness(a0, done, {idx[0]: 1})
+                sign, d = -1, -d
+            # |pivot| * (a - b b^T / pivot), with b the pivot's column
+            col = [sign * a[r][0] for r in range(1, m)]
+            block = [[d * x - a[r][0] * c for x, c in zip(a[r][1:], col)]
+                     for r in range(1, m)]
+            width = 1
+        else:
+            hyp = next(((r, s) for r in range(m) for s in range(r + 1, m)
+                        if a[r][s]), None)
+            if hyp is None:
+                zero += m
                 break
-        if hyp is None:
-            zero += n - i
-            break
-        r, s = hyp
-        if r != i:
-            a[i], a[r] = a[r], a[i]
-            for row in a:
-                row[i], row[r] = row[r], row[i]
-            u[i], u[r] = u[r], u[i]
-            if s == i:
-                s = r
-        if s != i + 1:
-            a[i + 1], a[s] = a[s], a[i + 1]
-            for row in a:
-                row[i + 1], row[s] = row[s], row[i + 1]
-            u[i + 1], u[s] = u[s], u[i + 1]
-        off = a[i][i + 1]
-        pos += 1
-        neg += 1
-        if witness is None:
-            if off > 0:
-                witness = [x - y for x, y in zip(u[i], u[i + 1])]
-            else:
-                witness = [x + y for x, y in zip(u[i], u[i + 1])]
-        for r in range(i + 2, n):
-            x = a[r][i + 1] / off
-            y = a[r][i] / off
-            if x or y:
-                u[r] = [ur - x * ui - y * uj for ur, ui, uj in zip(u[r], u[i], u[i + 1])]
-        bs = [(a[r][i], a[r][i + 1]) for r in range(i + 2, n)]
-        for r in range(i + 2, n):
-            b1r, b2r = bs[r - i - 2]
-            for s in range(i + 2, n):
-                b1s, b2s = bs[s - i - 2]
-                a[r][s] -= (b1r * b2s + b2r * b1s) / off
-        i += 2
+            r, s = hyp
+            if r:
+                _swap(a, idx, 0, r)
+            if s != 1:
+                _swap(a, idx, 1, s)
+            off = a[0][1]
+            pos += 1
+            neg += 1
+            if witness is None:
+                witness = _orthogonal_witness(
+                    a0, done, {idx[0]: 1, idx[1]: -1 if off > 0 else 1})
+            sign, off = (1, off) if off > 0 else (-1, -off)
+            # |off| * (a - (b1 b2^T + b2 b1^T) / off), b1 and b2 the pair's columns
+            b1 = [sign * a[r][0] for r in range(2, m)]
+            b2 = [a[r][1] for r in range(2, m)]
+            block = [[off * x - c1 * d2 - c2 * d1
+                      for x, d1, d2 in zip(a[r][2:], b1, b2)]
+                     for r, c1, c2 in zip(range(2, m), b1, b2)]
+            width = 2
+        a = _content_free(block)
+        done.extend(idx[:width])
+        del idx[:width]
     return pos, zero, neg, witness

@@ -315,6 +315,11 @@ class Module:
     def inner_basis(self, b1: BasisState, b2: BasisState) -> Scalar:
         if state_grade2(b1) != state_grade2(b2):
             return ZERO
+        return self._inner_same_grade(b1, b2)
+
+    def _inner_same_grade(self, b1: BasisState, b2: BasisState) -> Scalar:
+        # moving the head of b1 across keeps the grades equal: rest and
+        # every t have grade grade(b1) + head.n2
         key = (b1, b2)
         out = self._inner_cache.get(key)
         if out is None:
@@ -322,13 +327,13 @@ class Module:
                 if not b2.word:
                     out = self.floor_pairing(b1.floor, b2.floor)
                 else:
-                    out = self.inner_basis(b2, b1).conjugate()
+                    out = self._inner_same_grade(b2, b1).conjugate()
             else:
                 head, rest = b1.word[0], BasisState(b1.word[1:], b1.floor)
                 out = ZERO
                 moved = self.apply_to_basis(adjoint_mode(head), b2)
                 for t, c in moved.items():
-                    out = out + c.conjugate() * self.inner_basis(rest, t)
+                    out = out + c.conjugate() * self._inner_same_grade(rest, t)
             self._inner_cache[key] = out
         return out
 
@@ -343,7 +348,14 @@ class Module:
 
     def gram(self, n2: int) -> tuple:
         basis = self.level_basis(n2)
-        matrix = [[self.inner_basis(b1, b2) for b2 in basis] for b1 in basis]
+        # the pairing is Hermitian: compute the upper triangle only
+        n = len(basis)
+        matrix = [[None] * n for _ in range(n)]
+        for i, b1 in enumerate(basis):
+            for j in range(i, n):
+                x = self._inner_same_grade(b1, basis[j])
+                matrix[i][j] = x
+                matrix[j][i] = x if i == j else x.conjugate()
         return basis, matrix
 
     def kernel_vectors(self, n2: int) -> list:

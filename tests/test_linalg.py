@@ -67,6 +67,14 @@ def test_inertia_rejects_radicals():
         inertia_with_witness([[Scalar.root(2)]])
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 0)])
+def test_inertia_rejects_non_square(shape):
+    rows, cols = shape
+    m = [[s(i + j) for j in range(cols)] for i in range(rows)]
+    with pytest.raises(ValueError, match="not square"):
+        inertia_with_witness(m)
+
+
 def test_inertia_zero_matrix():
     m = [[s(0), s(0)], [s(0), s(0)]]
     assert inertia_with_witness(m)[:3] == (0, 2, 0)

@@ -345,13 +345,15 @@ def test_adjointness_sweep():
 
 
 def test_gram_hermitian_sweep():
+    # gram fills its lower triangle by conjugation, so the property is
+    # checked on the pairing itself, each order computed by its recursion
     for mod, _ in _sample_modules():
         for n2 in range(5):
-            _, matrix = mod.gram(n2)
-            n = len(matrix)
-            for i in range(n):
-                for j in range(n):
-                    assert matrix[i][j] == matrix[j][i].conjugate()
+            basis = mod.level_basis(n2)
+            for b1 in basis:
+                for b2 in basis:
+                    assert mod.inner_basis(b1, b2) == \
+                        mod.inner_basis(b2, b1).conjugate()
 
 
 def test_inner_sesquilinear():
