@@ -19,8 +19,8 @@ from .constructions import (boson_sugawara, central_charges, cocycle_basis,
                             fermion_vosa, g_fermion_system, super_construction,
                             susy_report, verify_odd_cocycle, vertex_module,
                             weight_report)
-from .fields import (bracket_check, field_from_tree, locality_order,
-                     ope_singular_part, state_field)
+from .fields import (NotLocalError, bracket_check, field_from_tree,
+                     locality_order, ope_singular_part, state_field)
 from .liealg import CATALOG, LieAlgebra, sl2
 from .modules import (BasisState, Mode, StateVector, VermaModule, grade_str,
                       module_from_descriptor)
@@ -211,7 +211,7 @@ def cmd_ope(args) -> int:
     try:
         loc = locality_order(A, B, module, depth2=depth2,
                              max_order=args.max_order, window=args.window)
-    except ValueError as exc:
+    except NotLocalError as exc:
         report = {"local": False, "max_order": args.max_order,
                   "error": str(exc)}
         return _emit(args, report, f"not local: {exc}", 1)

@@ -21,7 +21,7 @@ from .fields import (Field, ScaledSum, check_vosa_axioms, closure_spans,
                      virasoro_bracket_check, window_points, _vec_of)
 from .liealg import LieAlgebra, casimir_constant_sl2
 from .modules import (AffineModule, BasisState, FermionFock, Mode, Module,
-                      StateVector, TensorModule, _acc)
+                      StateVector, TensorModule)
 from .scalars import ONE, I, Scalar
 
 
@@ -65,6 +65,15 @@ class Construction:
                                  max_order=max_order)
 
 
+def _word(module: Module, *modes: Mode) -> StateVector:
+    """The product of the modes applied to the vacuum, rightmost first;
+    the module puts the result in its own word order."""
+    vec = module.vacuum()
+    for mode in reversed(modes):
+        vec = module.apply(mode, vec)
+    return vec
+
+
 def _generators(module: Module, kind: str, count: int) -> dict:
     """The module's own fields of generator colors 0..count-1, named
     kind1..kind<count>."""
@@ -76,11 +85,9 @@ def _generators(module: Module, kind: str, count: int) -> dict:
 
 def fermion_omega(module: FermionFock) -> StateVector:
     """(1/2) sum_a psi^a(-3/2) psi^a(-1/2) applied to the vacuum."""
-    out = {}
-    for a in range(module.colors):
-        st = BasisState((Mode("psi", a, -3), Mode("psi", a, -1)), 0)
-        _acc(out, st, Scalar.of(Fraction(1, 2)))
-    return StateVector(out)
+    return sum((_word(module, Mode("psi", a, -3), Mode("psi", a, -1))
+                for a in range(module.colors)),
+               StateVector()).scaled(Fraction(1, 2))
 
 
 def fermion_vosa(colors: int = 1) -> Construction:
@@ -91,34 +98,20 @@ def fermion_vosa(colors: int = 1) -> Construction:
 
 # -- internal currents of a g-fermion system --------------------------------
 
-def _current_state(lie: LieAlgebra, c: int) -> StateVector:
-    """S^c = -(i/2) sum_{a,b} Gamma_ab^c psi^a(-1/2) psi^b(-1/2) vac.
-
-    Basis words list the higher color first, so the a < b terms pick up
-    a reordering sign."""
-    out = {}
+def _current_state(module: Module, lie: LieAlgebra, c: int) -> StateVector:
+    """S^c = -(i/2) sum_{a,b} Gamma_ab^c psi^a(-1/2) psi^b(-1/2) vac."""
     half_i = I * Fraction(-1, 2)
-    for a in range(lie.dim):
-        for b in range(lie.dim):
-            if a == b:
-                continue
-            coeff = lie.gamma_entry(a, b, c)
-            if not coeff:
-                continue
-            if a > b:
-                st = BasisState((Mode("psi", a, -1), Mode("psi", b, -1)), 0)
-                _acc(out, st, half_i * coeff)
-            else:
-                st = BasisState((Mode("psi", b, -1), Mode("psi", a, -1)), 0)
-                _acc(out, st, -(half_i * coeff))
-    return StateVector(out)
+    return sum((_word(module, Mode("psi", a, -1), Mode("psi", b, -1))
+                .scaled(half_i * coeff)
+                for a in range(lie.dim) for b in range(lie.dim)
+                if (coeff := lie.gamma_entry(a, b, c))), StateVector())
 
 
 def g_fermion_system(lie: LieAlgebra) -> Construction:
     """dim-many fermions with the currents S^a induced by the bracket."""
     module = FermionFock(lie.dim)
     fields = _generators(module, "psi", lie.dim)
-    currents = [_current_state(lie, c) for c in range(lie.dim)]
+    currents = [_current_state(module, lie, c) for c in range(lie.dim)]
     current_fields = [state_field(module, s) for s in currents]
     data = {"lie": lie, "currents": currents, "current_fields": current_fields}
     return Construction("g_fermion", module, fields, fermion_omega(module), data)
@@ -179,11 +172,8 @@ def sugawara_omega(module: AffineModule) -> StateVector:
     """(1 / (2(level + g))) sum_a X^a(-1)^2 applied to the vacuum."""
     lie, level = module.lie, module.level
     denom = 2 * (Fraction(level) + lie.dual_coxeter().as_fraction())
-    out = {}
-    for a in range(lie.dim):
-        st = BasisState((Mode("x", a, -2), Mode("x", a, -2)), 0)
-        _acc(out, st, Scalar.of(1 / denom))
-    return StateVector(out)
+    return sum((_word(module, Mode("x", a, -2), Mode("x", a, -2))
+                for a in range(lie.dim)), StateVector()).scaled(1 / denom)
 
 
 def boson_sugawara(lie: LieAlgebra, level: int) -> Construction:
@@ -223,12 +213,11 @@ def super_construction(lie: LieAlgebra, level: int) -> Construction:
     tau2 = StateVector({})
     currents = []
     for a in range(dim):
-        s_state = _current_state(lie, a)
+        s_state = _current_state(module, lie, a)
         currents.append(s_state)
         tau2 = tau2 + module.apply(Mode("psi", a, -1), s_state)
         if level > 0:
-            st = BasisState((Mode("x", a, -2), Mode("psi", a, -1)), 0)
-            tau1 = tau1 + StateVector.basis(st)
+            tau1 = tau1 + _word(module, Mode("x", a, -2), Mode("psi", a, -1))
     tau = (tau1 + tau2.scaled(Fraction(1, 3))).scaled(inv_root)
 
     G = state_field(module, tau)

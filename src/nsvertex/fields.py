@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .linalg import Echelon
 from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
                       StateVector, _acc, mode_parity, state_grade2,
                       state_parity)
@@ -274,6 +275,10 @@ def _t_apply(A, B, N, eps, p, q, module, state) -> dict:
     return out
 
 
+class NotLocalError(ValueError):
+    """No order up to the bound makes the bracket vanish on the window."""
+
+
 def locality_order(A: Field, B: Field, module: Module, depth2: int = 4,
                    max_order: int = 8, window: int = 3) -> dict:
     """Minimal N with (z-w)^N [A(z), B(w)]_eps = 0 on the swept window.
@@ -302,7 +307,8 @@ def locality_order(A: Field, B: Field, module: Module, depth2: int = 4,
                         "witness": witness[eps],
                         "parity_consistent": eps == predicted}
             witness[eps] = found
-    raise ValueError(f"fields not local at order <= {max_order} on this window")
+    raise NotLocalError(f"fields not local at order <= {max_order} on this "
+                        "window")
 
 
 # -- brackets through the expansion -----------------------------------------
@@ -371,36 +377,11 @@ def bracket_check(A: Field, B: Field, module: Module, depth2: int,
 
 # -- closure of a generator set ---------------------------------------------
 
-class _Echelon:
-    """Incremental row reduction over the scalar field, rows keyed by
-    their leading basis state."""
-
-    def __init__(self):
-        self.rows = {}
-
-    def add(self, vec: dict) -> bool:
-        v = dict(vec)
-        while v:
-            pivot = min(v)
-            row = self.rows.get(pivot)
-            if row is None:
-                inv = v[pivot].inverse()
-                self.rows[pivot] = {s: c * inv for s, c in v.items()}
-                return True
-            coeff = v[pivot]
-            for s, c in row.items():
-                _acc(v, s, -(coeff * c))
-        return False
-
-    def __len__(self):
-        return len(self.rows)
-
-
 def closure_spans(module: Module, field_list, depth2: int) -> list:
     """Per-level echelons spanning the submodule generated from the
     vacuum by the creation slots of the given fields, closed under
     repeated application."""
-    spaces = [_Echelon() for _ in range(depth2 + 1)]
+    spaces = [Echelon() for _ in range(depth2 + 1)]
     vac = BasisState((), 0)
     spaces[0].add({vac: ONE})
     work = [(0, {vac: ONE})]
@@ -456,7 +437,7 @@ def locality_table(named, module: Module, depth2: int, max_order: int,
                 loc = locality_order(A, B, module, depth2=depth2,
                                      max_order=max_order, window=window)
                 table[a, b] = {"order": loc["order"], "bracket": loc["bracket"]}
-            except ValueError:
+            except NotLocalError:
                 table[a, b] = None
     return table
 

@@ -18,56 +18,48 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .scalars import Scalar, rational
+from .scalars import ZERO, Scalar, rational
 
 
-def _perm_sign(p) -> int:
-    sign = 1
-    p = list(p)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
+# signs of itertools.permutations of a triple, in the order it yields them
+_PERMUTATION_SIGNS = (1, -1, -1, 1, 1, -1)
+
+
+def _signed_permutations(triple):
+    """(permuted triple, sign of the permutation) for each ordering."""
+    return zip(permutations(triple), _PERMUTATION_SIGNS)
 
 
 class LieAlgebra:
     """A Lie algebra given by totally antisymmetric structure constants."""
 
     def __init__(self, name: str, dim: int, gamma: dict):
-        """gamma maps sorted index triples (a < b < c, 0-based) to Scalar."""
+        """gamma maps sorted index triples (a < b < c, 0-based) to Scalar.
+
+        The tensor is expanded once: every nonzero Gamma_ab^c, and for
+        each (a, b) the list of (c, Gamma_ab^c) that bracket_coeffs
+        returns."""
         self.name = name
         self.dim = dim
         self.gamma = {k: Scalar.of(v) for k, v in gamma.items() if Scalar.of(v)}
-        for (a, b, c) in self.gamma:
-            if not (0 <= a < b < c < dim):
-                raise ValueError(f"bad structure constant triple {(a, b, c)}")
-        self._bracket_table = None
+        self._tensor = {}
+        self._brackets = {}
+        for (i, j, k), val in self.gamma.items():
+            if not (0 <= i < j < k < dim):
+                raise ValueError(f"bad structure constant triple {(i, j, k)}")
+            for (a, b, c), sign in _signed_permutations((i, j, k)):
+                entry = val if sign == 1 else -val
+                self._tensor[a, b, c] = entry
+                self._brackets.setdefault((a, b), []).append((c, entry))
         self._dual_coxeter = None
 
     def gamma_entry(self, a: int, b: int, c: int) -> Scalar:
         """Gamma_ab^c, antisymmetrized over all three indices."""
-        if len({a, b, c}) < 3:
-            return Scalar.of(0)
-        order = sorted((a, b, c))
-        val = self.gamma.get(tuple(order))
-        if val is None:
-            return Scalar.of(0)
-        sign = _perm_sign([order.index(a), order.index(b), order.index(c)])
-        return val if sign == 1 else -val
+        return self._tensor.get((a, b, c), ZERO)
 
     def bracket_coeffs(self, a: int, b: int) -> list[tuple[int, Scalar]]:
         """[X_a, X_b] = i * sum over returned (c, Gamma_ab^c) of X_c."""
-        if self._bracket_table is None:
-            table = {}
-            for (i, j, k), val in self.gamma.items():
-                for (a1, b1, c1) in permutations((i, j, k)):
-                    sign = _perm_sign([(i, j, k).index(a1), (i, j, k).index(b1),
-                                       (i, j, k).index(c1)])
-                    table.setdefault((a1, b1), []).append(
-                        (c1, val if sign == 1 else -val))
-            self._bracket_table = table
-        return self._bracket_table.get((a, b), [])
+        return self._brackets.get((a, b), [])
 
     # -- validation ------------------------------------------------------
 
@@ -75,48 +67,43 @@ class LieAlgebra:
         """Check realness, antisymmetry, Jacobi and the normalization.
 
         Returns a report with one entry per check and, when the
-        normalization holds, the dual Coxeter number g.
+        normalization holds, the dual Coxeter number g.  Jacobi and the
+        invariant form are contracted over the nonzero entries only.
         """
+        tensor, brackets = self._tensor, self._brackets
         checks = {}
         checks["real"] = all(v.is_real() for v in self.gamma.values())
         # antisymmetry is structural for the stored triples; verify the
         # expanded tensor anyway
-        anti = True
-        for a in range(self.dim):
-            for b in range(self.dim):
-                for c in range(self.dim):
-                    g = self.gamma_entry(a, b, c)
-                    if g != -self.gamma_entry(b, a, c) or g != -self.gamma_entry(a, c, b):
-                        anti = False
-        checks["antisymmetric"] = anti
+        checks["antisymmetric"] = all(
+            val == -tensor.get((b, a, c), ZERO)
+            and val == -tensor.get((a, c, b), ZERO)
+            for (a, b, c), val in tensor.items())
+
+        # sum_e Gamma_ab^e Gamma_ec^f plus its cyclic shifts in (a, b, c):
+        # any nonzero one is reached from a pair (a, b) with [X_a, X_b] != 0
         jacobi = True
-        for a in range(self.dim):
-            for b in range(self.dim):
-                for c in range(self.dim):
-                    for d in range(self.dim):
-                        total = Scalar.of(0)
-                        for e in range(self.dim):
-                            total = total + self.gamma_entry(a, b, e) * self.gamma_entry(c, d, e)
-                            total = total + self.gamma_entry(d, a, e) * self.gamma_entry(c, b, e)
-                            total = total + self.gamma_entry(d, b, e) * self.gamma_entry(a, c, e)
-                        if total:
-                            jacobi = False
+        for (a, b), ab in brackets.items():
+            for c in range(self.dim):
+                total = {}
+                for pairs, d in ((ab, c), (brackets.get((b, c), ()), a),
+                                 (brackets.get((c, a), ()), b)):
+                    for e, x in pairs:
+                        for f, y in brackets.get((e, d), ()):
+                            total[f] = total.get(f, ZERO) + x * y
+                if any(total.values()):
+                    jacobi = False
         checks["jacobi"] = jacobi
-        norm_ok = True
-        g_value = None
-        for b in range(self.dim):
-            for d in range(self.dim):
-                total = Scalar.of(0)
-                for a in range(self.dim):
-                    for c in range(self.dim):
-                        total = total + self.gamma_entry(a, c, b) * self.gamma_entry(a, c, d)
-                if b == d:
-                    if g_value is None:
-                        g_value = total / 2
-                    elif total / 2 != g_value:
-                        norm_ok = False
-                elif total:
-                    norm_ok = False
+        # K_bd = sum_{a,c} Gamma_ac^b Gamma_ac^d
+        form = {}
+        for pairs in brackets.values():
+            for b, x in pairs:
+                for d, y in pairs:
+                    form[b, d] = form.get((b, d), ZERO) + x * y
+        diagonal = [form.get((b, b), ZERO) / 2 for b in range(self.dim)]
+        g_value = diagonal[0] if diagonal else None
+        norm_ok = all(v == g_value for v in diagonal) and not any(
+            v for (b, d), v in form.items() if b != d)
         checks["normalized"] = norm_ok
         report = {
             "name": self.name,
@@ -134,6 +121,9 @@ class LieAlgebra:
             report = self.validate()
             if not report["valid"]:
                 raise ValueError(f"invalid structure constants for {self.name}")
+            if "dual_coxeter" not in report:
+                raise ValueError(f"{self.name} has no dual Coxeter number: "
+                                 f"its invariant form is empty (dim {self.dim})")
             self._dual_coxeter = report["dual_coxeter"]
         return self._dual_coxeter
 
@@ -155,7 +145,7 @@ class LieAlgebra:
                 raise ValueError("gamma entries must have a < b")
             val = Scalar.from_json(item["val"])
             idx = tuple(sorted((a, b, c)))
-            sign = _perm_sign([idx.index(a), idx.index(b), idx.index(c)])
+            sign = dict(_signed_permutations(idx))[a, b, c]
             canon = val if sign == 1 else -val
             if idx in gamma and gamma[idx] != canon:
                 raise ValueError(f"conflicting entries for triple {idx}")

@@ -1,6 +1,8 @@
-"""Exact dense linear algebra over the scalar field.
+"""Exact linear algebra over the scalar field.
 
-Row reduction and kernels work over the full field (radicals allowed).
+Echelon is the one row reduction: it reduces sparse rows incrementally,
+and the reduced row echelon form and kernels are built on it.  They
+work over the full field (radicals allowed).
 The inertia of a symmetric form is restricted to rational entries, where
 signs are decidable: its congruence elimination runs fraction-free on
 the integer matrix left after clearing denominators once, and a
@@ -15,29 +17,57 @@ from math import gcd, lcm
 from .scalars import ONE, ZERO, Scalar
 
 
+def _subtract(v: dict, coeff: Scalar, row: dict):
+    """v -= coeff * row, dropping the entries that vanish."""
+    for s, c in row.items():
+        x = v.get(s)
+        x = -(coeff * c) if x is None else x - coeff * c
+        if x:
+            v[s] = x
+        else:
+            del v[s]
+
+
+class Echelon:
+    """Incremental row reduction: sparse rows {key: Scalar}, each scaled
+    to lead with 1 and kept under its leading (least) key."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def add(self, vec: dict) -> bool:
+        """Reduce vec against the rows; keep it and return True when it
+        is independent of them."""
+        v = dict(vec)
+        while v:
+            pivot = min(v)
+            row = self.rows.get(pivot)
+            if row is None:
+                inv = v[pivot].inverse()
+                self.rows[pivot] = {s: c * inv for s, c in v.items()}
+                return True
+            _subtract(v, v[pivot], row)
+        return False
+
+    def __len__(self):
+        return len(self.rows)
+
+
 def row_reduce(matrix: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return rows[:r], pivots
+    ech = Echelon()
+    for row in matrix:
+        ech.add({j: x for j, x in enumerate(row) if x})
+    pivots = sorted(ech.rows)
+    # back-substitute, last pivot first: clear every later pivot column
+    for i in reversed(range(len(pivots))):
+        row = ech.rows[pivots[i]]
+        for p in pivots[i + 1:]:
+            if p in row:
+                _subtract(row, row[p], ech.rows[p])
+    ncols = len(matrix[0]) if matrix else 0
+    return [[ech.rows[p].get(j, ZERO) for j in range(ncols)]
+            for p in pivots], pivots
 
 
 def kernel_basis(matrix: list[list[Scalar]]) -> list[list[Scalar]]:

@@ -611,6 +611,8 @@ def module_from_descriptor(desc: dict) -> Module:
     "factors": [affine, fermion]}.  Scalar entries accept the JSON term
     list, a bare integer, or a fraction string.
     """
+    if not isinstance(desc, dict):
+        raise ValueError("module descriptor must be an object")
     kind = desc.get("type")
     if kind == "ns_verma" or kind == "virasoro_verma":
         algebra = "ns" if kind == "ns_verma" else "virasoro"

@@ -1,10 +1,12 @@
-"""Reference signature of a rational symmetric form, in Fractions.
+"""Reference signature of a rational symmetric form, in Fractions, and
+reference dense row reduction.
 
-The earlier implementation of ``nsvertex.linalg.inertia_with_witness``,
-kept unchanged as an independent oracle for tests/test_inertia_oracle.py:
-congruence elimination in ``fractions.Fraction`` that carries the
-congruence rows ``u`` through every pivot and copies the witness from
-them.
+The earlier implementations of ``nsvertex.linalg.inertia_with_witness``
+and ``nsvertex.linalg.row_reduce``, kept unchanged as independent
+oracles for tests/test_inertia_oracle.py.  The first is congruence
+elimination in ``fractions.Fraction`` that carries the congruence rows
+``u`` through every pivot and copies the witness from them; the second
+is Gauss-Jordan elimination on dense rows, column by column.
 """
 
 from __future__ import annotations
@@ -12,6 +14,31 @@ from __future__ import annotations
 from fractions import Fraction
 
 from nsvertex.scalars import Scalar
+
+
+def row_reduce(matrix: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    rows = [list(r) for r in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows[:r], pivots
 
 
 def _as_fraction_matrix(matrix: list[list[Scalar]]) -> list[list[Fraction]]:

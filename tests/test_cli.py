@@ -194,6 +194,35 @@ def test_malformed_inputs_exit_two(capsys):
         assert "error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gram", "--module", "[1]", "--level", "1"],
+     "module descriptor must be an object"),
+    (["gram", "--module",
+      '{"type":"tensor","factors":[{"type":"affine","level":1},[2]]}',
+      "--level", "1"], "module descriptor must be an object"),
+    (["ope", "--module", '{"type":"fermion"}', "--field-a", '{"gen":"L"}',
+      "--field-b", '{"gen":"psi"}'], "FermionFock has no L modes"),
+    (["sugawara", "--algebra", '{"name":"x","dim":0,"gamma":[]}',
+      "--level", "1"], "x has no dual Coxeter number"),
+])
+def test_malformed_inputs_name_their_fault(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_ope_of_a_nonlocal_pair_exits_one_with_its_report(capsys):
+    code, report, err = run_json(capsys, [
+        "ope", "--module", '{"type":"fermion","colors":1}',
+        "--field-a", '{"gen":"psi"}', "--field-b", '{"gen":"psi"}',
+        "--max-order", "0"])
+    assert code == 1
+    assert report == {"local": False, "max_order": 0,
+                      "error": "fields not local at order <= 0 on this window"}
+    assert err.startswith("not local: ")
+
+
 def test_float_or_bool_scalar_in_module_exits_two(capsys):
     for c in ("1.5", "true"):
         code, out, err = run(capsys, [

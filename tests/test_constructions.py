@@ -22,8 +22,8 @@ from nsvertex.constructions import (boson_sugawara, cocycle_span,
                                     weight_report, _current_state)
 from nsvertex.fields import commutator_direct, generator_field, _vec_of
 from nsvertex.liealg import sl2
-from nsvertex.modules import (BasisState, Mode, StateVector, VermaModule,
-                              state_grade2)
+from nsvertex.modules import (BasisState, FermionFock, Mode, StateVector,
+                              VermaModule, state_grade2)
 from nsvertex.scalars import I, Scalar
 
 
@@ -48,7 +48,7 @@ def test_fermion_omega_is_half_psi_pair():
 
 def test_current_state_normalization():
     # S^3 = -(i/2) Gamma_ab^3 psi^a psi^b collapses to i sqrt(2) psi^2 psi^1
-    s3 = _current_state(sl2(), 2)
+    s3 = _current_state(FermionFock(3), sl2(), 2)
     st = BasisState((Mode("psi", 1, -1), Mode("psi", 0, -1)), 0)
     assert s3.coefficient(st) == Scalar.root(-2)
     assert len(list(s3.items())) == 1

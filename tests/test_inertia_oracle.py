@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inertia_oracle as oracle
-from nsvertex.linalg import inertia_with_witness
+from nsvertex import linalg
+from nsvertex.linalg import inertia_with_witness, row_reduce
 from nsvertex.modules import StateVector, VermaModule
 from nsvertex.scalars import Scalar
 
@@ -170,3 +171,68 @@ def test_ghost_report_matches_oracle(algebra, c, h, depth2):
         else:
             assert level["witness"] == StateVector(
                 {b: Scalar.of(x) for b, x in zip(basis, witness) if x})
+
+
+# -- row reduction -------------------------------------------------------
+
+RADICANDS = [1, 2, 3, 6, -1, -2]
+scalars = st.builds(Scalar, st.dictionaries(st.sampled_from(RADICANDS),
+                                            nonzero, max_size=3))
+
+
+@st.composite
+def row_matrices(draw):
+    """Rows that are zero, drawn, or combinations of earlier rows, with
+    entries in Q(sqrt2, sqrt3, i)."""
+    ncols = draw(st.integers(1, 7))
+    m = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["zero", "drawn", "drawn", "combination"]))
+        if kind == "zero" or (kind == "combination" and not m):
+            m.append([Scalar.of(0)] * ncols)
+        elif kind == "drawn":
+            m.append([draw(st.one_of(st.just(Scalar.of(0)), scalars))
+                      for _ in range(ncols)])
+        else:
+            coeffs = [draw(scalars) for _ in m]
+            m.append([sum((c * row[j] for c, row in zip(coeffs, m)),
+                          Scalar.of(0)) for j in range(ncols)])
+    return m
+
+
+@SETTINGS
+@given(row_matrices())
+def test_row_reduce_matches_dense_oracle(m):
+    assert row_reduce(m) == oracle.row_reduce(m)
+
+
+def _assert_witness_solves_match(matrices):
+    """Every system that the witness solve hands to row_reduce reduces
+    as the dense oracle reduces it."""
+    systems = []
+
+    def recording(system):
+        systems.append(system)
+        return row_reduce(system)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "row_reduce", recording)
+        for m in matrices:
+            inertia_with_witness(m)
+    for system in systems:
+        assert row_reduce(system) == oracle.row_reduce(system)
+    return systems
+
+
+@SETTINGS
+@given(st.one_of(positive_then_hyperbolic(), hyperbolic_then_negative()))
+def test_witness_solves_match_dense_oracle(m):
+    assert _assert_witness_solves_match([m])
+
+
+def test_ghost_witness_solves_match_dense_oracle():
+    module = VermaModule("ns", Scalar.of(Fraction(7, 10)),
+                         Scalar.of(Fraction(-1, 10)))
+    systems = _assert_witness_solves_match(
+        [module.gram(n2)[1] for n2 in range(13)])
+    assert any(systems)

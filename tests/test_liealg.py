@@ -182,3 +182,13 @@ def test_invalid_algebra_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(ValueError):
             bad.dual_coxeter()
+
+
+def test_empty_algebra_has_no_dual_coxeter_number():
+    empty = LieAlgebra("x", 0, {})
+    assert empty.validate() == {
+        "name": "x", "dim": 0, "valid": True, "checks": {
+            "real": True, "antisymmetric": True, "jacobi": True,
+            "normalized": True}}
+    with pytest.raises(ValueError, match="invariant form is empty"):
+        empty.dual_coxeter()

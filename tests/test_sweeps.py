@@ -21,8 +21,8 @@ from nsvertex.constructions import (boson_sugawara, current_bracket_report,
 from nsvertex.fields import (NthProduct, bracket_check, bracket_from_ope,
                              check_borcherds, check_vosa_axioms,
                              commutator_direct, field_from_tree,
-                             locality_order, state_field, sweep,
-                             sweep_relation, _vec_of)
+                             generator_field, locality_order, locality_table,
+                             state_field, sweep, sweep_relation, _vec_of)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FermionFock, Mode, StateVector,
                               VermaModule)
@@ -166,6 +166,14 @@ def test_window_zero_is_still_a_valid_sweep(capsys):
                  "--window", "0"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def test_locality_table_raises_what_is_not_a_locality_verdict():
+    # a field the module cannot act with is an input error, not a
+    # non-local pair
+    named = [("L", generator_field("L")), ("psi", generator_field("psi"))]
+    with pytest.raises(ValueError, match="FermionFock has no L modes"):
+        locality_table(named, FermionFock(1), 2, 8, 1)
 
 
 def test_vosa_axioms_name_a_nonlocal_pair():
