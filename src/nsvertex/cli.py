@@ -20,7 +20,7 @@ from .constructions import (boson_sugawara, central_charges, cocycle_basis,
                             susy_report, verify_odd_cocycle, vertex_module,
                             weight_report)
 from .fields import (NotLocalError, bracket_check, field_from_tree,
-                     locality_order, ope_singular_part, state_field)
+                     locality_order, ope_singular_part, state_field, sweep)
 from .liealg import CATALOG, LieAlgebra, sl2
 from .modules import (BasisState, Mode, StateVector, VermaModule, grade_str,
                       module_from_descriptor)
@@ -301,10 +301,11 @@ def cmd_module(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
-    even = cocycle_basis(args.nmax)
     smax2 = _half2(args.smax)
     charges = [Fraction(c) for c in (args.c or ["0", "1/2", "5/2"])]
+    # the odd sweep first: an smax that leaves it empty exits before any work
     odd = [{"c": c, "valid": verify_odd_cocycle(c, smax2)} for c in charges]
+    even = cocycle_basis(args.nmax)
     report = {"even": {"dimension": even["dimension"],
                        "spans": [list(p) for p in even["spans"]],
                        "nmax": args.nmax, "valid": even["valid"]},
@@ -329,12 +330,25 @@ def _build_construction(args):
 
 
 def _random_vector(rng, module, n2: int) -> StateVector:
-    out = StateVector({})
-    for state in module.level_basis(n2):
-        coeff = rng.randrange(-2, 3)
-        if coeff:
-            out = out + StateVector.basis(state).scaled(coeff)
-    return out
+    return StateVector([(state, rng.randrange(-2, 3))
+                        for state in module.level_basis(n2)])
+
+
+def _adjoint_points(rng, module, named_fields, depth2: int, trials: int):
+    """Per trial, a field, a grade and a slot, then random vectors u and
+    v at the two grades that the slot pairs; a trial whose second grade
+    leaves [0, depth2], or whose u or v is zero, gives no point."""
+    for _ in range(trials):
+        name, F = named_fields[rng.randrange(len(named_fields))]
+        g2 = rng.randrange(depth2 + 1)
+        s = rng.randrange(-2, 3)
+        h2 = g2 + F.weight2 - 2 - 2 * s
+        if 0 <= h2 <= depth2:
+            u = _random_vector(rng, module, g2)
+            v = _random_vector(rng, module, h2)
+            if u and v:
+                yield {"field": name, "slot": s, "grade": grade_str(g2),
+                       "u": u, "v": v}
 
 
 def _adjoint_sweep(module, named_fields, depth2: int, seed: int,
@@ -342,28 +356,16 @@ def _adjoint_sweep(module, named_fields, depth2: int, seed: int,
     """Seeded spot check of <F(s)u, v> = <u, F(w-2-s)v> for every
     construction field; each field is its own adjoint under index
     negation, so both sides use the same field."""
-    rng = random.Random(seed)
-    checked = 0
-    failures = []
-    for _ in range(trials):
-        name, F = named_fields[rng.randrange(len(named_fields))]
-        g2 = rng.randrange(depth2 + 1)
-        s = rng.randrange(-2, 3)
-        h2 = g2 + F.weight2 - 2 - 2 * s
-        if h2 < 0 or h2 > depth2:
-            continue
-        u = _random_vector(rng, module, g2)
-        v = _random_vector(rng, module, h2)
-        if not u or not v:
-            continue
-        lhs = module.inner(F.apply(s, module, u), v)
-        rhs = module.inner(u, F.apply(F.weight2 - 2 - s, module, v))
-        checked += 1
-        if lhs != rhs:
-            failures.append({"field": name, "slot": s,
-                             "grade": grade_str(g2)})
-    return {"seed": seed, "checked": checked, "failures": failures,
-            "valid": not failures}
+    fields = dict(named_fields)
+    swept = sweep(
+        _adjoint_points(random.Random(seed), module, named_fields, depth2,
+                        trials),
+        lambda field, slot, grade, u, v: module.inner(
+            fields[field].apply(slot, module, u), v),
+        lambda field, slot, grade, u, v: module.inner(
+            u, fields[field].apply(fields[field].weight2 - 2 - slot, module,
+                                   v)))
+    return {"seed": seed, **swept, "valid": not swept["failures"]}
 
 
 def cmd_axioms(args) -> int:

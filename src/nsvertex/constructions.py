@@ -499,6 +499,9 @@ def verify_odd_cocycle(c, smax2: int) -> bool:
     """The even central term (c/12)(n^3 - n) and the odd central term
     (c/3)(s^2 - 1/4) satisfy the mixed compatibility constraint at
     r + s + n = 0 over all half-odd |r|, |s| <= smax2/2."""
+    if smax2 < 1:
+        raise ValueError("smax must be at least 1/2: below it no odd pair "
+                         "is checked")
     c = Fraction(c)
     A = {n: c * Fraction(n ** 3 - n, 12) for n in range(-smax2, smax2 + 1)}
     return verify_super_cocycle(A, odd_central_term(c, smax2))

@@ -21,10 +21,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import Echelon
+from .linalg import Echelon, _add
 from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
-                      StateVector, _acc, mode_parity, state_grade2,
-                      state_parity)
+                      StateVector, mode_parity, state_grade2, state_parity)
 from .scalars import ONE, Scalar
 
 
@@ -74,8 +73,7 @@ class Field:
     def apply(self, n: int, module: Module, vec: StateVector) -> StateVector:
         out = {}
         for state, coeff in vec.items():
-            for st, c in self.act(n, module, state).items():
-                _acc(out, st, coeff * c)
+            _add(out, self.act(n, module, state), coeff)
         return StateVector._wrap(out)
 
     def prod(self, other: "Field", k: int) -> "Field":
@@ -135,12 +133,17 @@ class ScaledSum(Field):
     def _act(self, n, module, state):
         out = {}
         for coeff, f in self.terms:
-            for st, c in f.act(n, module, state).items():
-                _acc(out, st, coeff * c)
+            _add(out, f.act(n, module, state), coeff)
         return out
 
     def __str__(self):
         return " + ".join(f"({c})·{f}" for c, f in self.terms)
+
+
+def _compose(out: dict, coeff: int, A, na, B, nb, module, state):
+    """out += coeff * A(na) B(nb) state, for an integer coeff."""
+    for st, c in B.act(nb, module, state).items():
+        _add(out, A.act(na, module, st), c if coeff == 1 else c * coeff)
 
 
 class NthProduct(Field):
@@ -169,13 +172,9 @@ class NthProduct(Field):
             if not cj:
                 continue
             coeff = -cj if j % 2 else cj
-            for st, c in b.act(m + j, module, state).items():
-                for st2, c2 in a.act(k - j, module, st).items():
-                    _acc(out, st2, c * c2 * coeff)
-            back = -coeff * swap_sign
-            for st, c in a.act(j, module, state).items():
-                for st2, c2 in b.act(k + m - j, module, st).items():
-                    _acc(out, st2, c * c2 * back)
+            _compose(out, coeff, a, k - j, b, m + j, module, state)
+            _compose(out, -coeff * swap_sign, b, k + m - j, a, j, module,
+                     state)
         return out
 
     def __str__(self):
@@ -251,14 +250,9 @@ def _basis_field(module: Module, state: BasisState) -> Field:
 def _bracket_apply(A, na, B, nb, eps, module, state) -> dict:
     """[A(na), B(nb)]_eps applied to one basis state."""
     out = {}
-    for st, c in B.act(nb, module, state).items():
-        for st2, c2 in A.act(na, module, st).items():
-            _acc(out, st2, c * c2)
+    _compose(out, 1, A, na, B, nb, module, state)
     # eps = 1 flips the commutator to an anticommutator
-    back = 1 if eps else -1
-    for st, c in A.act(na, module, state).items():
-        for st2, c2 in B.act(nb, module, st).items():
-            _acc(out, st2, c * c2 * back)
+    _compose(out, 1 if eps else -1, B, nb, A, na, module, state)
     return out
 
 
@@ -268,10 +262,8 @@ def _t_apply(A, B, N, eps, p, q, module, state) -> dict:
     out = {}
     for k in range(N + 1):
         c = math.comb(N, k)
-        coeff = -c if k % 2 else c
-        for st, cc in _bracket_apply(A, p + N - k, B, q + k, eps, module,
-                                     state).items():
-            _acc(out, st, cc * coeff)
+        _add(out, _bracket_apply(A, p + N - k, B, q + k, eps, module, state),
+             -c if k % 2 else c)
     return out
 
 
@@ -335,10 +327,8 @@ def bracket_from_ope(A: Field, m: int, B: Field, n: int, order: int,
     for j in range(order):
         c = gbinom(m, j)
         P = _product_field(A, B, j, module) if c else None
-        if P is None:
-            continue
-        for st, cc in P.act(m + n - j, module, state).items():
-            _acc(out, st, cc * c)
+        if P is not None:
+            _add(out, P.act(m + n - j, module, state), c)
     return out
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
+from .linalg import _add
 from .scalars import ZERO, Scalar, rational
 
 
@@ -39,6 +40,8 @@ class LieAlgebra:
         The tensor is expanded once: every nonzero Gamma_ab^c, and for
         each (a, b) the list of (c, Gamma_ab^c) that bracket_coeffs
         returns."""
+        if type(dim) is not int or dim < 0:
+            raise ValueError(f"dim must be a nonnegative integer, got {dim!r}")
         self.name = name
         self.dim = dim
         self.gamma = {k: Scalar.of(v) for k, v in gamma.items() if Scalar.of(v)}
@@ -192,14 +195,8 @@ def sl2_floor(j2: int):
     def combine(coeff_e, coeff_f, coeff_h):
         out = {}
         for mat, coeff in ((e, coeff_e), (f, coeff_f), (h, coeff_h)):
-            if not coeff:
-                continue
-            for pos, val in mat.items():
-                acc = out.get(pos, Scalar.of(0)) + coeff * val
-                if acc:
-                    out[pos] = acc
-                elif pos in out:
-                    del out[pos]
+            if coeff:
+                _add(out, mat, coeff)
         return out
 
     half_i_root2 = Scalar({-2: Fraction(1, 2)})   # i*sqrt(2)/2

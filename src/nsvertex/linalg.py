@@ -1,8 +1,10 @@
 """Exact linear algebra over the scalar field.
 
-Echelon is the one row reduction: it reduces sparse rows incrementally,
-and the reduced row echelon form and kernels are built on it.  They
-work over the full field (radicals allowed).
+_add is the one sparse accumulate, out += coeff * vec on dicts keyed by
+basis states or columns, shared by modules, fields and the row
+reduction.  Echelon is the one row reduction: it reduces sparse rows
+incrementally, and the reduced row echelon form and kernels are built
+on it.  They work over the full field (radicals allowed).
 The inertia of a symmetric form is restricted to rational entries, where
 signs are decidable: its congruence elimination runs fraction-free on
 the integer matrix left after clearing denominators once, and a
@@ -17,15 +19,27 @@ from math import gcd, lcm
 from .scalars import ONE, ZERO, Scalar
 
 
-def _subtract(v: dict, coeff: Scalar, row: dict):
-    """v -= coeff * row, dropping the entries that vanish."""
-    for s, c in row.items():
-        x = v.get(s)
-        x = -(coeff * c) if x is None else x - coeff * c
-        if x:
-            v[s] = x
-        else:
-            del v[s]
+def _acc(d: dict, key, coeff: Scalar):
+    """d[key] += coeff, dropping the entry if it vanishes."""
+    cur = d.get(key)
+    cur = coeff if cur is None else cur + coeff
+    if cur:
+        d[key] = cur
+    elif key in d:
+        del d[key]
+
+
+def _add(out: dict, vec: dict, coeff):
+    """out += coeff * vec, dropping the entries that vanish.  vec is only
+    read, so it may be a cached action; coeff is a Scalar or a number."""
+    for key, c in vec.items():
+        c = c * coeff
+        cur = out.get(key)
+        cur = c if cur is None else cur + c
+        if cur:
+            out[key] = cur
+        elif key in out:
+            del out[key]
 
 
 class Echelon:
@@ -46,7 +60,7 @@ class Echelon:
                 inv = v[pivot].inverse()
                 self.rows[pivot] = {s: c * inv for s, c in v.items()}
                 return True
-            _subtract(v, v[pivot], row)
+            _add(v, row, -v[pivot])
         return False
 
     def __len__(self):
@@ -64,7 +78,7 @@ def row_reduce(matrix: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int
         row = ech.rows[pivots[i]]
         for p in pivots[i + 1:]:
             if p in row:
-                _subtract(row, row[p], ech.rows[p])
+                _add(row, ech.rows[p], -row[p])
     ncols = len(matrix[0]) if matrix else 0
     return [[ech.rows[p].get(j, ZERO) for j in range(ncols)]
             for p in pivots], pivots

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .liealg import LieAlgebra, sl2, sl2_floor
-from .linalg import inertia_with_witness, kernel_basis
+from .linalg import _acc, _add, inertia_with_witness, kernel_basis
 from .scalars import ONE, ZERO, I, Scalar
 
 KIND_RANK = {"x": 0, "L": 1, "G": 2, "psi": 3}
@@ -76,15 +76,6 @@ def state_parity(state: BasisState) -> int:
 
 def grade_str(n2: int) -> str:
     return str(Fraction(n2, 2))
-
-
-def _acc(d: dict, state: BasisState, coeff: Scalar):
-    cur = d.get(state)
-    cur = coeff if cur is None else cur + coeff
-    if cur:
-        d[state] = cur
-    elif state in d:
-        del d[state]
 
 
 class StateVector:
@@ -284,30 +275,24 @@ class Module:
                     if bmode is None:
                         _acc(out, rest, half)
                     else:
-                        for st, c in self.apply_to_basis(bmode, rest).items():
-                            _acc(out, st, half * c)
+                        _add(out, self.apply_to_basis(bmode, rest), half)
                 return out
         rest = BasisState(word[1:], state.floor)
         sign = -1 if mode_parity(mode.kind) and mode_parity(head.kind) else 1
         out = {}
         for st, c in self.apply_to_basis(mode, rest).items():
-            if sign < 0:
-                c = -c
-            for st2, c2 in self.apply_to_basis(head, st).items():
-                _acc(out, st2, c * c2)
+            _add(out, self.apply_to_basis(head, st), -c if sign < 0 else c)
         for coeff, bmode in self.bracket(mode, head):
             if bmode is None:
                 _acc(out, rest, coeff)
             else:
-                for st, c in self.apply_to_basis(bmode, rest).items():
-                    _acc(out, st, coeff * c)
+                _add(out, self.apply_to_basis(bmode, rest), coeff)
         return out
 
     def apply(self, mode: Mode, vec: StateVector) -> StateVector:
         out = {}
         for state, coeff in vec.items():
-            for st, c in self.apply_to_basis(mode, state).items():
-                _acc(out, st, coeff * c)
+            _add(out, self.apply_to_basis(mode, state), coeff)
         return StateVector._wrap(out)
 
     # -- inner products --------------------------------------------------
@@ -405,8 +390,7 @@ class Module:
     def operator_T(self, vec: StateVector) -> StateVector:
         out = {}
         for state, coeff in vec.items():
-            for st, c in self._translate_basis(state).items():
-                _acc(out, st, coeff * c)
+            _add(out, self._translate_basis(state), coeff)
         return StateVector._wrap(out)
 
     def _translate_basis(self, state: BasisState) -> dict:
@@ -415,14 +399,12 @@ class Module:
         head, rest = state.word[0], BasisState(state.word[1:], state.floor)
         out = {}
         for st, c in self._translate_basis(rest).items():
-            for st2, c2 in self.apply_to_basis(head, st).items():
-                _acc(out, st2, c * c2)
+            _add(out, self.apply_to_basis(head, st), c)
         # [T, A_{-a}] = (a - w + 1) A_{-a-1} for a mode of a weight-w field
         kappa = Fraction(-head.n2 - GENERATOR_WEIGHT2[head.kind] + 2, 2)
         if kappa:
             shifted = Mode(head.kind, head.color, head.n2 - 2)
-            for st, c in self.apply_to_basis(shifted, rest).items():
-                _acc(out, st, c * kappa)
+            _add(out, self.apply_to_basis(shifted, rest), kappa)
         return out
 
 

@@ -152,6 +152,28 @@ def test_cocycle_report(capsys):
         assert case["valid"] is True
 
 
+@pytest.mark.parametrize("smax", ["0", "-1/2"])
+def test_cocycle_with_no_odd_pair_exits_two_before_any_work(capsys,
+                                                            monkeypatch,
+                                                            smax):
+    # an empty odd sweep would pass vacuously
+    import nsvertex.cli as cli
+    monkeypatch.setattr(cli, "cocycle_basis", None)
+    code, out, err = run(capsys, ["cocycle", "--nmax", "8",
+                                  f"--smax={smax}"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: smax must be at least 1/2")
+
+
+def test_cocycle_smallest_odd_sweep_is_valid(capsys):
+    code, report, _ = run_json(capsys, [
+        "cocycle", "--nmax", "8", "--smax", "1/2"])
+    assert code == 0
+    assert report["odd"]["smax"] == "1/2"
+    assert [case["valid"] for case in report["odd"]["cases"]] == [True] * 3
+
+
 @pytest.mark.parametrize("construction", ["fermion", "g-fermion", "sugawara",
                                           "super"])
 def test_axioms_pass_for_each_construction(capsys, construction):
@@ -204,6 +226,10 @@ def test_malformed_inputs_exit_two(capsys):
       "--field-b", '{"gen":"psi"}'], "FermionFock has no L modes"),
     (["sugawara", "--algebra", '{"name":"x","dim":0,"gamma":[]}',
       "--level", "1"], "x has no dual Coxeter number"),
+    (["validate", "--algebra", '{"name":"x","dim":-2,"gamma":[]}'],
+     "dim must be a nonnegative integer, got -2"),
+    (["validate", "--algebra", '{"name":"x","dim":true,"gamma":[]}'],
+     "dim must be a nonnegative integer, got True"),
 ])
 def test_malformed_inputs_name_their_fault(capsys, argv, message):
     code, out, err = run(capsys, argv)

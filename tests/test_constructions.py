@@ -254,6 +254,14 @@ def test_verify_odd_cocycle_closed_forms():
     assert not verify_super_cocycle(A, bad)
 
 
+def test_verify_odd_cocycle_needs_an_odd_pair():
+    from nsvertex.constructions import verify_odd_cocycle
+    assert verify_odd_cocycle(half(1, 2), 1)
+    for smax2 in (0, -1):
+        with pytest.raises(ValueError, match="smax must be at least 1/2"):
+            verify_odd_cocycle(half(1, 2), smax2)
+
+
 def test_super_level_zero_susy_report():
     from nsvertex.modules import FermionFock
     cons = super_construction(sl2(), 0)

@@ -192,3 +192,9 @@ def test_empty_algebra_has_no_dual_coxeter_number():
             "normalized": True}}
     with pytest.raises(ValueError, match="invariant form is empty"):
         empty.dual_coxeter()
+
+
+@pytest.mark.parametrize("dim", [-2, -1, True, 2.0, "3", None])
+def test_dim_must_be_a_nonnegative_int(dim):
+    with pytest.raises(ValueError, match="dim must be a nonnegative integer"):
+        LieAlgebra("x", dim, {})

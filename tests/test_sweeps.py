@@ -13,20 +13,21 @@ from fractions import Fraction
 
 import pytest
 
-from nsvertex.cli import main
+from nsvertex.cli import _adjoint_sweep, _json_ready, main
 from nsvertex.constructions import (boson_sugawara, current_bracket_report,
                                     fermion_vosa, g_fermion_system,
                                     super_construction, susy_report,
                                     _current_algebra_sweep)
-from nsvertex.fields import (NthProduct, bracket_check, bracket_from_ope,
+from nsvertex.fields import (NthProduct, ScaledSum, bracket_check,
+                             bracket_from_ope,
                              check_borcherds, check_vosa_axioms,
                              commutator_direct, field_from_tree,
                              generator_field, locality_order, locality_table,
                              state_field, sweep, sweep_relation, _vec_of)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FermionFock, Mode, StateVector,
-                              VermaModule)
-from nsvertex.scalars import Scalar
+                              VermaModule, state_grade2)
+from nsvertex.scalars import I, Scalar
 
 NS = '{"type":"ns_verma","c":"1/2","h":"0"}'
 G_TREE = '{"gen":"G"}'
@@ -319,3 +320,24 @@ def test_failing_borcherds_sweep_matches_hand_loop(monkeypatch):
     rep = check_borcherds(FermionFock(1), depth2=3)
     assert rep["failures"] and rep["valid"] is False
     assert rep == borcherds_hand_loop(FermionFock(1), 3)
+
+
+def test_adjoint_sweep_names_the_vectors_of_a_failing_field():
+    # i psi is not its own adjoint: <i psi(s) u, v> = -<u, i psi(s') v>
+    cons = fermion_vosa(1)
+    module, psi = cons.module, cons.fields["psi1"]
+    good = _adjoint_sweep(module, [("psi", psi)], 2, 3)
+    bad = _adjoint_sweep(module, [("bad", ScaledSum([(I, psi)]))], 2, 3)
+    assert good["valid"] and good["failures"] == []
+    # the same weight draws the same points
+    assert bad["checked"] == good["checked"] > 0
+    assert not bad["valid"] and bad["failures"]
+    for failure in bad["failures"]:
+        assert set(failure) == {"field", "slot", "grade", "u", "v"}
+        assert failure["field"] == "bad"
+        u, v = failure["u"], failure["v"]
+        assert isinstance(u, StateVector) and u and v
+        assert module.inner(psi.apply(failure["slot"], module, u), v)
+        assert {Fraction(state_grade2(s), 2) for s, _ in u.items()} == {
+            Fraction(failure["grade"])}
+        assert _json_ready(failure)["u"] == _json_ready(u)
