@@ -10,7 +10,6 @@ for identical arguments and seed.
 import argparse
 import gc
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -25,8 +24,6 @@ from .liealg import CATALOG, LieAlgebra, sl2
 from .modules import (BasisState, Mode, StateVector, VermaModule, grade_str,
                       module_from_descriptor)
 from .scalars import Scalar
-
-DEPTH_ENV = "NSVERTEX_DEPTH"
 
 
 # -- input parsing ----------------------------------------------------------
@@ -391,7 +388,6 @@ def cmd_axioms(args) -> int:
 # -- argument wiring --------------------------------------------------------
 
 def _parser() -> argparse.ArgumentParser:
-    default_depth = os.environ.get(DEPTH_ENV, "2")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json",
                         help="report encoding on stdout")
@@ -399,9 +395,8 @@ def _parser() -> argparse.ArgumentParser:
                         help="seed for randomized sweeps")
 
     depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", default=default_depth,
-                       help="truncation depth, a half-integer "
-                            f"(default {default_depth}, env {DEPTH_ENV})")
+    depth.add_argument("--depth", default="2",
+                       help="truncation depth, a half-integer (default 2)")
     depth.add_argument("--window", type=int, default=2,
                        help="mode-index window for sweeps")
     depth.add_argument("--max-order", type=int, default=8,

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import (Field, ScaledSum, check_vosa_axioms, closure_spans,
-                     commutator_direct, creating_state, grading_sweep,
-                     state_field, sweep, sweep_relation,
-                     virasoro_bracket_check, window_points, _vec_of)
+from .fields import (Field, ScaledSum, bracket_sweep, check_vosa_axioms,
+                     closure_spans, commutator_direct, creating_state,
+                     grading_sweep, identity_field, state_field, sweep,
+                     virasoro_bracket_check)
 from .liealg import LieAlgebra, casimir_constant_sl2
 from .modules import (AffineModule, BasisState, FermionFock, Mode, Module,
                       StateVector, TensorModule)
-from .scalars import ONE, I, Scalar
+from .scalars import ONE, ZERO, I, Scalar
 
 
 def sugawara_central_charge(dim: int, g, level: int) -> Fraction:
@@ -121,21 +121,14 @@ def _current_algebra_sweep(module: Module, lie: LieAlgebra, S: list, level,
                            depth2: int, window: int) -> dict:
     """[S^a_m, S^b_n] = i Gamma_ab^c S^c_{m+n} + level m delta_ab delta_{m+n}
     swept pair by pair; points carry the 1-based a and b."""
-    def rhs(a, b, m, n, state):
-        u = StateVector.basis(state)
-        out = StateVector({})
-        for c, coeff in lie.bracket_coeffs(a - 1, b - 1):
-            out = out + S[c].apply(m + n, module, u).scaled(I * coeff)
-        if a == b and m + n == 0 and m:
-            out = out + u.scaled(level * m)
-        return out
-
-    pairs = range(1, lie.dim + 1)
-    return sweep(({"a": a, "b": b, **p} for a in pairs for b in pairs
-                  for p in window_points(module, depth2, window)),
-                 lambda a, b, m, n, state: _vec_of(commutator_direct(
-                     S[a - 1], m, S[b - 1], n, module, state)),
-                 rhs)
+    one = identity_field()
+    pairs = range(lie.dim)
+    return bracket_sweep(module, depth2, window, [
+        ({"a": a + 1, "b": b + 1}, S[a], 0, S[b], 0,
+         lambda m, n, a=a, b=b: [(I * coeff, S[c], m + n) for c, coeff
+                                 in lie.bracket_coeffs(a, b)]
+         + [(level * m if a == b and m + n == 0 else 0, one, -1)])
+        for a in pairs for b in pairs])
 
 
 def current_bracket_report(cons: Construction, depth2: int = 2,
@@ -150,8 +143,7 @@ def current_bracket_report(cons: Construction, depth2: int = 2,
                                    window)
     # central term of [S^1_1, S^1_{-1}] on the vacuum
     vac = BasisState((), 0)
-    level_vec = _vec_of(commutator_direct(S[0], 1, S[0], -1, module, vac))
-    measured = level_vec.coefficient(vac)
+    measured = commutator_direct(S[0], 1, S[0], -1, module, vac).get(vac, ZERO)
     return {**swept, "measured_level": measured, "expected_level": g,
             "valid": not swept["failures"] and measured == g}
 
@@ -264,7 +256,7 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
     dim = lie.dim
     G = cons.fields["G"]
     B = cons.data["b_fields"]
-    psi = list(_generators(module, "psi", dim).values())
+    psi = [cons.fields[f"psi{a + 1}"] for a in range(dim)]
     tau = cons.data["tau"]
     omega = cons.omega
     L = state_field(module, omega)
@@ -272,50 +264,30 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
     c = vir["central_charge"]
     root_d = Scalar.sqrt_fraction(d)
     inv_root_d = Scalar.sqrt_fraction(1 / d)
+    one = identity_field()
     states = module.basis_upto(depth2)
     failures = {"b_current_algebra": _current_algebra_sweep(
         module, lie, B, Scalar.of(d), depth2, window)["failures"]}
-
-    def check(name, lhs, rhs):
-        failures[name] = sweep_relation(module, depth2, window, lhs,
-                                        rhs)["failures"]
-
-    # [G_{m-1/2}, B^a_n] = -n sqrt(d) psi^a at the summed index
-    check("g_with_currents",
-          lambda m, n, state: [_vec_of(commutator_direct(
-              G, m, B[a], n, module, state)) for a in range(dim)],
-          lambda m, n, state: [psi[a].apply(
-              m + n - 1, module, StateVector.basis(state)).scaled(root_d * -n)
-              for a in range(dim)])
-
-    # {G_{m-1/2}, psi^a_{n+1/2}} = d^(-1/2) B^a_{m+n}
-    check("g_with_fermions",
-          lambda m, n, state: [_vec_of(commutator_direct(
-              G, m, psi[a], n, module, state)) for a in range(dim)],
-          lambda m, n, state: [B[a].apply(
-              m + n, module, StateVector.basis(state)).scaled(inv_root_d)
-              for a in range(dim)])
-
-    def ns_rhs(m, n, state):
-        # {G_r, G_s} = 2 L_{r+s} + (c/3)(r^2 - 1/4) delta_{r+s}
-        u = StateVector.basis(state)
-        rhs = L.apply(m + n, module, u).scaled(2)
-        if m + n == 1:
-            r = Fraction(2 * m - 1, 2)
-            rhs = rhs + u.scaled(c * Fraction(1, 3) * (r * r - Fraction(1, 4)))
-        return rhs
-
-    check("ns_anticommutator",
-          lambda m, n, state: _vec_of(commutator_direct(G, m, G, n, module,
-                                                        state)),
-          ns_rhs)
-
-    # [L_m, G_r] = (m/2 - r) G_{m+r}
-    check("virasoro_g",
-          lambda m, n, state: _vec_of(commutator_direct(L, m + 1, G, n, module,
-                                                        state)),
-          lambda m, n, state: G.apply(m + n, module, StateVector.basis(
-              state)).scaled(Fraction(m, 2) - Fraction(2 * n - 1, 2)))
+    gens = range(dim)
+    relations = {
+        # [G_{m-1/2}, B^a_n] = -n sqrt(d) psi^a at the summed index
+        "g_with_currents": [({"a": a + 1}, G, 0, B[a], 0, lambda m, n, a=a: [
+            (root_d * -n, psi[a], m + n - 1)]) for a in gens],
+        # {G_{m-1/2}, psi^a_{n+1/2}} = d^(-1/2) B^a_{m+n}
+        "g_with_fermions": [({"a": a + 1}, G, 0, psi[a], 0, lambda m, n, a=a: [
+            (inv_root_d, B[a], m + n)]) for a in gens],
+        # {G_r, G_s} = 2 L_{r+s} + (c/3)(r^2 - 1/4) delta_{r+s}, where
+        # r = m - 1/2 makes r^2 - 1/4 = m^2 - m
+        "ns_anticommutator": [({}, G, 0, G, 0, lambda m, n: [
+            (2, L, m + n),
+            (c * Fraction(m * m - m, 3) if m + n == 1 else 0, one, -1)])],
+        # [L_m, G_r] = (m/2 - r) G_{m+r}, r = n - 1/2
+        "virasoro_g": [({}, L, 1, G, 0, lambda m, n: [
+            (Fraction(m - 2 * n + 1, 2), G, m + n)])],
+    }
+    for name, cases in relations.items():
+        failures[name] = bracket_sweep(module, depth2, window,
+                                       cases)["failures"]
 
     failures["virasoro"] = vir["failures"]
     failures["grading_translation"] = grading_sweep(module, L,

@@ -356,8 +356,8 @@ def bracket_check(A: Field, B: Field, module: Module, depth2: int,
     loc = locality_order(A, B, module, depth2=depth2, max_order=max_order,
                          window=window)
     order = loc["order"]
-    swept = sweep_relation(
-        module, depth2, window,
+    swept = sweep(
+        window_points(module, depth2, window),
         lambda m, n, state: commutator_direct(A, m, B, n, module, state),
         lambda m, n, state: bracket_from_ope(A, m, B, n, order, module,
                                              state))
@@ -460,9 +460,27 @@ def window_points(module: Module, depth2: int, window: int):
             for m in slots for n in slots for state in states)
 
 
-def sweep_relation(module: Module, depth2: int, window: int, lhs, rhs) -> dict:
-    """Certify lhs(m, n, state) == rhs(m, n, state) at every window point."""
-    return sweep(window_points(module, depth2, window), lhs, rhs)
+def bracket_sweep(module: Module, depth2: int, window: int, cases) -> dict:
+    """Certify each case (label, A, sa, B, sb, terms) at every window
+    point: [A(m + sa), B(n + sb)]_eps u = sum coeff * C(slot) u over the
+    (coeff, C, slot) that terms(m, n) lists.  Cases are swept in order,
+    and each adds its label's keys to its points."""
+    checked, failures = 0, []
+    for label, A, sa, B, sb, terms in cases:
+        def rhs(m, n, state, **_):
+            out = {}
+            for coeff, C, slot in terms(m, n):
+                if coeff:
+                    _add(out, C.act(slot, module, state), coeff)
+            return out
+
+        swept = sweep(({**label, **p}
+                       for p in window_points(module, depth2, window)),
+                      lambda m, n, state, **_: commutator_direct(
+                          A, m + sa, B, n + sb, module, state), rhs)
+        checked += swept["checked"]
+        failures += swept["failures"]
+    return {"checked": checked, "failures": failures}
 
 
 def virasoro_bracket_check(module: Module, omega: StateVector,
@@ -471,19 +489,11 @@ def virasoro_bracket_check(module: Module, omega: StateVector,
     basis states, with c measured as twice the norm of omega."""
     L = state_field(module, omega)
     c = 2 * module.inner(omega, omega)
-
-    def rhs(m, n, state):
-        u = StateVector.basis(state)
-        out = L.apply(m + n + 1, module, u).scaled(m - n)
-        if m + n == 0 and m ** 3 - m:
-            out = out + u.scaled(c * Fraction(m ** 3 - m, 12))
-        return out
-
-    swept = sweep_relation(
-        module, depth2, window,
-        lambda m, n, state: _vec_of(commutator_direct(L, m + 1, L, n + 1,
-                                                      module, state)),
-        rhs)
+    one = identity_field()
+    swept = bracket_sweep(module, depth2, window, [(
+        {}, L, 1, L, 1, lambda m, n: [
+            (m - n, L, m + n + 1),
+            (c * Fraction(m ** 3 - m, 12) if m + n == 0 else 0, one, -1)])])
     return {"central_charge": c, **swept, "valid": not swept["failures"]}
 
 

@@ -103,10 +103,16 @@ def kernel_basis(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
 
 def _integer_matrix(matrix) -> list[list[int]]:
     """The rational matrix times the least common multiple of its denominators."""
-    q = [[x.as_fraction() if isinstance(x, Scalar) else Fraction(x) for x in row]
-         for row in matrix]
-    den = lcm(*(x.denominator for row in q for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in q]
+    den = lcm(*(_ratio(x)[1] for row in matrix for x in row))
+    return [[n * (den // d) for n, d in map(_ratio, row)] for row in matrix]
+
+
+def _ratio(x) -> tuple[int, int]:
+    """Numerator and denominator of a rational Scalar, int or Fraction."""
+    if isinstance(x, Scalar) and x.is_rational():
+        return x._t.get(1, 0), x._d
+    x = x.as_fraction() if isinstance(x, Scalar) else Fraction(x)
+    return x.numerator, x.denominator
 
 
 def _swap(a: list[list[int]], idx: list[int], i: int, k: int):

@@ -161,7 +161,7 @@ class StateVector:
 class Module:
     """Shared machinery: normal ordering, pairings, Gram analysis."""
 
-    kinds: frozenset
+    kinds: dict     # generator kind -> number of colors
 
     def __init__(self):
         self._apply_cache = {}
@@ -200,8 +200,11 @@ class Module:
     def check_mode(self, mode: Mode):
         if mode.kind not in self.kinds:
             raise ValueError(f"{type(self).__name__} has no {mode.kind} modes")
-        want_odd = 1 if mode.kind in ("psi", "G") else 0
-        if abs(mode.n2) % 2 != want_odd:
+        count = self.kinds[mode.kind]
+        if not 0 <= mode.color < count:
+            raise ValueError(f"{type(self).__name__} has no {mode.kind} color "
+                             f"{mode.color}: its colors are 0 to {count - 1}")
+        if abs(mode.n2) % 2 != mode_parity(mode.kind):
             raise ValueError(f"index parity mismatch for {mode}")
 
     def level_basis(self, n2: int) -> list:
@@ -415,13 +418,12 @@ class FermionFock(Module):
     psi^a_m* = psi^a_{-m}.
     """
 
-    kinds = frozenset({"psi"})
-
     def __init__(self, colors: int = 1):
         super().__init__()
         if colors < 1:
             raise ValueError("need at least one fermion")
         self.colors = colors
+        self.kinds = {"psi": colors}
 
     def bracket(self, m1: Mode, m2: Mode) -> list:
         if m1.color == m2.color and m1.n2 + m2.n2 == 0:
@@ -446,7 +448,7 @@ class VermaModule(Module):
         if algebra not in ("virasoro", "ns"):
             raise ValueError(f"unknown algebra {algebra!r}")
         self.algebra = algebra
-        self.kinds = frozenset({"L"}) if algebra == "virasoro" else frozenset({"L", "G"})
+        self.kinds = {"L": 1} if algebra == "virasoro" else {"L": 1, "G": 1}
         self.c = Scalar.of(c)
         self.h = Scalar.of(h)
 
@@ -498,11 +500,10 @@ class AffineModule(Module):
     floor and X^a_0 acts there by the floor matrices.
     """
 
-    kinds = frozenset({"x"})
-
     def __init__(self, lie: LieAlgebra, level: int, spin2: int = 0):
         super().__init__()
         self.lie = lie
+        self.kinds = {"x": lie.dim}
         self.level = int(level)
         if self.level < 0:
             raise ValueError("level must be nonnegative")
@@ -553,7 +554,7 @@ class TensorModule(Module):
         super().__init__()
         self.left = left
         self.right = right
-        self.kinds = left.kinds | right.kinds
+        self.kinds = {**left.kinds, **right.kinds}
 
     def floor_dim(self) -> int:
         return self.left.floor_dim()

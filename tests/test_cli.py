@@ -230,6 +230,23 @@ def test_malformed_inputs_exit_two(capsys):
      "dim must be a nonnegative integer, got -2"),
     (["validate", "--algebra", '{"name":"x","dim":true,"gamma":[]}'],
      "dim must be a nonnegative integer, got True"),
+    (["ope", "--module", '{"type":"fermion"}', "--field-a",
+      '{"gen":"psi","color":5}', "--field-b", '{"gen":"psi"}'],
+     "FermionFock has no psi color 5: its colors are 0 to 0"),
+    (["brackets", "--module", '{"type":"ns_verma","c":"7/10","h":"1/10"}',
+      "--field-a", '{"gen":"G","color":3}', "--field-b", '{"gen":"L"}',
+      "--depth", "1"], "VermaModule has no G color 3: its colors are 0 to 0"),
+    (["ope", "--module", '{"type":"affine","algebra":"sl2","level":1}',
+      "--field-a", '{"gen":"x","color":7}', "--field-b", '{"gen":"x"}'],
+     "AffineModule has no x color 7: its colors are 0 to 2"),
+    (["brackets", "--module",
+      '{"type":"affine","algebra":"sl2","level":1,"spin":"1/2"}',
+      "--field-a", '{"gen":"x","color":-1}', "--field-b", '{"gen":"x"}',
+      "--depth", "1"], "AffineModule has no x color -1: its colors are 0 to 2"),
+    (["ope", "--module", '{"type":"tensor","factors":[{"type":"affine",'
+      '"level":1},{"type":"fermion","colors":3}]}', "--field-a",
+      '{"gen":"psi","color":3}', "--field-b", '{"gen":"x","color":2}'],
+     "TensorModule has no psi color 3: its colors are 0 to 2"),
 ])
 def test_malformed_inputs_name_their_fault(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -266,11 +283,15 @@ def test_unknown_subcommand_exits_two(capsys):
     capsys.readouterr()
 
 
-def test_env_var_sets_default_depth(capsys, monkeypatch):
+def test_environment_does_not_move_the_default_depth(capsys, monkeypatch):
+    # the default is the constant 2, whatever the environment holds
+    argv = ["ghosts", "--c", "1/2", "--h", "0"]
+    first = run(capsys, argv)
     monkeypatch.setenv("NSVERTEX_DEPTH", "1")
-    code, report, _ = run_json(capsys, ["ghosts", "--c", "1/2", "--h", "0"])
+    assert run(capsys, argv) == first
+    code, out, _ = first
     assert code == 0
-    assert len(report["levels"]) == 3
+    assert len(json.loads(out)["levels"]) == 5
 
 
 def test_text_format_renders_symbolically(capsys):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from nsvertex.linalg import inertia_with_witness, kernel_basis, row_reduce
+from nsvertex.linalg import (_integer_matrix, inertia_with_witness,
+                             kernel_basis, row_reduce)
 from nsvertex.scalars import Scalar, rational
 
 
@@ -65,6 +66,25 @@ def test_inertia_positive_definite_has_no_witness():
 def test_inertia_rejects_radicals():
     with pytest.raises(ValueError):
         inertia_with_witness([[Scalar.root(2)]])
+
+
+def test_integer_matrix_reads_scalars_ints_and_fractions():
+    m = [[s(Fraction(1, 2)), 3], [Fraction(3), s(Fraction(-2, 3))]]
+    assert _integer_matrix(m) == [[3, 18], [18, -4]]
+    with pytest.raises(ValueError, match="not rational: "):
+        _integer_matrix([[s(1), Scalar.root(3) + 1]])
+
+
+def test_integer_matrix_of_ns_grams_matches_fractions():
+    from math import lcm
+    from nsvertex.modules import VermaModule
+    module = VermaModule("ns", s(Fraction(7, 10)), s(Fraction(1, 10)))
+    for n2 in range(1, 7):
+        gram = module.gram(n2)[1]
+        q = [[x.as_fraction() for x in row] for row in gram]
+        den = lcm(*(x.denominator for row in q for x in row))
+        assert _integer_matrix(gram) == [[int(x * den) for x in row]
+                                         for row in q]
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 0)])

@@ -19,11 +19,12 @@ from nsvertex.constructions import (boson_sugawara, current_bracket_report,
                                     super_construction, susy_report,
                                     _current_algebra_sweep)
 from nsvertex.fields import (NthProduct, ScaledSum, bracket_check,
-                             bracket_from_ope,
+                             bracket_from_ope, bracket_sweep,
                              check_borcherds, check_vosa_axioms,
                              commutator_direct, field_from_tree,
-                             generator_field, locality_order, locality_table,
-                             state_field, sweep, sweep_relation, _vec_of)
+                             generator_field, identity_field, locality_order,
+                             locality_table, state_field, sweep,
+                             window_points, _vec_of)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FermionFock, Mode, StateVector,
                               VermaModule, state_grade2)
@@ -40,9 +41,9 @@ def test_sweep_reports_failures_m_major():
     assert states == [vac, psi]
     bad = {(-1, 0, vac), (-1, 0, psi), (0, 0, psi), (1, -1, vac),
            (1, -1, psi)}
-    rep = sweep_relation(module, 2, 1,
-                         lambda m, n, state: (m, n, state) in bad,
-                         lambda m, n, state: False)
+    rep = sweep(window_points(module, 2, 1),
+                lambda m, n, state: (m, n, state) in bad,
+                lambda m, n, state: False)
     assert rep["checked"] == 3 ** 2 * len(states)
     assert rep["failures"] == [
         {"m": -1, "n": 0, "state": str(vac)},
@@ -56,10 +57,56 @@ def test_sweep_reports_failures_m_major():
 def test_sweep_passes_and_counts_an_empty_window():
     module = FermionFock(1)
     same = lambda m, n, state: m + n
-    assert sweep_relation(module, 2, 2, same, same) == {
+    assert sweep(window_points(module, 2, 2), same, same) == {
         "checked": 25 * 2, "failures": []}
-    assert sweep_relation(module, 2, -1, same, same) == {
+    assert sweep(window_points(module, 2, -1), same, same) == {
         "checked": 0, "failures": []}
+
+
+def test_bracket_sweep_with_doubled_c_fails_where_a_hand_loop_does():
+    cons = fermion_vosa(2)
+    module = cons.module
+    L = state_field(module, cons.omega)
+    c2 = 2 * cons.central_charge
+    one = identity_field()
+    rep = bracket_sweep(module, 3, 2, [({}, L, 1, L, 1, lambda m, n: [
+        (m - n, L, m + n + 1),
+        (c2 * Fraction(m ** 3 - m, 12) if m + n == 0 else 0, one, -1)])])
+    expect = []
+    for m in range(-2, 3):
+        for n in range(-2, 3):
+            for state in module.basis_upto(3):
+                u = StateVector.basis(state)
+                rhs = L.apply(m + n + 1, module, u).scaled(m - n)
+                if m + n == 0:
+                    rhs = rhs + u.scaled(c2 * Fraction(m ** 3 - m, 12))
+                if _vec_of(commutator_direct(L, m + 1, L, n + 1, module,
+                                             state)) != rhs:
+                    expect.append({"m": m, "n": n, "state": str(state)})
+    # the central term differs only at m + n = 0 with m^3 != m
+    assert expect and {(p["m"], p["n"]) for p in expect} == {(-2, 2), (2, -2)}
+    assert rep == {"checked": 25 * len(module.basis_upto(3)),
+                   "failures": expect}
+
+
+def test_bracket_sweep_labels_points_in_case_order():
+    module = FermionFock(1)
+    psi = state_field(module, BasisState((Mode("psi", 0, -1),), 0))
+    one = identity_field()
+    # {psi(m), psi(n)} = delta_{m+n+1}; both cases drop the central term
+    cases = [({"k": k, "tag": tag}, psi, 0, psi, 0, lambda m, n: [])
+             for k, tag in ((2, "x"), (1, "y"))]
+    rep = bracket_sweep(module, 1, 1, cases)
+    states = module.basis_upto(1)
+    assert rep["checked"] == 2 * 9 * len(states)
+    assert rep["failures"] == [
+        {"k": k, "tag": tag, "m": m, "n": -1 - m, "state": str(state)}
+        for k, tag in ((2, "x"), (1, "y")) for m in (-1, 0)
+        for state in states]
+    right = [({}, psi, 0, psi, 0, lambda m, n: [
+        (1 if m + n == -1 else 0, one, -1)])]
+    assert bracket_sweep(module, 1, 1, right)["failures"] == []
+    assert bracket_sweep(module, 1, 1, []) == {"checked": 0, "failures": []}
 
 
 def test_failing_brackets_match_hand_loop_and_cli(capsys):
@@ -252,6 +299,29 @@ def test_vosa_axioms_of_the_constructions_have_no_failures(build, depth2):
     assert all(found == [] for found in rep["failures"].values())
     assert rep["valid"] is True
     assert None not in rep["locality_table"].values()
+
+
+def test_susy_report_names_each_generator_of_a_doubled_g():
+    cons = super_construction(sl2(), 1)
+    G = cons.fields["G"]
+    cons.fields["G"] = ScaledSum([(2, G)])
+    rep = susy_report(cons, depth2=1, window=1)
+    module, B = cons.module, cons.data["b_fields"]
+    for name in ("g_with_currents", "g_with_fermions"):
+        failures = rep["failures"][name]
+        assert failures and rep["checks"][name] is False
+        assert all(set(p) == {"a", "m", "n", "state"} for p in failures)
+        assert {p["a"] for p in failures} == {1, 2, 3}
+        # a-major: every point of a generator before the next one's
+        assert [p["a"] for p in failures] == sorted(p["a"] for p in failures)
+    # the first failing point of [G, B^a] fails for the doubled G only
+    first = rep["failures"]["g_with_currents"][0]
+    state = next(s for s in module.basis_upto(1) if str(s) == first["state"])
+    a, m, n = first["a"] - 1, first["m"], first["n"]
+    doubled = commutator_direct(cons.fields["G"], m, B[a], n, module, state)
+    assert doubled and doubled == {
+        s: 2 * c for s, c in commutator_direct(G, m, B[a], n, module,
+                                               state).items()}
 
 
 def test_current_algebra_sweep_order_and_count():
