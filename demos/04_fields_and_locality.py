@@ -8,14 +8,14 @@ modes is a finite binomial sum over those products.
 """
 
 from nsvertex.constructions import fermion_omega
-from nsvertex.fields import (bracket_from_ope, commutator_direct,
-                             generate_closure, generator_field,
+from nsvertex.fields import (GeneratorField, bracket_from_ope,
+                             commutator_direct, generate_closure,
                              locality_order, ope_singular_part, realize,
                              state_field)
 from nsvertex.modules import FermionFock
 
 module = FermionFock(1)
-psi = generator_field("psi")
+psi = GeneratorField("psi")
 L = state_field(module, fermion_omega(module))
 
 print("locality orders on the fermion module:")

@@ -9,7 +9,8 @@ subalgebra are all verified exactly.
 from fractions import Fraction
 
 from nsvertex.constructions import fermion_omega, fermion_vosa, submodule_dims
-from nsvertex.fields import state_field, virasoro_bracket_check
+from nsvertex.fields import (check_vosa_axioms, state_field,
+                             virasoro_bracket_check)
 from nsvertex.modules import VermaModule
 from nsvertex.scalars import Scalar
 
@@ -22,7 +23,8 @@ vir = virasoro_bracket_check(module, cons.omega, depth2=8, window=3)
 print("[L_m, L_n] relations on", vir["checked"], "triples:",
       "all hold" if vir["valid"] else "FAILED")
 
-report = cons.axiom_report(depth2=4, window=2)
+report = check_vosa_axioms(module, cons.fields, cons.omega, depth2=4,
+                           window=2)
 print("axiom report:")
 for name, ok in report["checks"].items():
     print(f"  {name:<18} {'ok' if ok else 'FAILED'}")

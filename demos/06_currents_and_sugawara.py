@@ -7,17 +7,20 @@ Independently, affine currents at level l produce a Virasoro state by
 the inverse-level normal-ordered square.
 """
 
-from nsvertex.constructions import (boson_sugawara, current_bracket_report,
+from nsvertex.constructions import (boson_sugawara, central_charges,
+                                    current_bracket_report,
                                     current_square_state, fermion_omega,
                                     g_fermion_system)
+from nsvertex.fields import realize
 from nsvertex.liealg import sl2
-from nsvertex.scalars import Scalar
 
 lie = sl2()
 cons = g_fermion_system(lie)
 print("currents built from", lie.dim, "fermions")
 for name, field in sorted(cons.fields.items()):
-    print(f"  {name} creates {field.apply(-1, cons.module, cons.module.vacuum())}")
+    print(f"  {name} creates {realize(field, cons.module)}")
+for a, S in enumerate(cons.currents):
+    print(f"  S{a + 1} creates {realize(S, cons.module)}")
 
 brackets = current_bracket_report(cons, depth2=2, window=2)
 print("affine relations checked:", brackets["checked"],
@@ -34,6 +37,6 @@ print()
 for level in (1, 2, 3):
     sug = boson_sugawara(lie, level)
     measured = sug.central_charge
-    closed = Scalar.of(sug.data["closed_form"])
+    closed = central_charges(lie, level)["c_boson"]
     print(f"Sugawara sl2 level {level}: c = {measured} "
           f"(closed form {closed}, equal: {measured == closed})")

@@ -8,16 +8,15 @@ every coefficient involves sqrt(3) and the identities still hold
 exactly.
 """
 
-from fractions import Fraction
-
 from nsvertex.constructions import (central_charges, super_construction,
                                     susy_report, vertex_module, weight_report)
+from nsvertex.fields import realize
 from nsvertex.liealg import sl2
 
 lie = sl2()
 cons = super_construction(lie, 1)
-print("degree l + g =", cons.data["degree"])
-print("supercurrent state tau =", cons.data["tau"])
+print("degree l + g =", cons.level + lie.dual_coxeter())
+print("supercurrent state tau =", realize(cons.fields["G"], cons.module))
 print()
 
 rep = susy_report(cons, depth2=4, window=2)

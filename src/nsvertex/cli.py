@@ -18,8 +18,9 @@ from .constructions import (boson_sugawara, central_charges, cocycle_basis,
                             fermion_vosa, g_fermion_system, super_construction,
                             susy_report, verify_odd_cocycle, vertex_module,
                             weight_report)
-from .fields import (NotLocalError, bracket_check, field_from_tree,
-                     locality_order, ope_singular_part, state_field, sweep)
+from .fields import (NotLocalError, bracket_check, check_vosa_axioms,
+                     field_from_tree, locality_order, ope_singular_part,
+                     state_field, sweep)
 from .liealg import CATALOG, LieAlgebra, sl2
 from .modules import (BasisState, Mode, StateVector, VermaModule, grade_str,
                       module_from_descriptor)
@@ -243,8 +244,9 @@ def cmd_sugawara(args) -> int:
     cons = boson_sugawara(lie, args.level)
     depth2 = _depth2(args)
     measured = cons.central_charge
-    closed = Scalar.of(cons.data["closed_form"])
-    vir = cons.axiom_report(depth2=depth2, window=args.window)
+    closed = central_charges(lie, args.level)["c_boson"]
+    vir = check_vosa_axioms(cons.module, cons.fields, cons.omega,
+                            depth2=depth2, window=args.window)
     match = measured == closed
     report = {"algebra": lie.name, "level": args.level,
               "central_charge": measured, "closed_form": closed,
@@ -368,7 +370,8 @@ def _adjoint_sweep(module, named_fields, depth2: int, seed: int,
 def cmd_axioms(args) -> int:
     cons = _build_construction(args)
     depth2 = _depth2(args)
-    rep = cons.axiom_report(depth2=depth2, window=args.window,
+    rep = check_vosa_axioms(cons.module, cons.fields, cons.omega,
+                            depth2=depth2, window=args.window,
                             max_order=args.max_order)
     named = sorted(cons.fields.items())
     named.append(("L", state_field(cons.module, cons.omega)))

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import (Field, ScaledSum, bracket_sweep, check_vosa_axioms,
+from .fields import (Field, IdentityField, ScaledSum, bracket_sweep,
                      closure_spans, commutator_direct, creating_state,
-                     grading_sweep, identity_field, state_field, sweep,
+                     grading_sweep, realize, state_field, sweep,
                      virasoro_bracket_check)
 from .liealg import LieAlgebra, casimir_constant_sl2
 from .modules import (AffineModule, BasisState, FermionFock, Mode, Module,
@@ -40,29 +40,25 @@ def diagonal_norm(c, h, n: int):
 
 
 class Construction:
-    """A module with a chosen set of generating fields and a conformal
-    state; extra construction data lives in `data`."""
+    """A module with its generating fields and conformal state.  The
+    current-based constructions also carry their Lie algebra, their level
+    and their currents: S^a for the g-fermion system, B^a = X^a + S^a for
+    the super construction."""
 
     def __init__(self, name: str, module: Module, fields: dict,
-                 omega: StateVector, data: dict | None = None):
+                 omega: StateVector, lie: LieAlgebra | None = None,
+                 level: int | None = None, currents: list | None = None):
         self.name = name
         self.module = module
         self.fields = fields
         self.omega = omega
-        self.data = data or {}
+        self.lie = lie
+        self.level = level
+        self.currents = currents
 
     @property
     def central_charge(self) -> Scalar:
         return 2 * self.module.inner(self.omega, self.omega)
-
-    def virasoro_field(self) -> Field:
-        return state_field(self.module, self.omega)
-
-    def axiom_report(self, depth2: int = 2, window: int = 2,
-                     max_order: int = 8) -> dict:
-        return check_vosa_axioms(self.module, self.fields, self.omega,
-                                 depth2=depth2, window=window,
-                                 max_order=max_order)
 
 
 def _word(module: Module, *modes: Mode) -> StateVector:
@@ -111,17 +107,17 @@ def g_fermion_system(lie: LieAlgebra) -> Construction:
     """dim-many fermions with the currents S^a induced by the bracket."""
     module = FermionFock(lie.dim)
     fields = _generators(module, "psi", lie.dim)
-    currents = [_current_state(module, lie, c) for c in range(lie.dim)]
-    current_fields = [state_field(module, s) for s in currents]
-    data = {"lie": lie, "currents": currents, "current_fields": current_fields}
-    return Construction("g_fermion", module, fields, fermion_omega(module), data)
+    currents = [state_field(module, _current_state(module, lie, c))
+                for c in range(lie.dim)]
+    return Construction("g_fermion", module, fields, fermion_omega(module),
+                        lie=lie, currents=currents)
 
 
 def _current_algebra_sweep(module: Module, lie: LieAlgebra, S: list, level,
                            depth2: int, window: int) -> dict:
     """[S^a_m, S^b_n] = i Gamma_ab^c S^c_{m+n} + level m delta_ab delta_{m+n}
     swept pair by pair; points carry the 1-based a and b."""
-    one = identity_field()
+    one = IdentityField()
     pairs = range(lie.dim)
     return bracket_sweep(module, depth2, window, [
         ({"a": a + 1, "b": b + 1}, S[a], 0, S[b], 0,
@@ -136,11 +132,9 @@ def current_bracket_report(cons: Construction, depth2: int = 2,
     """The current algebra at level g swept over basis states; the
     measured level is read off the central term and compared with the
     dual Coxeter number."""
-    module = cons.module
-    S = cons.data["current_fields"]
-    g = cons.data["lie"].dual_coxeter()
-    swept = _current_algebra_sweep(module, cons.data["lie"], S, g, depth2,
-                                   window)
+    module, S = cons.module, cons.currents
+    g = cons.lie.dual_coxeter()
+    swept = _current_algebra_sweep(module, cons.lie, S, g, depth2, window)
     # central term of [S^1_1, S^1_{-1}] on the vacuum
     vac = BasisState((), 0)
     measured = commutator_direct(S[0], 1, S[0], -1, module, vac).get(vac, ZERO)
@@ -152,9 +146,8 @@ def current_square_state(cons: Construction) -> StateVector:
     """sum_a S^a(-1) applied to the S^a state; equals 4g omega."""
     module = cons.module
     out = StateVector({})
-    for s_state, s_field in zip(cons.data["currents"],
-                                cons.data["current_fields"]):
-        out = out + s_field.apply(-1, module, s_state)
+    for S in cons.currents:
+        out = out + S.apply(-1, module, realize(S, module))
     return out
 
 
@@ -171,12 +164,8 @@ def sugawara_omega(module: AffineModule) -> StateVector:
 def boson_sugawara(lie: LieAlgebra, level: int) -> Construction:
     module = AffineModule(lie, level)
     fields = _generators(module, "x", lie.dim)
-    omega = sugawara_omega(module)
-    data = {"lie": lie, "level": level,
-            "closed_form": sugawara_central_charge(lie.dim,
-                                                   lie.dual_coxeter().as_fraction(),
-                                                   level)}
-    return Construction("sugawara", module, fields, omega, data)
+    return Construction("sugawara", module, fields, sugawara_omega(module),
+                        lie=lie, level=level)
 
 
 # -- the super construction -------------------------------------------------
@@ -201,30 +190,22 @@ def super_construction(lie: LieAlgebra, level: int) -> Construction:
     else:
         module = TensorModule(AffineModule(lie, level), FermionFock(dim))
 
+    s_states = [_current_state(module, lie, a) for a in range(dim)]
     tau1 = StateVector({})
     tau2 = StateVector({})
-    currents = []
     for a in range(dim):
-        s_state = _current_state(module, lie, a)
-        currents.append(s_state)
-        tau2 = tau2 + module.apply(Mode("psi", a, -1), s_state)
+        tau2 = tau2 + module.apply(Mode("psi", a, -1), s_states[a])
         if level > 0:
             tau1 = tau1 + _word(module, Mode("x", a, -2), Mode("psi", a, -1))
     tau = (tau1 + tau2.scaled(Fraction(1, 3))).scaled(inv_root)
 
     G = state_field(module, tau)
-    current_fields = [state_field(module, s) for s in currents]
+    currents = [state_field(module, s) for s in s_states]
     psi = list(_generators(module, "psi", dim).values())
-    explicit_terms = [(inv_root * Fraction(1, 3), psi[a].prod(
-        current_fields[a], -1)) for a in range(dim)]
-    if level == 0:
-        b_fields = list(current_fields)
-    else:
+    if level > 0:
         x = list(_generators(module, "x", dim).values())
-        b_fields = [ScaledSum([(ONE, x[a]), (ONE, current_fields[a])])
+        currents = [ScaledSum([(ONE, x[a]), (ONE, currents[a])])
                     for a in range(dim)]
-        explicit_terms = [(inv_root, x[a].prod(psi[a], -1))
-                          for a in range(dim)] + explicit_terms
     # slot 0 is the physical -1/2 mode of a weight-3/2 field
     omega = G.apply(0, module, tau).scaled(Fraction(1, 2))
 
@@ -233,12 +214,8 @@ def super_construction(lie: LieAlgebra, level: int) -> Construction:
         fields[f"psi{a + 1}"] = psi[a]
         if level > 0:
             fields[f"x{a + 1}"] = x[a]
-    data = {"lie": lie, "level": level, "degree": d,
-            "tau": tau, "tau1": tau1, "tau2": tau2,
-            "currents": currents, "current_fields": current_fields,
-            "b_fields": b_fields, "explicit_terms": explicit_terms,
-            "closed_form": susy_central_charge(dim, g, level)}
-    return Construction("super", module, fields, omega, data)
+    return Construction("super", module, fields, omega, lie=lie, level=level,
+                        currents=currents)
 
 
 def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
@@ -250,21 +227,20 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
     value of G on its own state, and agreement of G with its explicit
     normal-ordered formula.  `failures` maps each relation to its failing
     points, and `checks` maps it to whether that list is empty."""
-    module = cons.module
-    lie = cons.data["lie"]
-    d = cons.data["degree"]
+    module, lie, level, B = cons.module, cons.lie, cons.level, cons.currents
+    g = lie.dual_coxeter().as_fraction()
+    d = Fraction(level) + g
     dim = lie.dim
     G = cons.fields["G"]
-    B = cons.data["b_fields"]
     psi = [cons.fields[f"psi{a + 1}"] for a in range(dim)]
-    tau = cons.data["tau"]
+    tau = realize(G, module)
     omega = cons.omega
     L = state_field(module, omega)
     vir = virasoro_bracket_check(module, omega, depth2=depth2, window=window)
     c = vir["central_charge"]
     root_d = Scalar.sqrt_fraction(d)
     inv_root_d = Scalar.sqrt_fraction(1 / d)
-    one = identity_field()
+    one = IdentityField()
     states = module.basis_upto(depth2)
     failures = {"b_current_algebra": _current_algebra_sweep(
         module, lie, B, Scalar.of(d), depth2, window)["failures"]}
@@ -300,9 +276,15 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
 
     failures["central_charge_closed_form"] = sweep(
         [{"c": c}], lambda c: c,
-        lambda c: Scalar.of(cons.data["closed_form"]))["failures"]
+        lambda c: Scalar.of(susy_central_charge(dim, g, level)))["failures"]
 
-    explicit = ScaledSum(cons.data["explicit_terms"])
+    # G = d^(-1/2) (sum_a X^a_{-1} psi^a + (1/3) sum_a psi^a_{-1} S^a)
+    S = [state_field(module, _current_state(module, lie, a)) for a in gens]
+    explicit = ScaledSum(
+        [(inv_root_d, cons.fields[f"x{a + 1}"].prod(psi[a], -1))
+         for a in gens if level > 0]
+        + [(inv_root_d * Fraction(1, 3), psi[a].prod(S[a], -1))
+           for a in gens])
     failures["explicit_formula"] = sweep(
         ({"n": n, "state": state} for n in range(-window, window + 1)
          for state in states),

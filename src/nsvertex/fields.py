@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .linalg import Echelon, _add
 from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
-                      StateVector, mode_parity, state_grade2, state_parity)
+                      StateVector, _exact_int, mode_parity, state_grade2,
+                      state_parity)
 from .scalars import ONE, Scalar
 
 
@@ -96,7 +97,9 @@ class IdentityField(Field):
 
 
 class GeneratorField(Field):
-    """The field of a single generator kind/color of the module."""
+    """The field of a single generator kind/color of the module.  Each
+    call builds a new field; inside a module, state_field of the creating
+    state gives the one that the module's composite fields share."""
 
     def __init__(self, kind: str, color: int = 0):
         super().__init__()
@@ -186,17 +189,6 @@ class NthProduct(Field):
 def realize(field: Field, module: Module) -> StateVector:
     """The state of a field: A(-1) applied to the vacuum."""
     return StateVector._wrap(dict(field.act(-1, module, BasisState((), 0))))
-
-
-def identity_field() -> Field:
-    """A new identity field, for callers that have no module."""
-    return IdentityField()
-
-
-def generator_field(kind: str, color: int = 0) -> Field:
-    """A new generator field, for callers that have no module; inside a
-    module, state_field of the creating state gives the shared one."""
-    return GeneratorField(kind, color)
 
 
 def creating_state(kind: str, color: int = 0) -> BasisState:
@@ -489,7 +481,7 @@ def virasoro_bracket_check(module: Module, omega: StateVector,
     basis states, with c measured as twice the norm of omega."""
     L = state_field(module, omega)
     c = 2 * module.inner(omega, omega)
-    one = identity_field()
+    one = IdentityField()
     swept = bracket_sweep(module, depth2, window, [(
         {}, L, 1, L, 1, lambda m, n: [
             (m - n, L, m + n + 1),
@@ -632,13 +624,14 @@ def field_from_tree(tree) -> Field:
     if "gen" in tree:
         kind = tree["gen"]
         if kind == "id":
-            return identity_field()
+            return IdentityField()
         if kind not in GENERATOR_WEIGHT2:
             raise ValueError(f"unknown generator kind {kind!r}")
-        return generator_field(kind, int(tree.get("color", 0)))
+        return GeneratorField(kind, _exact_int(tree.get("color", 0), "color"))
     if "nprod" in tree:
         a, b, n = tree["nprod"]
-        return field_from_tree(a).prod(field_from_tree(b), int(n))
+        return field_from_tree(a).prod(field_from_tree(b),
+                                       _exact_int(n, "product order"))
     if "lincomb" in tree:
         return ScaledSum([(Scalar.from_json(c), field_from_tree(t))
                           for c, t in tree["lincomb"]])

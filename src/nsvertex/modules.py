@@ -578,9 +578,17 @@ class TensorModule(Module):
         return self.left.creation_modes(max_n2) + self.right.creation_modes(max_n2)
 
 
+def _exact_int(value, name: str) -> int:
+    """An integer input, unchanged; a float, a bool or a string raises
+    instead of being truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_spin2(value) -> int:
     spin2 = Fraction(value) * 2
-    if spin2.denominator != 1 or spin2 < 0:
+    if isinstance(value, bool) or spin2.denominator != 1 or spin2 < 0:
         raise ValueError(f"spin must be a nonnegative half-integer, got {value!r}")
     return int(spin2)
 
@@ -603,7 +611,7 @@ def module_from_descriptor(desc: dict) -> Module:
                            Scalar.from_json(desc["c"]),
                            Scalar.from_json(desc["h"]))
     if kind == "fermion":
-        return FermionFock(int(desc.get("colors", 1)))
+        return FermionFock(_exact_int(desc.get("colors", 1), "colors"))
     if kind == "affine":
         name = desc.get("algebra", "sl2")
         if isinstance(name, dict):
@@ -612,7 +620,8 @@ def module_from_descriptor(desc: dict) -> Module:
             lie = sl2()
         else:
             raise ValueError(f"unknown algebra {name!r}")
-        return AffineModule(lie, int(desc["level"]), _parse_spin2(desc.get("spin", 0)))
+        return AffineModule(lie, _exact_int(desc["level"], "level"),
+                            _parse_spin2(desc.get("spin", 0)))
     if kind == "tensor":
         factors = [module_from_descriptor(f) for f in desc["factors"]]
         if len(factors) != 2 or not isinstance(factors[1], FermionFock) \

@@ -247,6 +247,25 @@ def test_malformed_inputs_exit_two(capsys):
       '"level":1},{"type":"fermion","colors":3}]}', "--field-a",
       '{"gen":"psi","color":3}', "--field-b", '{"gen":"x","color":2}'],
      "TensorModule has no psi color 3: its colors are 0 to 2"),
+    (["gram", "--module", '{"type":"affine","level":1.5}', "--level", "1"],
+     "level must be an integer, got 1.5"),
+    (["gram", "--module", '{"type":"tensor","factors":[{"type":"affine",'
+      '"level":2.9},{"type":"fermion"}]}', "--level", "1"],
+     "level must be an integer, got 2.9"),
+    (["gram", "--module", '{"type":"affine","level":true}', "--level", "1"],
+     "level must be an integer, got True"),
+    (["gram", "--module", '{"type":"fermion","colors":2.7}', "--level", "1"],
+     "colors must be an integer, got 2.7"),
+    (["gram", "--module", '{"type":"fermion","colors":true}', "--level", "1"],
+     "colors must be an integer, got True"),
+    (["gram", "--module", '{"type":"affine","level":1,"spin":true}',
+      "--level", "1"], "spin must be a nonnegative half-integer, got True"),
+    (["ope", "--module", '{"type":"fermion"}', "--field-a",
+      '{"gen":"psi","color":0.9}', "--field-b", '{"gen":"psi"}'],
+     "color must be an integer, got 0.9"),
+    (["ope", "--module", '{"type":"fermion"}', "--field-a",
+      '{"nprod":[{"gen":"psi"},{"gen":"psi"},1.5]}', "--field-b",
+      '{"gen":"psi"}'], "product order must be an integer, got 1.5"),
 ])
 def test_malformed_inputs_name_their_fault(capsys, argv, message):
     code, out, err = run(capsys, argv)

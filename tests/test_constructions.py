@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from nsvertex.constructions import (boson_sugawara, cocycle_span,
+from nsvertex.constructions import (Construction, boson_sugawara,
+                                    central_charges, cocycle_span,
                                     current_bracket_report,
                                     current_square_state, diagonal_norm,
                                     even_cocycle_from_initials, fermion_omega,
@@ -19,8 +20,9 @@ from nsvertex.constructions import (boson_sugawara, cocycle_span,
                                     super_construction, susy_central_charge,
                                     susy_report, verify_jacobi_cocycle,
                                     verify_super_cocycle, vertex_module,
-                                    weight_report, _current_state)
-from nsvertex.fields import commutator_direct, generator_field, _vec_of
+                                    weight_report, _current_state, _word)
+from nsvertex.fields import (GeneratorField, check_vosa_axioms,
+                             commutator_direct, realize, state_field, _vec_of)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FermionFock, Mode, StateVector,
                               VermaModule, state_grade2)
@@ -34,7 +36,8 @@ def half(num, den=1):
 def test_fermion_vosa():
     cons = fermion_vosa(1)
     assert cons.central_charge == Scalar.of(half(1, 2))
-    rep = cons.axiom_report(depth2=2, window=2)
+    rep = check_vosa_axioms(cons.module, cons.fields, cons.omega, depth2=2,
+                            window=2)
     assert rep["valid"]
     assert all(rep["checks"].values())
 
@@ -70,8 +73,8 @@ def test_currents_rotate_fermions_in_adjoint():
     lie = sl2()
     cons = g_fermion_system(lie)
     mod = cons.module
-    S = cons.data["current_fields"]
-    psi = [generator_field("psi", a) for a in range(3)]
+    S = cons.currents
+    psi = [GeneratorField("psi", a) for a in range(3)]
     states = [s for g2 in range(3) for s in mod.level_basis(g2)]
     for a in range(3):
         for b in range(3):
@@ -101,14 +104,18 @@ def test_sugawara_central_charges():
     assert sugawara_central_charge(3, 2, 2) == half(3, 2)
     for level in (1, 2):
         cons = boson_sugawara(sl2(), level)
-        assert cons.central_charge == Scalar.of(cons.data["closed_form"])
+        assert cons.level == level
+        assert cons.central_charge == central_charges(sl2(), level)["c_boson"]
+        assert cons.central_charge == Scalar.of(
+            sugawara_central_charge(3, 2, level))
     assert boson_sugawara(sl2(), 1).central_charge == Scalar.of(1)
     assert boson_sugawara(sl2(), 2).central_charge == Scalar.of(half(3, 2))
 
 
 def test_sugawara_axioms():
     cons = boson_sugawara(sl2(), 1)
-    rep = cons.axiom_report(depth2=2, window=2)
+    rep = check_vosa_axioms(cons.module, cons.fields, cons.omega, depth2=2,
+                            window=2)
     assert rep["valid"]
     assert rep["central_charge"] == Scalar.of(1)
 
@@ -127,7 +134,21 @@ def test_super_central_charge_formula():
     assert susy_central_charge(3, 2, 0) == half(3, 2)
     cons = super_construction(sl2(), 1)
     assert cons.central_charge == Scalar.of(half(5, 2))
-    assert cons.data["degree"] == 3
+    assert cons.level + cons.lie.dual_coxeter() == Scalar.of(3)
+
+
+def taus(module, lie, level):
+    """tau1 = sum_a X^a_{-1} psi^a_{-1/2} vac and tau2 = sum_c psi^c_{-1/2}
+    S^c vac, each written out mode by mode."""
+    half_i = I * Fraction(-1, 2)
+    tau1 = sum((_word(module, Mode("x", a, -2), Mode("psi", a, -1))
+                for a in range(lie.dim) if level > 0), StateVector())
+    tau2 = sum((_word(module, Mode("psi", c, -1), Mode("psi", a, -1),
+                      Mode("psi", b, -1)).scaled(half_i * coeff)
+                for a in range(lie.dim) for b in range(lie.dim)
+                for c in range(lie.dim)
+                if (coeff := lie.gamma_entry(a, b, c))), StateVector())
+    return tau1, tau2
 
 
 def test_tau_pinning():
@@ -135,9 +156,33 @@ def test_tau_pinning():
     # the degree^(-1/2) multiple of the B^b state
     cons = super_construction(sl2(), 1)
     mod = cons.module
+    _, tau2 = taus(mod, cons.lie, 1)
     for b in range(3):
-        got = mod.apply(Mode("psi", b, 1), cons.data["tau2"])
-        assert got == cons.data["currents"][b].scaled(3)
+        got = mod.apply(Mode("psi", b, 1), tau2)
+        assert got == _current_state(mod, cons.lie, b).scaled(3)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_g_creates_the_mode_built_tau(level):
+    # tau = (level + g)^(-1/2) (tau1 + tau2 / 3)
+    lie = sl2()
+    cons = super_construction(lie, level)
+    tau1, tau2 = taus(cons.module, lie, level)
+    tau = (tau1 + tau2.scaled(half(1, 3))).scaled(
+        Scalar.sqrt_fraction(Fraction(1, level + 2)))
+    assert tau and realize(cons.fields["G"], cons.module) == tau
+    assert cons.lie is lie and cons.level == level
+    assert len(cons.currents) == 3
+
+
+def test_construction_rebuilt_from_its_parts_gives_the_same_susy_report():
+    cons = super_construction(sl2(), 1)
+    rebuilt = Construction(cons.name, cons.module, dict(cons.fields),
+                           cons.omega, lie=cons.lie, level=cons.level,
+                           currents=list(cons.currents))
+    rep = susy_report(rebuilt, depth2=1, window=1)
+    assert rep["valid"]
+    assert rep == susy_report(cons, depth2=1, window=1)
 
 
 def test_susy_report_level_one():
@@ -209,7 +254,8 @@ def test_super_cocycle_pairing():
 
 def test_virasoro_submodule_of_fermion_matches_irreducible():
     cons = fermion_vosa(1)
-    dims = submodule_dims(cons.module, cons.virasoro_field(), 10)
+    dims = submodule_dims(cons.module, state_field(cons.module, cons.omega),
+                          10)
     assert dims == [1, 0, 0, 0, 1, 0, 1, 0, 2, 0, 2]
     verma = VermaModule("virasoro", half(1, 2), 0)
     assert dims == verma.irreducible_dims(10)
@@ -276,10 +322,12 @@ def test_tau_coefficient_sweep():
     # only the 1/3 weight on tau2 makes psi^b_{1/2} tau the B^b state
     cons = super_construction(sl2(), 1)
     mod = cons.module
-    tau1, tau2 = cons.data["tau1"], cons.data["tau2"]
+    tau1, tau2 = taus(mod, cons.lie, 1)
     for b in range(3):
         want = StateVector.basis(BasisState((Mode("x", b, -2),), 0)) \
-            + cons.data["currents"][b]
+            + _current_state(mod, cons.lie, b)
+        # the B^b state
+        assert realize(cons.currents[b], mod) == want
         for t in (half(1, 3), half(0), half(1), half(1, 2), half(-1, 3),
                   half(1, 6), half(2, 3)):
             got = mod.apply(Mode("psi", b, 1), tau1 + tau2.scaled(t))

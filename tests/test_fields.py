@@ -16,8 +16,7 @@ from nsvertex.fields import (GeneratorField, IdentityField, ScaledSum,
                              bracket_from_ope, check_borcherds,
                              check_vosa_axioms, closure_spans,
                              commutator_direct, creating_state,
-                             field_from_tree, gbinom, generator_field,
-                             identity_field, locality_order,
+                             field_from_tree, gbinom, locality_order,
                              ope_singular_part, realize, slot_of_index2,
                              state_field)
 from nsvertex.liealg import sl2
@@ -36,7 +35,7 @@ def derivative_act(f, n, mod, st):
 
 def fermion_setup():
     mod = FermionFock(1)
-    psi = generator_field("psi")
+    psi = GeneratorField("psi")
     omega = StateVector({BasisState((PSI(-3), PSI(-1)), 0): Fraction(1, 2)})
     return mod, psi, omega
 
@@ -116,7 +115,7 @@ def test_ope_singular_parts():
     assert opell[2].is_zero()
     assert opell[1] == omega.scaled(2)
     assert opell[0] == mod.operator_T(omega)
-    assert opell[0] == realize(L.prod(identity_field(), -2), mod)
+    assert opell[0] == realize(L.prod(IdentityField(), -2), mod)
 
 
 def test_locality_orders():
@@ -135,7 +134,7 @@ def test_locality_orders():
 
 def test_derivative_field():
     mod, psi, _ = fermion_setup()
-    dpsi = psi.prod(identity_field(), -2)
+    dpsi = psi.prod(IdentityField(), -2)
     assert dpsi.weight2 == 3
     assert realize(dpsi, mod) == StateVector.basis(BasisState((PSI(-3),), 0))
     st = BasisState((PSI(-1),), 0)
@@ -147,8 +146,8 @@ def test_identity_is_product_unit():
     mod, psi, omega = fermion_setup()
     L = state_field(mod, omega)
     for f in (psi, L):
-        left = identity_field().prod(f, -1)
-        right = f.prod(identity_field(), -1)
+        left = IdentityField().prod(f, -1)
+        right = f.prod(IdentityField(), -1)
         for n2 in range(4):
             for b in mod.level_basis(n2):
                 for m in range(-3, 3):
@@ -238,7 +237,7 @@ def test_derivative_is_identity_slot_product():
     L = state_field(mod, omega)
     states = [s for g2 in range(5) for s in mod.level_basis(g2)]
     for f in (psi, L):
-        via_id = f.prod(identity_field(), -2)
+        via_id = f.prod(IdentityField(), -2)
         assert via_id.weight2 == f.weight2 + 2
         for n in range(-4, 5):
             for st in states:
@@ -291,7 +290,7 @@ def test_field_tree_roundtrip():
     mod, psi, omega = fermion_setup()
     L = state_field(mod, omega)
     st = BasisState((PSI(-1),), 0)
-    for f in (psi, L, psi.prod(identity_field(), -2), psi.prod(psi, -2)):
+    for f in (psi, L, psi.prod(IdentityField(), -2), psi.prod(psi, -2)):
         back = field_from_tree(field_to_tree(f))
         assert back.weight2 == f.weight2 and back.parity == f.parity
         for n in range(-3, 3):
@@ -344,7 +343,9 @@ def test_vosa_axioms_build_one_field_for_omega(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(fields, "ScaledSum", Spy)
-    assert fermion_vosa(1).axiom_report(depth2=2, window=2)["valid"]
+    cons = fermion_vosa(1)
+    assert check_vosa_axioms(cons.module, cons.fields, cons.omega, depth2=2,
+                             window=2)["valid"]
     assert len(built) == 1
 
 

@@ -468,6 +468,10 @@ def test_module_descriptors():
     mod = module_from_descriptor({"type": "affine", "algebra": "sl2",
                                   "level": 1, "spin": "1/2"})
     assert isinstance(mod, AffineModule) and mod.spin2 == 1
+    # a spin is a half-integer, written as a fraction string or a number
+    for spin, spin2 in (("1/2", 1), (0.5, 1), (1, 2), (0, 0)):
+        assert module_from_descriptor({"type": "affine", "level": 2,
+                                       "spin": spin}).spin2 == spin2
     mod = module_from_descriptor({
         "type": "tensor",
         "factors": [{"type": "affine", "algebra": "sl2", "level": 1},

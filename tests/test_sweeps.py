@@ -18,13 +18,12 @@ from nsvertex.constructions import (boson_sugawara, current_bracket_report,
                                     fermion_vosa, g_fermion_system,
                                     super_construction, susy_report,
                                     _current_algebra_sweep)
-from nsvertex.fields import (NthProduct, ScaledSum, bracket_check,
-                             bracket_from_ope, bracket_sweep,
-                             check_borcherds, check_vosa_axioms,
-                             commutator_direct, field_from_tree,
-                             generator_field, identity_field, locality_order,
-                             locality_table, state_field, sweep,
-                             window_points, _vec_of)
+from nsvertex.fields import (GeneratorField, IdentityField, NthProduct,
+                             ScaledSum, bracket_check, bracket_from_ope,
+                             bracket_sweep, check_borcherds,
+                             check_vosa_axioms, commutator_direct,
+                             field_from_tree, locality_order, locality_table,
+                             state_field, sweep, window_points, _vec_of)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FermionFock, Mode, StateVector,
                               VermaModule, state_grade2)
@@ -68,7 +67,7 @@ def test_bracket_sweep_with_doubled_c_fails_where_a_hand_loop_does():
     module = cons.module
     L = state_field(module, cons.omega)
     c2 = 2 * cons.central_charge
-    one = identity_field()
+    one = IdentityField()
     rep = bracket_sweep(module, 3, 2, [({}, L, 1, L, 1, lambda m, n: [
         (m - n, L, m + n + 1),
         (c2 * Fraction(m ** 3 - m, 12) if m + n == 0 else 0, one, -1)])])
@@ -92,7 +91,7 @@ def test_bracket_sweep_with_doubled_c_fails_where_a_hand_loop_does():
 def test_bracket_sweep_labels_points_in_case_order():
     module = FermionFock(1)
     psi = state_field(module, BasisState((Mode("psi", 0, -1),), 0))
-    one = identity_field()
+    one = IdentityField()
     # {psi(m), psi(n)} = delta_{m+n+1}; both cases drop the central term
     cases = [({"k": k, "tag": tag}, psi, 0, psi, 0, lambda m, n: [])
              for k, tag in ((2, "x"), (1, "y"))]
@@ -219,7 +218,7 @@ def test_window_zero_is_still_a_valid_sweep(capsys):
 def test_locality_table_raises_what_is_not_a_locality_verdict():
     # a field the module cannot act with is an input error, not a
     # non-local pair
-    named = [("L", generator_field("L")), ("psi", generator_field("psi"))]
+    named = [("L", GeneratorField("L")), ("psi", GeneratorField("psi"))]
     with pytest.raises(ValueError, match="FermionFock has no L modes"):
         locality_table(named, FermionFock(1), 2, 8, 1)
 
@@ -292,7 +291,8 @@ AXIOM_CHECKS = ["vacuum", "state_field", "irreducibility", "translation",
 ])
 def test_vosa_axioms_of_the_constructions_have_no_failures(build, depth2):
     cons = build()
-    rep = cons.axiom_report(depth2=depth2, window=1)
+    rep = check_vosa_axioms(cons.module, cons.fields, cons.omega,
+                            depth2=depth2, window=1)
     assert list(rep["checks"]) == AXIOM_CHECKS
     assert list(rep["failures"]) == AXIOM_CHECKS
     assert all(v is True for v in rep["checks"].values())
@@ -306,7 +306,7 @@ def test_susy_report_names_each_generator_of_a_doubled_g():
     G = cons.fields["G"]
     cons.fields["G"] = ScaledSum([(2, G)])
     rep = susy_report(cons, depth2=1, window=1)
-    module, B = cons.module, cons.data["b_fields"]
+    module, B = cons.module, cons.currents
     for name in ("g_with_currents", "g_with_fermions"):
         failures = rep["failures"][name]
         assert failures and rep["checks"][name] is False
@@ -328,8 +328,7 @@ def test_current_algebra_sweep_order_and_count():
     # a wrong level breaks exactly the central term: a == b, m + n = 0,
     # m != 0, at every state; the sweep runs a, b, m, n, state
     cons = g_fermion_system(sl2())
-    module, lie = cons.module, cons.data["lie"]
-    S = cons.data["current_fields"]
+    module, lie, S = cons.module, cons.lie, cons.currents
     g = lie.dual_coxeter()
     states = module.basis_upto(1)
     rep = _current_algebra_sweep(module, lie, S, g + 1, 1, 1)
