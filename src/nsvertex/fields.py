@@ -9,8 +9,17 @@ sums) evaluate through the universal expansion
   (A_k B)(m) = sum_j (-1)^j C(k,j) [A(k-j)B(m+j)
                - (-1)^(k+eps) B(k+m-j)A(j)],
 
-with eps the parity product.  Every action is cut off exactly by the
-grading bound: a slot whose output grade would be negative gives zero.
+with eps the parity product.  On a vacuum module, a composite field F
+that the module's state-field map built keeps that expansion for the
+floor only; on a word h w whose head is the mode h = a(p) of a
+generator a, it commutes past the head,
+
+  F(n) h w = s h F(n) w - s sum_j C(p,j) (a_j F)(p+n-j) w,
+
+with s the sign of the parity product and a_j F the module's field of
+the state a(j)|F>, which vanishes past the grading bound.  Every action
+is cut off exactly by the grading bound: a slot whose output grade
+would be negative gives zero.
 On the vacuum module of its fields, bracket_from_ope instead takes each
 product A_j B as the field of its state, Y(A_j B vac, z), an identity
 that check_borcherds certifies.
@@ -21,10 +30,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .liealg import _exact_int
 from .linalg import Echelon, _add
 from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
-                      StateVector, _exact_int, mode_parity, state_grade2,
-                      state_parity)
+                      StateVector, mode_parity, state_grade2, state_parity)
 from .scalars import ONE, Scalar
 
 
@@ -58,13 +67,19 @@ class Field:
         self._prods = {}
 
     def act(self, n: int, module: Module, state: BasisState) -> dict:
-        """A(n) applied to a basis state; the result dict is frozen."""
+        """A(n) applied to a basis state; the result dict is frozen.  A
+        composite field that the module's state-field map built acts on
+        a non-empty word by commuting past the word's head; every other
+        action, and every action on the floor, is the field's own."""
         key = (module, n, state)
         out = self._cache.get(key)
         if out is None:
             if 2 * n > state_grade2(state) + self.weight2 - 2:
                 return {}
-            out = self._act(n, module, state)
+            if state.word and self in module._field_cache:
+                out = _commute(self, n, module, state)
+            else:
+                out = self._act(n, module, state)
             self._cache[key] = out
         return out
 
@@ -163,25 +178,78 @@ class NthProduct(Field):
         eps = a.parity & b.parity
         swap_sign = -1 if (k + eps) % 2 else 1
         g2 = state_grade2(state)
+        # each composition order dies once its first factor's slot,
+        # B(m + j) or A(j), exceeds its grading bound
+        jab = (g2 + b.weight2 - 2) // 2 - m
+        jba = (g2 + a.weight2 - 2) // 2
         if k >= 0:
-            jmax = k
-        else:
-            # both composition orders die once their first factor's slot
-            # exceeds its grading bound
-            jmax = max((g2 + b.weight2 - 2) // 2 - m, (g2 + a.weight2 - 2) // 2)
+            jab, jba = min(jab, k), min(jba, k)
         out = {}
-        for j in range(0, max(jmax, -1) + 1):
+        for j in range(max(jab, jba, -1) + 1):
             cj = gbinom(k, j)
             if not cj:
                 continue
             coeff = -cj if j % 2 else cj
-            _compose(out, coeff, a, k - j, b, m + j, module, state)
-            _compose(out, -coeff * swap_sign, b, k + m - j, a, j, module,
-                     state)
+            if j <= jab:
+                _compose(out, coeff, a, k - j, b, m + j, module, state)
+            if j <= jba:
+                _compose(out, -coeff * swap_sign, b, k + m - j, a, j, module,
+                         state)
         return out
 
     def __str__(self):
         return f"({self.a})_{{{self.k}}}({self.b})"
+
+
+# -- commuting past the head mode ------------------------------------------
+
+def _commute(F: Field, n: int, module: Module, state: BasisState) -> dict:
+    """F(n) u for a composite field F of the module's own state-field map
+    and a word u = h w whose head is the mode h = a(p) of a generator a:
+
+      F(n) h w = s h F(n) w - s sum_j C(p, j) (a_(j) F)(p + n - j) w,
+
+    s = (-1)^(parity F * parity a), by the commutator formula
+    [a(p), F(n)] = sum_j C(p, j) (a_(j) F)(p + n - j).  Words are stored
+    in normal order, so u is exactly h applied to w."""
+    head = state.word[0]
+    rest = BasisState(state.word[1:], state.floor)
+    p = slot_of_index2(GENERATOR_WEIGHT2[head.kind], head.n2)
+    s = -1 if F.parity and mode_parity(head.kind) else 1
+    out = {}
+    for st, c in F.act(n, module, rest).items():
+        _add(out, module.apply_to_basis(head, st), c if s == 1 else -c)
+    for j, c, E in _head_products(F, head.kind, head.color, module):
+        _add(out, E.act(p + n - j, module, rest), c * (-s * gbinom(p, j)))
+    return out
+
+
+def _head_products(F: Field, kind: str, color: int, module: Module) -> list:
+    """(j, coeff, E) for each term coeff |E> of a(j)|F>, with a the
+    generator of the kind and color and E the module's field of the
+    term's basis state; a(j)|F> = 0 once 2(j + 1) > weight2(F) +
+    weight2(a).  Kept in the module's field memo under (F, kind, color)."""
+    key = (F, kind, color)
+    out = module._field_cache.get(key)
+    if out is None:
+        w2 = GENERATOR_WEIGHT2[kind]
+        out = []
+        for j in range((F.weight2 + w2) // 2):
+            mode = Mode(kind, color, 2 * j - w2 + 2)
+            vec = {}
+            for st, c in module._field_cache[F].items():
+                _add(vec, module.apply_to_basis(mode, st), c)
+            out += [(j, c, _basis_field(module, st)) for st, c in vec.items()]
+        module._field_cache[key] = out
+    return out
+
+
+def _own(module: Module, field: Field, state: dict) -> Field:
+    """Record a composite field of the state-field map with its state,
+    on a vacuum module, where Field.act commutes it past head modes."""
+    if module.is_vacuum_module():
+        module._field_cache[field] = state
+    return field
 
 
 # -- state-field correspondence --------------------------------------------
@@ -211,7 +279,7 @@ def state_field(module: Module, arg) -> Field:
         if not terms:
             raise ValueError("the zero vector has no field")
         f = terms[0][1] if len(terms) == 1 and terms[0][0] == ONE \
-            else ScaledSum(terms)
+            else _own(module, ScaledSum(terms), dict(arg.items()))
         module._field_cache[key] = f
     return f
 
@@ -232,7 +300,8 @@ def _basis_field(module: Module, state: BasisState) -> Field:
             f = GeneratorField(head.kind, head.color)
         else:
             gf = _basis_field(module, creating_state(head.kind, head.color))
-            f = gf.prod(_basis_field(module, BasisState(word[1:], 0)), slot)
+            rest = _basis_field(module, BasisState(word[1:], 0))
+            f = _own(module, gf.prod(rest, slot), {state: ONE})
     module._field_cache[state] = f
     return f
 
@@ -331,9 +400,9 @@ def _product_field(A: Field, B: Field, j: int,
     P = module._field_cache.get((A, B, j), False)
     if P is False:
         P = A.prod(B, j)
-        if module.floor_dim() == 1 and not module.translation_floor(0) \
-                and all((v := realize(f, module))
-                        and state_field(module, v) is f for f in (A, B)):
+        if module.is_vacuum_module() and all(
+                (v := realize(f, module)) and state_field(module, v) is f
+                for f in (A, B)):
             v = realize(P, module)
             P = state_field(module, v) if v else None
         module._field_cache[A, B, j] = P

@@ -31,6 +31,14 @@ def _signed_permutations(triple):
     return zip(permutations(triple), _PERMUTATION_SIGNS)
 
 
+def _exact_int(value, name: str) -> int:
+    """An integer input, unchanged; a float, a bool or a string raises
+    instead of being truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class LieAlgebra:
     """A Lie algebra given by totally antisymmetric structure constants."""
 
@@ -143,7 +151,8 @@ class LieAlgebra:
         dim = data["dim"]
         gamma = {}
         for item in data["gamma"]:
-            a, b, c = item["a"] - 1, item["b"] - 1, item["c"] - 1
+            a, b, c = (_exact_int(item[k], f"gamma index {k}") - 1
+                       for k in "abc")
             if not a < b:
                 raise ValueError("gamma entries must have a < b")
             val = Scalar.from_json(item["val"])

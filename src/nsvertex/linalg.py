@@ -31,9 +31,14 @@ def _acc(d: dict, key, coeff: Scalar):
 
 def _add(out: dict, vec: dict, coeff):
     """out += coeff * vec, dropping the entries that vanish.  vec is only
-    read, so it may be a cached action; coeff is a Scalar or a number."""
+    read, so it may be a cached action; coeff is a Scalar or a number.
+    A unit coeff, or an entry that is ONE times a Scalar coeff, takes no
+    multiply."""
+    unit = coeff is ONE or (type(coeff) is int and coeff == 1)
+    whole = coeff if type(coeff) is Scalar else None
     for key, c in vec.items():
-        c = c * coeff
+        if not unit:
+            c = whole if c is ONE and whole is not None else c * coeff
         cur = out.get(key)
         cur = c if cur is None else cur + c
         if cur:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .liealg import LieAlgebra, sl2, sl2_floor
+from .liealg import LieAlgebra, _exact_int, sl2, sl2_floor
 from .linalg import _acc, _add, inertia_with_witness, kernel_basis
 from .scalars import ONE, ZERO, I, Scalar
 
@@ -167,6 +167,10 @@ class Module:
         self._apply_cache = {}
         self._inner_cache = {}
         self._basis_cache = {}
+        # the state-field memo of fields.py: a basis state or frozen vector
+        # -> its field, (A, B, j) -> the product field of bracket_from_ope,
+        # an own composite field -> its state, and (field, kind, color) ->
+        # the products that commute the field past a head mode
         self._field_cache = {}
 
     # -- interface supplied by concrete modules -------------------------
@@ -191,6 +195,11 @@ class Module:
     def translation_floor(self, floor: int) -> dict:
         """T applied to a floor vector, as a state dict."""
         return {}
+
+    def is_vacuum_module(self) -> bool:
+        """One floor state, killed by T: the module is the vacuum module
+        of the vertex algebra that its state fields form."""
+        return self.floor_dim() == 1 and not self.translation_floor(0)
 
     # -- states ----------------------------------------------------------
 
@@ -576,14 +585,6 @@ class TensorModule(Module):
 
     def creation_modes(self, max_n2: int) -> list:
         return self.left.creation_modes(max_n2) + self.right.creation_modes(max_n2)
-
-
-def _exact_int(value, name: str) -> int:
-    """An integer input, unchanged; a float, a bool or a string raises
-    instead of being truncated."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _parse_spin2(value) -> int:

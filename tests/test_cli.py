@@ -266,6 +266,12 @@ def test_malformed_inputs_exit_two(capsys):
     (["ope", "--module", '{"type":"fermion"}', "--field-a",
       '{"nprod":[{"gen":"psi"},{"gen":"psi"},1.5]}', "--field-b",
       '{"gen":"psi"}'], "product order must be an integer, got 1.5"),
+    (["validate", "--algebra", '{"name":"x","dim":3,"gamma":'
+      '[{"a":1.5,"b":2,"c":3,"val":1}]}'],
+     "gamma index a must be an integer, got 1.5"),
+    (["validate", "--algebra", '{"name":"x","dim":3,"gamma":'
+      '[{"a":true,"b":2,"c":3,"val":1}]}'],
+     "gamma index a must be an integer, got True"),
 ])
 def test_malformed_inputs_name_their_fault(capsys, argv, message):
     code, out, err = run(capsys, argv)

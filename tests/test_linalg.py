@@ -2,13 +2,25 @@ from fractions import Fraction
 
 import pytest
 
-from nsvertex.linalg import (_integer_matrix, inertia_with_witness,
+from nsvertex.linalg import (_add, _integer_matrix, inertia_with_witness,
                              kernel_basis, row_reduce)
-from nsvertex.scalars import Scalar, rational
+from nsvertex.scalars import ONE, Scalar, rational
 
 
 def s(x):
     return Scalar.of(x)
+
+
+def test_add_passes_unit_factors_through_unchanged():
+    c = Scalar.root(3)
+    out = {}
+    _add(out, {"a": ONE, "b": c}, c)
+    assert out["a"] is c and out == {"a": c, "b": rational(3)}
+    _add(out, {"b": c}, ONE)
+    _add(out, {"c": c}, 1)
+    assert out["c"] is c and out["b"] == rational(3) + c
+    _add(out, {"d": ONE}, 2)
+    assert out["d"] == rational(2)
 
 
 def test_kernel_of_rank_one_matrix_with_radicals():

@@ -18,6 +18,12 @@ def test_root_two_squares_to_two():
     assert r * r == rational(2)
 
 
+def test_products_equal_to_one_share_the_one_scalar():
+    assert Scalar.root(2) * Scalar.sqrt_fraction(Fraction(1, 2)) is ONE
+    assert rational(1, 3) * 3 is ONE
+    assert I * -I is ONE
+
+
 def test_imaginary_unit_squares_to_minus_one():
     assert I * I == rational(-1)
 
