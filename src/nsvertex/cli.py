@@ -23,22 +23,14 @@ from .fields import (NotLocalError, bracket_check, check_vosa_axioms,
                      state_field, sweep)
 from .liealg import CATALOG, LieAlgebra, sl2
 from .modules import (BasisState, Mode, StateVector, VermaModule, grade_str,
-                      module_from_descriptor)
+                      half2, module_from_descriptor)
 from .scalars import Scalar
 
 
 # -- input parsing ----------------------------------------------------------
 
-def _half2(text: str) -> int:
-    """Half-integer string to its doubled integer."""
-    f = Fraction(text)
-    if f.denominator > 2:
-        raise ValueError(f"{text!r} is not a half-integer")
-    return int(2 * f)
-
-
 def _depth2(args) -> int:
-    d2 = _half2(args.depth)
+    d2 = half2(args.depth, "depth")
     if d2 < 1:
         raise ValueError("depth must be at least 1/2")
     return d2
@@ -95,11 +87,22 @@ def _state_json(state: BasisState) -> dict:
 _LEAF = (Scalar, Fraction, BasisState, StateVector, Mode)
 
 
+def _is_block(v) -> bool:
+    """A mapping, or a list that holds a container and is not a matrix:
+    laid out over lines of its own.  A StateVector is a dict but a leaf,
+    printed on one line."""
+    if isinstance(v, _LEAF):
+        return False
+    return isinstance(v, dict) or isinstance(v, (list, tuple)) and any(
+        isinstance(x, (dict, list, tuple)) and not isinstance(x, _LEAF)
+        for x in v) and not _is_matrix(v)
+
+
 def _text_lines(obj, indent: int, out: list):
     pad = "  " * indent
     if isinstance(obj, dict):
         for k, v in obj.items():
-            if isinstance(v, dict) or _is_block_list(v) or _is_matrix(v):
+            if _is_block(v) or _is_matrix(v):
                 out.append(f"{pad}{k}:")
                 _text_lines(v, indent + 1, out)
             else:
@@ -113,7 +116,7 @@ def _text_lines(obj, indent: int, out: list):
                            + " ]")
             return
         for v in obj:
-            if isinstance(v, dict) or _is_block_list(v):
+            if _is_block(v):
                 out.append(f"{pad}-")
                 _text_lines(v, indent + 1, out)
             else:
@@ -124,12 +127,6 @@ def _is_matrix(obj) -> bool:
     return isinstance(obj, (list, tuple)) and bool(obj) and all(
         isinstance(row, (list, tuple)) and row
         and all(isinstance(x, Scalar) for x in row) for row in obj)
-
-
-def _is_block_list(v) -> bool:
-    return isinstance(v, (list, tuple)) and any(
-        isinstance(x, (dict, list, tuple)) and not isinstance(x, _LEAF)
-        for x in v) and not _is_matrix(v)
 
 
 def _text_value(v) -> str:
@@ -169,7 +166,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_gram(args) -> int:
     module = _module(args.module)
-    n2 = _half2(args.level)
+    n2 = half2(args.level, "level")
     basis, matrix = module.gram(n2)
     report = {"level": Fraction(n2, 2), "dim": len(basis),
               "basis": [str(b) for b in basis], "matrix": matrix}
@@ -179,7 +176,7 @@ def cmd_gram(args) -> int:
 
 def cmd_nullvec(args) -> int:
     module = _module(args.module)
-    n2 = _half2(args.level)
+    n2 = half2(args.level, "level")
     vectors = module.kernel_vectors(n2)
     dim = len(module.level_basis(n2))
     report = {"level": Fraction(n2, 2), "dim": dim,
@@ -246,7 +243,8 @@ def cmd_sugawara(args) -> int:
     measured = cons.central_charge
     closed = central_charges(lie, args.level)["c_boson"]
     vir = check_vosa_axioms(cons.module, cons.fields, cons.omega,
-                            depth2=depth2, window=args.window)
+                            depth2=depth2, window=args.window,
+                            max_order=args.max_order)
     match = measured == closed
     report = {"algebra": lie.name, "level": args.level,
               "central_charge": measured, "closed_form": closed,
@@ -283,7 +281,7 @@ def cmd_susy_check(args) -> int:
 
 def cmd_module(args) -> int:
     lie = _algebra(args.algebra)
-    spin2 = _half2(args.spin)
+    spin2 = half2(args.spin, "spin")
     vm = vertex_module(lie, args.level, spin2)
     depth2 = _depth2(args)
     wr = weight_report(vm, depth2=depth2)
@@ -300,7 +298,7 @@ def cmd_module(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
-    smax2 = _half2(args.smax)
+    smax2 = half2(args.smax, "smax")
     charges = [Fraction(c) for c in (args.c or ["0", "1/2", "5/2"])]
     # the odd sweep first: an smax that leaves it empty exits before any work
     odd = [{"c": c, "valid": verify_odd_cocycle(c, smax2)} for c in charges]

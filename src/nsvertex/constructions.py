@@ -145,7 +145,7 @@ def current_bracket_report(cons: Construction, depth2: int = 2,
 def current_square_state(cons: Construction) -> StateVector:
     """sum_a S^a(-1) applied to the S^a state; equals 4g omega."""
     module = cons.module
-    out = StateVector({})
+    out = StateVector()
     for S in cons.currents:
         out = out + S.apply(-1, module, realize(S, module))
     return out
@@ -191,8 +191,8 @@ def super_construction(lie: LieAlgebra, level: int) -> Construction:
         module = TensorModule(AffineModule(lie, level), FermionFock(dim))
 
     s_states = [_current_state(module, lie, a) for a in range(dim)]
-    tau1 = StateVector({})
-    tau2 = StateVector({})
+    tau1 = StateVector()
+    tau2 = StateVector()
     for a in range(dim):
         tau2 = tau2 + module.apply(Mode("psi", a, -1), s_states[a])
         if level > 0:

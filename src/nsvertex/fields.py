@@ -30,11 +30,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .liealg import _exact_int
 from .linalg import Echelon, _add
 from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
                       StateVector, mode_parity, state_grade2, state_parity)
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, _exact_int
 
 
 def gbinom(k: int, j: int) -> int:
@@ -86,11 +85,11 @@ class Field:
     def _act(self, n: int, module: Module, state: BasisState) -> dict:
         raise NotImplementedError
 
-    def apply(self, n: int, module: Module, vec: StateVector) -> StateVector:
-        out = {}
+    def apply(self, n: int, module: Module, vec: dict) -> StateVector:
+        out = StateVector()
         for state, coeff in vec.items():
             _add(out, self.act(n, module, state), coeff)
-        return StateVector._wrap(out)
+        return out
 
     def prod(self, other: "Field", k: int) -> "Field":
         cached = self._prods.get((other, k))
@@ -256,7 +255,7 @@ def _own(module: Module, field: Field, state: dict) -> Field:
 
 def realize(field: Field, module: Module) -> StateVector:
     """The state of a field: A(-1) applied to the vacuum."""
-    return StateVector._wrap(dict(field.act(-1, module, BasisState((), 0))))
+    return StateVector(field.act(-1, module, BasisState((), 0)))
 
 
 def creating_state(kind: str, color: int = 0) -> BasisState:
@@ -279,7 +278,7 @@ def state_field(module: Module, arg) -> Field:
         if not terms:
             raise ValueError("the zero vector has no field")
         f = terms[0][1] if len(terms) == 1 and terms[0][0] == ONE \
-            else _own(module, ScaledSum(terms), dict(arg.items()))
+            else _own(module, ScaledSum(terms), dict(arg))
         module._field_cache[key] = f
     return f
 
@@ -446,7 +445,7 @@ def closure_spans(module: Module, field_list, depth2: int) -> list:
                 shift = w2 - 2 - 2 * n
                 if g2 + shift > depth2:
                     break
-                out = f.apply(n, module, vec).data
+                out = f.apply(n, module, vec)
                 if out and spaces[g2 + shift].add(out):
                     work.append((g2 + shift, out))
                 n -= 1
@@ -465,7 +464,7 @@ def generate_closure(module: Module, generators, depth2: int,
     gens = list(generators.values()) if isinstance(generators, dict) \
         else list(generators)
     spaces = closure_spans(module, gens, depth2)
-    states = [StateVector._wrap(dict(sp.rows[pivot]))
+    states = [StateVector(sp.rows[pivot])
               for sp in spaces for pivot in sorted(sp.rows)]
     if len(states) > max_fields:
         raise ValueError(f"closure exceeds {max_fields} fields")
@@ -494,10 +493,6 @@ def locality_table(named, module: Module, depth2: int, max_order: int,
 
 
 # -- axiom suites -----------------------------------------------------------
-
-def _vec_of(d: dict) -> StateVector:
-    return StateVector._wrap(dict(d))
-
 
 def sweep(points, lhs, rhs) -> dict:
     """Certify lhs(**p) == rhs(**p) at every point p of an ordered
@@ -600,7 +595,7 @@ def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
     def translated(field, n, state):
         # [T, A(n)] u, to match -n A(n-1) u
         f = fields[field]
-        return module.operator_T(_vec_of(f.act(n, module, state))) \
+        return module.operator_T(f.act(n, module, state)) \
             - f.apply(n, module, module.operator_T(StateVector.basis(state)))
 
     def misparity(field, n, state):
@@ -667,12 +662,12 @@ def check_borcherds(module: Module, depth2: int = 2, nwin: int = 2,
 
     def lhs(a, b, n, m, v):
         A, B = state_field(module, a), state_field(module, b)
-        return _vec_of(A.prod(B, n).act(m, module, v))
+        return A.prod(B, n).act(m, module, v)
 
     def rhs(a, b, n, m, v):
         ab = state_field(module, a).act(n, module, b)
         return state_field(module, ab).apply(
-            m, module, StateVector.basis(v)) if ab else StateVector()
+            m, module, StateVector.basis(v)) if ab else {}
 
     swept = sweep(points(), lhs, rhs)
     return {**swept, "valid": not swept["failures"]}

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .linalg import _add
-from .scalars import ZERO, Scalar, rational
+from .scalars import ZERO, Scalar, _exact_int, rational
 
 
 # signs of itertools.permutations of a triple, in the order it yields them
@@ -29,14 +29,6 @@ _PERMUTATION_SIGNS = (1, -1, -1, 1, 1, -1)
 def _signed_permutations(triple):
     """(permuted triple, sign of the permutation) for each ordering."""
     return zip(permutations(triple), _PERMUTATION_SIGNS)
-
-
-def _exact_int(value, name: str) -> int:
-    """An integer input, unchanged; a float, a bool or a string raises
-    instead of being truncated."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 class LieAlgebra:

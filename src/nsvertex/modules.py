@@ -19,9 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .liealg import LieAlgebra, _exact_int, sl2, sl2_floor
+from .liealg import LieAlgebra, sl2, sl2_floor
 from .linalg import _acc, _add, inertia_with_witness, kernel_basis
-from .scalars import ONE, ZERO, I, Scalar
+from .scalars import ONE, ZERO, I, Scalar, _exact_int
 
 KIND_RANK = {"x": 0, "L": 1, "G": 2, "psi": 3}
 ODD_KINDS = frozenset({"psi", "G"})
@@ -78,82 +78,50 @@ def grade_str(n2: int) -> str:
     return str(Fraction(n2, 2))
 
 
-class StateVector:
-    """A finite linear combination of basis states."""
+class StateVector(dict):
+    """A finite linear combination of basis states: the dict that maps
+    each basis state to its nonzero Scalar coefficient, so it equals a
+    mode action with the same entries."""
 
-    __slots__ = ("_d",)
+    __slots__ = ()
 
-    def __init__(self, data=None):
-        self._d = {}
-        if data:
-            for state, coeff in (data.items() if isinstance(data, dict) else data):
-                _acc(self._d, state, Scalar.of(coeff))
+    def __init__(self, data=()):
+        """From a dict or from (state, coefficient) pairs, coercing each
+        coefficient to a Scalar; repeats add up and zeros are dropped."""
+        super().__init__()
+        for state, coeff in (data.items() if isinstance(data, dict) else data):
+            _acc(self, state, Scalar.of(coeff))
 
     @staticmethod
     def basis(state: BasisState) -> "StateVector":
         return StateVector({state: ONE})
 
-    @staticmethod
-    def _wrap(d: dict) -> "StateVector":
-        v = StateVector.__new__(StateVector)
-        v._d = d
-        return v
-
-    @property
-    def data(self) -> dict:
-        return self._d
-
-    def items(self):
-        return self._d.items()
-
-    def coefficient(self, state: BasisState) -> Scalar:
-        return self._d.get(state, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._d
-
-    def __bool__(self):
-        return bool(self._d)
-
-    def __len__(self):
-        return len(self._d)
+    def _plus(self, other: dict, coeff) -> "StateVector":
+        out = StateVector()
+        _add(out, self, ONE)
+        _add(out, other, coeff)
+        return out
 
     def __add__(self, other):
-        d = dict(self._d)
-        for s, c in other._d.items():
-            _acc(d, s, c)
-        return StateVector._wrap(d)
+        return self._plus(other, ONE)
 
     def __sub__(self, other):
-        d = dict(self._d)
-        for s, c in other._d.items():
-            _acc(d, s, -c)
-        return StateVector._wrap(d)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return StateVector._wrap({s: -c for s, c in self._d.items()})
+        return StateVector()._plus(self, -1)
 
     def scaled(self, coeff) -> "StateVector":
-        coeff = Scalar.of(coeff)
-        if not coeff:
-            return StateVector._wrap({})
-        return StateVector._wrap({s: c * coeff for s, c in self._d.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return self._d == other._d
+        return StateVector()._plus(self, Scalar.of(coeff))
 
     def sorted_items(self):
-        return sorted(self._d.items(), key=lambda sc: (state_grade2(sc[0]), sc[0]))
+        return sorted(self.items(), key=lambda sc: (state_grade2(sc[0]), sc[0]))
 
     def __str__(self):
-        if not self._d:
+        if not self:
             return "0"
-        parts = []
-        for state, coeff in self.sorted_items():
-            parts.append(f"({coeff})·{state}")
-        return " + ".join(parts)
+        return " + ".join(f"({coeff})·{state}"
+                          for state, coeff in self.sorted_items())
 
     __repr__ = __str__
 
@@ -301,11 +269,11 @@ class Module:
                 _add(out, self.apply_to_basis(bmode, rest), coeff)
         return out
 
-    def apply(self, mode: Mode, vec: StateVector) -> StateVector:
-        out = {}
+    def apply(self, mode: Mode, vec: dict) -> StateVector:
+        out = StateVector()
         for state, coeff in vec.items():
             _add(out, self.apply_to_basis(mode, state), coeff)
-        return StateVector._wrap(out)
+        return out
 
     # -- inner products --------------------------------------------------
 
@@ -363,10 +331,7 @@ class Module:
         # Gram columns are conjugate-linear in v, so solve with the
         # conjugated matrix (real Grams are unaffected)
         conj = [[x.conjugate() for x in row] for row in matrix]
-        out = []
-        for coeffs in kernel_basis(conj):
-            out.append(StateVector({b: c for b, c in zip(basis, coeffs) if c}))
-        return out
+        return [StateVector(zip(basis, coeffs)) for coeffs in kernel_basis(conj)]
 
     def irreducible_dims(self, depth2: int) -> list:
         dims = []
@@ -388,8 +353,7 @@ class Module:
             entry = {"grade": grade_str(n2), "dim": len(basis),
                      "positive": pos, "zero": zero, "negative": neg}
             if witness is not None:
-                entry["witness"] = StateVector(
-                    {b: Scalar.of(c) for b, c in zip(basis, witness) if c})
+                entry["witness"] = StateVector(zip(basis, witness))
             if neg and first_negative is None:
                 first_negative = grade_str(n2)
             levels.append(entry)
@@ -399,11 +363,11 @@ class Module:
 
     # -- translation -----------------------------------------------------
 
-    def operator_T(self, vec: StateVector) -> StateVector:
-        out = {}
+    def operator_T(self, vec: dict) -> StateVector:
+        out = StateVector()
         for state, coeff in vec.items():
             _add(out, self._translate_basis(state), coeff)
-        return StateVector._wrap(out)
+        return out
 
     def _translate_basis(self, state: BasisState) -> dict:
         if not state.word:
@@ -587,11 +551,18 @@ class TensorModule(Module):
         return self.left.creation_modes(max_n2) + self.right.creation_modes(max_n2)
 
 
-def _parse_spin2(value) -> int:
-    spin2 = Fraction(value) * 2
-    if isinstance(value, bool) or spin2.denominator != 1 or spin2 < 0:
-        raise ValueError(f"spin must be a nonnegative half-integer, got {value!r}")
-    return int(spin2)
+def half2(value, name: str) -> int:
+    """Twice a half-integer given as a number or a fraction string; a
+    bool, or a value that is not a half-integer, raises.  The caller
+    checks the sign that it needs."""
+    try:
+        twice = 2 * Fraction(value)
+        if isinstance(value, bool) or twice.denominator != 1:
+            raise ValueError
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a half-integer, got {value!r}") \
+            from None
+    return int(twice)
 
 
 def module_from_descriptor(desc: dict) -> Module:
@@ -622,7 +593,7 @@ def module_from_descriptor(desc: dict) -> Module:
         else:
             raise ValueError(f"unknown algebra {name!r}")
         return AffineModule(lie, _exact_int(desc["level"], "level"),
-                            _parse_spin2(desc.get("spin", 0)))
+                            half2(desc.get("spin", 0), "spin"))
     if kind == "tensor":
         factors = [module_from_descriptor(f) for f in desc["factors"]]
         if len(factors) != 2 or not isinstance(factors[1], FermionFock) \

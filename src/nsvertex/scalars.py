@@ -23,6 +23,14 @@ from functools import cache
 from math import gcd, lcm
 
 
+def _exact_int(value, name: str) -> int:
+    """An integer input, unchanged; a float, a bool or a string raises
+    instead of being truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _squarefree_split(n: int) -> tuple[int, int]:
     """Write n = outer**2 * core with core square-free; the sign stays on core."""
     if n == 0:
@@ -83,8 +91,10 @@ class Scalar:
         t = {}
         if terms:
             for rad, coeff in terms.items():
-                if not isinstance(rad, int):
+                if type(rad) is not int:
                     raise TypeError(f"radicand must be int, got {rad!r}")
+                if not rad:
+                    raise ValueError("radicand 0 is not allowed")
                 _, core = _squarefree_split(rad)
                 if core != rad:
                     raise ValueError(f"radicand {rad} is not square-free")
@@ -324,10 +334,14 @@ class Scalar:
             return Scalar.of(Fraction(data))
         t = {}
         for item in data:
-            rad = item.get("rad", 1)
-            coeff = Fraction(item["num"], item.get("den", 1))
-            t[rad] = t.get(rad, Fraction(0)) + coeff
-        return Scalar({r: c for r, c in t.items() if c})
+            if not isinstance(item, dict):
+                raise ValueError(f"a scalar term is an object with integer "
+                                 f"num, den and rad, not {item!r}")
+            num = _exact_int(item["num"], "scalar term num")
+            den, rad = (_exact_int(item.get(k, 1), f"scalar term {k}")
+                        for k in ("den", "rad"))
+            t[rad] = t.get(rad, 0) + Fraction(num, den)
+        return Scalar(t)
 
     def __str__(self):
         if not self._t:

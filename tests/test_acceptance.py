@@ -198,7 +198,7 @@ def test_criterion_11_bracket_cross_check():
         rows = spans[g2].rows
         if rows:
             fields.append(state_field(module,
-                                      StateVector(dict(rows[min(rows)]))))
+                                      StateVector(rows[min(rows)])))
     for i, A in enumerate(fields):
         for B in fields[i:]:
             rep = bracket_check(A, B, module, 4, 8, 2)

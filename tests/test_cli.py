@@ -259,7 +259,32 @@ def test_malformed_inputs_exit_two(capsys):
     (["gram", "--module", '{"type":"fermion","colors":true}', "--level", "1"],
      "colors must be an integer, got True"),
     (["gram", "--module", '{"type":"affine","level":1,"spin":true}',
-      "--level", "1"], "spin must be a nonnegative half-integer, got True"),
+      "--level", "1"], "spin must be a half-integer, got True"),
+    (["gram", "--module", '{"type":"affine","level":1,"spin":"1/3"}',
+      "--level", "1"], "spin must be a half-integer, got '1/3'"),
+    (["gram", "--module", '{"type":"fermion"}', "--level", "1/3"],
+     "level must be a half-integer, got '1/3'"),
+    (["nullvec", "--module", '{"type":"fermion"}', "--level", "x"],
+     "level must be a half-integer, got 'x'"),
+    (["ghosts", "--c", "1/2", "--h", "0", "--depth", "1/3"],
+     "depth must be a half-integer, got '1/3'"),
+    (["module", "--algebra", "sl2", "--level", "1", "--spin", "1/4"],
+     "spin must be a half-integer, got '1/4'"),
+    (["cocycle", "--smax", "1/3"], "smax must be a half-integer, got '1/3'"),
+    (["gram", "--module", '{"type":"ns_verma","c":[1],"h":0}', "--level",
+      "1"], "a scalar term is an object with integer num, den and rad, not 1"),
+    (["ope", "--module", '{"type":"fermion"}', "--field-a",
+      '{"lincomb":[[[2],{"gen":"psi"}]]}', "--field-b", '{"gen":"psi"}'],
+     "a scalar term is an object with integer num, den and rad, not 2"),
+    (["validate", "--algebra", '{"name":"x","dim":3,"gamma":'
+      '[{"a":1,"b":2,"c":3,"val":[{"num":1,"rad":true}]}]}'],
+     "scalar term rad must be an integer, got True"),
+    (["validate", "--algebra", '{"name":"x","dim":3,"gamma":'
+      '[{"a":1,"b":2,"c":3,"val":[{"num":true}]}]}'],
+     "scalar term num must be an integer, got True"),
+    (["validate", "--algebra", '{"name":"x","dim":3,"gamma":'
+      '[{"a":1,"b":2,"c":3,"val":[{"num":1,"rad":0}]}]}'],
+     "radicand 0 is not allowed"),
     (["ope", "--module", '{"type":"fermion"}', "--field-a",
       '{"gen":"psi","color":0.9}', "--field-b", '{"gen":"psi"}'],
      "color must be an integer, got 0.9"),
@@ -278,6 +303,18 @@ def test_malformed_inputs_name_their_fault(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command", [["sugawara"],
+                                     ["axioms", "--construction", "sugawara"]])
+def test_sugawara_locality_reads_max_order(capsys, command):
+    # no pair of currents is local at order 0
+    code, report, _ = run_json(capsys, command + [
+        "--algebra", "sl2", "--level", "1", "--depth", "1/2",
+        "--max-order", "0"])
+    assert code == 1
+    checks = report["axioms" if command == ["sugawara"] else "checks"]
+    assert checks["locality"] is False
 
 
 def test_ope_of_a_nonlocal_pair_exits_one_with_its_report(capsys):
@@ -330,3 +367,20 @@ def test_text_format_renders_symbolically(capsys):
         "--format", "text"])
     assert code == 0
     assert "5/2" in out
+    # a vector is a dict, but prints on one line
+    code, out, _ = run(capsys, [
+        "ope", "--module", '{"type":"ns_verma","c":"7/10","h":"0"}',
+        "--field-a", '{"gen":"L"}', "--field-b", '{"gen":"L"}',
+        "--depth", "2", "--format", "text"])
+    assert code == 0
+    assert out.splitlines()[-5:] == [
+        "singular:", "  0: (1)·L(-3) Ω", "  1: (2)·L(-2) Ω", "  2: 0",
+        "  3: (7/20)·Ω"]
+    code, out, _ = run(capsys, [
+        "nullvec", "--module",
+        '{"type":"virasoro_verma","c":"1/2","h":"1/16"}', "--level", "2",
+        "--format", "text"])
+    assert code == 0
+    assert out.splitlines() == [
+        "level: 2", "dim: 2", "null_count: 1",
+        "vectors: [(-3/4)·L(-2) Ω + (1)·L(-1) L(-1) Ω]"]

@@ -22,11 +22,11 @@ from nsvertex.constructions import (Construction, boson_sugawara,
                                     verify_super_cocycle, vertex_module,
                                     weight_report, _current_state, _word)
 from nsvertex.fields import (GeneratorField, check_vosa_axioms,
-                             commutator_direct, realize, state_field, _vec_of)
+                             commutator_direct, realize, state_field)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FermionFock, Mode, StateVector,
                               VermaModule, state_grade2)
-from nsvertex.scalars import I, Scalar
+from nsvertex.scalars import ZERO, I, Scalar
 
 
 def half(num, den=1):
@@ -45,7 +45,7 @@ def test_fermion_vosa():
 def test_fermion_omega_is_half_psi_pair():
     cons = fermion_vosa(2)
     st = BasisState((Mode("psi", 1, -3), Mode("psi", 1, -1)), 0)
-    assert cons.omega.coefficient(st) == Scalar.of(half(1, 2))
+    assert cons.omega.get(st, ZERO) == Scalar.of(half(1, 2))
     assert cons.central_charge == Scalar.of(1)
 
 
@@ -53,7 +53,7 @@ def test_current_state_normalization():
     # S^3 = -(i/2) Gamma_ab^3 psi^a psi^b collapses to i sqrt(2) psi^2 psi^1
     s3 = _current_state(FermionFock(3), sl2(), 2)
     st = BasisState((Mode("psi", 1, -1), Mode("psi", 0, -1)), 0)
-    assert s3.coefficient(st) == Scalar.root(-2)
+    assert s3.get(st, ZERO) == Scalar.root(-2)
     assert len(list(s3.items())) == 1
     assert state_grade2(st) == 2
 
@@ -82,10 +82,10 @@ def test_currents_rotate_fermions_in_adjoint():
             for m in range(-2, 3):
                 for n in range(-2, 3):
                     for state in states:
-                        lhs = _vec_of(commutator_direct(S[a], m, psi[b], n,
-                                                        mod, state))
+                        lhs = commutator_direct(S[a], m, psi[b], n, mod,
+                                                state)
                         u = StateVector.basis(state)
-                        rhs = StateVector({})
+                        rhs = StateVector()
                         for c, coeff in gamma:
                             rhs = rhs + psi[c].apply(m + n, mod, u).scaled(
                                 I * coeff)

@@ -64,7 +64,18 @@ def test_generator_realize_and_annihilate():
     one = StateVector.basis(BasisState((PSI(-1),), 0))
     assert realize(psi, mod) == one
     assert psi.apply(0, mod, one) == mod.vacuum()
-    assert psi.apply(-1, mod, one).is_zero()
+    assert not psi.apply(-1, mod, one)
+
+
+def test_raw_action_equals_the_vector_of_its_entries():
+    mod, psi, omega = fermion_setup()
+    L = state_field(mod, omega)
+    b = BasisState((PSI(-1),), 0)
+    raw = L.act(0, mod, b)          # L(0) = L_{-1} = T
+    assert type(raw) is dict
+    assert raw == StateVector({BasisState((PSI(-3),), 0): 1})
+    assert raw == L.apply(0, mod, StateVector.basis(b))
+    assert realize(psi, mod) == psi.act(-1, mod, BasisState((), 0))
 
 
 def test_fermion_virasoro_field():
@@ -112,7 +123,7 @@ def test_ope_singular_parts():
     assert ope[0] == dpsi.scaled(Fraction(-1, 2))
     opell = ope_singular_part(L, L, mod, 4)
     assert opell[3] == mod.vacuum().scaled(Fraction(1, 4))
-    assert opell[2].is_zero()
+    assert not opell[2]
     assert opell[1] == omega.scaled(2)
     assert opell[0] == mod.operator_T(omega)
     assert opell[0] == realize(L.prod(IdentityField(), -2), mod)
@@ -167,8 +178,7 @@ def test_virasoro_fermion_commutator():
             coeff = -(Fraction(r2, 2) + Fraction(m, 2))
             slot_out = slot_of_index2(1, r2 + 2 * m)
             for b in states:
-                got = StateVector(commutator_direct(L, slot_L, psi, slot_psi,
-                                                    mod, b))
+                got = commutator_direct(L, slot_L, psi, slot_psi, mod, b)
                 want = psi.apply(slot_out, mod,
                                  StateVector.basis(b)).scaled(coeff)
                 assert got == want
@@ -249,7 +259,7 @@ def test_translated_state_realizes_derivative_field():
     for g2 in range(1, 5):
         for b in mod.level_basis(g2):
             shifted = mod.operator_T(StateVector.basis(b))
-            if shifted.is_zero():
+            if not shifted:
                 continue
             A = state_field(mod, b)
             B = state_field(mod, shifted)
@@ -327,7 +337,7 @@ def test_state_field_is_one_field_per_vector():
                      for a in range(2)})
     f = state_field(mod, v)
     assert isinstance(f, ScaledSum)
-    assert state_field(mod, StateVector(dict(v.items()))) is f
+    assert state_field(mod, StateVector(v)) is f
     assert state_field(mod, v.scaled(2)) is not f
     assert state_field(FermionFock(2), v) is not f
 
@@ -361,7 +371,7 @@ def super_setup():
     cons = super_construction(sl2(), 1)
     mod = cons.module
     rows = closure_spans(mod, list(cons.fields.values()), 2)[2].rows
-    composite = state_field(mod, StateVector(dict(rows[min(rows)])))
+    composite = state_field(mod, StateVector(rows[min(rows)]))
     assert isinstance(composite, ScaledSum)
     return mod, [cons.fields["G"], state_field(mod, cons.omega),
                  cons.fields["psi1"], cons.fields["x1"], composite]
@@ -387,10 +397,10 @@ def test_bracket_through_state_fields_matches_product_trees():
                     for b in mod.basis_upto(2):
                         tree = StateVector()
                         for j in range(ORDER):
-                            tree = tree + StateVector(dict(A.prod(B, j).act(
-                                m + n - j, mod, b))).scaled(gbinom(m, j))
+                            tree = tree + StateVector(A.prod(B, j).act(
+                                m + n - j, mod, b)).scaled(gbinom(m, j))
                         got = bracket_from_ope(A, m, B, n, ORDER, mod, b)
-                        assert StateVector(dict(got)) == tree
+                        assert got == tree
                         checked += 1
     assert checked == 15 * 9 * 10
 

@@ -90,13 +90,19 @@ def test_state_vector_arithmetic():
     u = StateVector({a: 2, b: 1})
     v = StateVector({a: -2})
     w = u + v
-    assert w.coefficient(a) == ZERO
-    assert w.coefficient(b) == ONE
+    assert w.get(a, ZERO) == ZERO
+    assert w.get(b, ZERO) == ONE
     assert len(w) == 1
-    assert (u - u).is_zero()
-    assert u.scaled(0).is_zero()
-    assert u.scaled(I).coefficient(a) == I * 2
-    assert (-u).coefficient(b) == Scalar.of(-1)
+    assert not u - u
+    assert not u.scaled(0)
+    assert u.scaled(I).get(a, ZERO) == I * 2
+    assert (-u).get(b, ZERO) == Scalar.of(-1)
+    # a vector is the dict of its nonzero coefficients, from pairs or a dict
+    pairs = StateVector([(a, 1), (b, 0), (a, Fraction(1, 2)), (b, 2),
+                         (b, -2)])
+    assert isinstance(pairs, dict) and pairs == {a: Scalar.of(Fraction(3, 2))}
+    assert StateVector({a: 0, b: ZERO}) == {}
+    assert StateVector({a: 3, b: 0}) == {a: Scalar.of(3)}
     assert state_grade2(b) == 3
     assert state_parity(b) == 1
 
@@ -122,7 +128,7 @@ def test_fermion_mode_algebra():
     vac = mod.vacuum()
     st = mod.apply(PSI(-1), vac)
     assert mod.apply(PSI(1), st) == vac
-    assert mod.apply(PSI(-1), st).is_zero()
+    assert not mod.apply(PSI(-1), st)
     two = mod.apply(PSI(-3), st)
     assert two == StateVector.basis(BasisState((PSI(-3), PSI(-1)), 0))
     # anticommutator {psi(3/2), psi(-3/2)} = 1 across an occupied slot
@@ -143,7 +149,7 @@ def test_two_color_anticommutator_vanishes():
     vac = mod.vacuum()
     a = mod.apply(PSI(-1, 0), mod.apply(PSI(-1, 1), vac))
     b = mod.apply(PSI(-1, 1), mod.apply(PSI(-1, 0), vac))
-    assert (a + b).is_zero()
+    assert not a + b
 
 
 # -- Verma modules ----------------------------------------------------------
@@ -420,7 +426,7 @@ def test_translation_on_verma_matches_lowering_mode():
 
 def test_translation_on_fock():
     mod = FermionFock(1)
-    assert mod.operator_T(mod.vacuum()).is_zero()
+    assert not mod.operator_T(mod.vacuum())
     one = mod.apply(PSI(-1), mod.vacuum())
     assert mod.operator_T(one) == StateVector.basis(BasisState((PSI(-3),), 0))
     two = mod.apply(PSI(-3), one)

@@ -166,6 +166,11 @@ def test_as_fraction():
 def test_rejects_non_squarefree_radicand():
     with pytest.raises(ValueError):
         Scalar({8: Fraction(1)})
+    # a radicand 0 would spell the zero scalar as a nonempty sum
+    with pytest.raises(ValueError, match="radicand 0"):
+        Scalar({0: Fraction(1)})
+    with pytest.raises(ValueError, match="radicand 0"):
+        Scalar.from_json([{"num": 1, "rad": 0}])
 
 
 def test_str_rendering():

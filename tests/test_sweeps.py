@@ -23,7 +23,7 @@ from nsvertex.fields import (GeneratorField, IdentityField, NthProduct,
                              bracket_sweep, check_borcherds,
                              check_vosa_axioms, commutator_direct,
                              field_from_tree, locality_order, locality_table,
-                             state_field, sweep, window_points, _vec_of)
+                             state_field, sweep, window_points)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FermionFock, Mode, StateVector,
                               VermaModule, state_grade2)
@@ -79,8 +79,8 @@ def test_bracket_sweep_with_doubled_c_fails_where_a_hand_loop_does():
                 rhs = L.apply(m + n + 1, module, u).scaled(m - n)
                 if m + n == 0:
                     rhs = rhs + u.scaled(c2 * Fraction(m ** 3 - m, 12))
-                if _vec_of(commutator_direct(L, m + 1, L, n + 1, module,
-                                             state)) != rhs:
+                if commutator_direct(L, m + 1, L, n + 1, module,
+                                     state) != rhs:
                     expect.append({"m": m, "n": n, "state": str(state)})
     # the central term differs only at m + n = 0 with m^3 != m
     assert expect and {(p["m"], p["n"]) for p in expect} == {(-2, 2), (2, -2)}
@@ -166,7 +166,7 @@ def test_susy_report_names_failing_points():
     if m + n == 1:
         r = Fraction(2 * m - 1, 2)
         rhs = rhs + u.scaled(c * Fraction(1, 3) * (r * r - Fraction(1, 4)))
-    assert _vec_of(commutator_direct(G, m, G, n, module, state)) != rhs
+    assert commutator_direct(G, m, G, n, module, state) != rhs
 
 
 def test_sweep_visits_points_in_order_and_prints_states():
@@ -353,13 +353,13 @@ def borcherds_hand_loop(module, depth2, nwin=2, window=2, max_order=8):
             N = locality_order(A, B, module, depth2=depth2,
                                max_order=max_order, window=window)["order"]
             for n in range(-nwin, N):
-                prod_state = _vec_of(A.act(n, module, sb))
+                prod_state = A.act(n, module, sb)
                 U = state_field(module, prod_state) if prod_state else None
                 for m in range(-window, window + 1):
                     for v in vac_states:
-                        lhs = _vec_of(A.prod(B, n).act(m, module, v))
+                        lhs = A.prod(B, n).act(m, module, v)
                         if U is None:
-                            rhs = StateVector._wrap({})
+                            rhs = StateVector()
                         else:
                             rhs = U.apply(m, module, StateVector.basis(v))
                         checked += 1
