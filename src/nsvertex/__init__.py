@@ -8,6 +8,6 @@ superalgebra axioms; on top sit the free fermion, affine current,
 Sugawara and supersymmetric Neveu-Schwarz constructions.
 """
 
-from .scalars import Scalar, rational
+from .scalars import Scalar
 
-__all__ = ["Scalar", "rational"]
+__all__ = ["Scalar"]

@@ -11,6 +11,7 @@ import argparse
 import gc
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -389,18 +390,18 @@ def cmd_axioms(args) -> int:
 # -- argument wiring --------------------------------------------------------
 
 def _parser() -> argparse.ArgumentParser:
+    # parents nest, one option each: common < depth < window < order
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json",
                         help="report encoding on stdout")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps")
-
-    depth = argparse.ArgumentParser(add_help=False)
+    depth = argparse.ArgumentParser(add_help=False, parents=[common])
     depth.add_argument("--depth", default="2",
                        help="truncation depth, a half-integer (default 2)")
-    depth.add_argument("--window", type=int, default=2,
-                       help="mode-index window for sweeps")
-    depth.add_argument("--max-order", type=int, default=8,
+    window = argparse.ArgumentParser(add_help=False, parents=[depth])
+    window.add_argument("--window", type=int, default=2,
+                        help="mode-index window for sweeps")
+    order = argparse.ArgumentParser(add_help=False, parents=[window])
+    order.add_argument("--max-order", type=int, default=8,
                        help="largest locality order to search")
 
     parser = argparse.ArgumentParser(
@@ -432,14 +433,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--level", required=True, help="half-integer grade")
     p.set_defaults(func=cmd_nullvec)
 
-    p = sub.add_parser("ghosts", parents=[common, depth],
+    p = sub.add_parser("ghosts", parents=[depth],
                        help="norm inertia per level of a Verma module")
     p.add_argument("--sector", choices=("ns", "virasoro"), default="ns")
     p.add_argument("--c", required=True, help="central charge (fraction)")
     p.add_argument("--h", required=True, help="floor weight (fraction)")
     p.set_defaults(func=cmd_ghosts)
 
-    p = sub.add_parser("ope", parents=[common, depth],
+    p = sub.add_parser("ope", parents=[order],
                        help="locality order and singular products")
     p.add_argument("--module", required=True)
     p.add_argument("--field-a", required=True,
@@ -447,26 +448,26 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--field-b", required=True)
     p.set_defaults(func=cmd_ope)
 
-    p = sub.add_parser("brackets", parents=[common, depth],
+    p = sub.add_parser("brackets", parents=[order],
                        help="mode brackets against the product expansion")
     p.add_argument("--module", required=True)
     p.add_argument("--field-a", required=True)
     p.add_argument("--field-b", required=True)
     p.set_defaults(func=cmd_brackets)
 
-    p = sub.add_parser("sugawara", parents=[common, depth],
+    p = sub.add_parser("sugawara", parents=[order],
                        help="current-bilinear conformal state checks")
     p.add_argument("--algebra", required=True)
     p.add_argument("--level", type=int, required=True)
     p.set_defaults(func=cmd_sugawara)
 
-    p = sub.add_parser("susy-check", parents=[common, depth],
+    p = sub.add_parser("susy-check", parents=[window],
                        help="superconformal relations of the combined system")
     p.add_argument("--algebra", required=True)
     p.add_argument("--level", type=int, required=True)
     p.set_defaults(func=cmd_susy_check)
 
-    p = sub.add_parser("module", parents=[common, depth],
+    p = sub.add_parser("module", parents=[depth],
                        help="weights of a spin-floor vertex module")
     p.add_argument("--algebra", required=True)
     p.add_argument("--level", type=int, required=True)
@@ -483,7 +484,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="central charge to pair (repeatable fraction)")
     p.set_defaults(func=cmd_cocycle)
 
-    p = sub.add_parser("axioms", parents=[common, depth],
+    p = sub.add_parser("axioms", parents=[order],
                        help="full axiom report plus a seeded adjoint sweep")
     p.add_argument("--construction", required=True,
                    choices=("fermion", "g-fermion", "sugawara", "super"))
@@ -493,8 +494,14 @@ def _parser() -> argparse.ArgumentParser:
                    help="algebra for current-based constructions")
     p.add_argument("--level", type=int, default=1,
                    help="current level (sugawara and super)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the adjoint sweep")
     p.set_defaults(func=cmd_axioms)
 
+    # argparse's own pattern takes -1 and -0.5 as values but -1/4 as an option
+    negative = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+    for p in sub.choices.values():
+        p._negative_number_matcher = negative
     return parser
 
 

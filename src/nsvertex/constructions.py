@@ -333,7 +333,7 @@ def vertex_module(lie: LieAlgebra, level: int, spin2: int) -> dict:
     trees, grading shifted by h = casimir / (2(level + g))."""
     h = _floor_weight(lie, level, spin2)
     cons = super_construction(lie, level)
-    if level == 0:
+    if spin2 == 0:
         module = cons.module
     else:
         module = TensorModule(AffineModule(lie, level, spin2),

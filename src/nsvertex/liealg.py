@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .linalg import _add
-from .scalars import ZERO, Scalar, _exact_int, rational
+from .scalars import ZERO, Scalar, _exact_int
 
 
 # signs of itertools.permutations of a triple, in the order it yields them
@@ -169,7 +169,7 @@ def sl2() -> LieAlgebra:
 def casimir_constant_sl2(j) -> Scalar:
     """Eigenvalue of sum_a X_a^2 on the spin-j representation: 2j^2 + 2j."""
     j = Fraction(j)
-    return rational(2 * j * j + 2 * j)
+    return Scalar.of(2 * j * j + 2 * j)
 
 
 def sl2_floor(j2: int):
@@ -187,11 +187,11 @@ def sl2_floor(j2: int):
     h = {}
     for k in range(dim):
         if k > 0:
-            e[(k - 1, k)] = rational(k * (j2 + 1 - k))
+            e[(k - 1, k)] = Scalar.of(k * (j2 + 1 - k))
         if k < j2:
-            f[(k + 1, k)] = rational(1)
+            f[(k + 1, k)] = Scalar.of(1)
         if j2 - 2 * k:
-            h[(k, k)] = rational(j2 - 2 * k)
+            h[(k, k)] = Scalar.of(j2 - 2 * k)
 
     def combine(coeff_e, coeff_f, coeff_h):
         out = {}
@@ -212,7 +212,7 @@ def sl2_floor(j2: int):
     for k in range(dim):
         if k > 0:
             norm *= k * (j2 + 1 - k)
-        gram.append(rational(norm))
+        gram.append(Scalar.of(norm))
     return dim, matrices, gram
 
 

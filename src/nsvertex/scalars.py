@@ -131,9 +131,6 @@ class Scalar:
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._t
-
     def is_rational(self) -> bool:
         t = self._t
         return not t or (len(t) == 1 and 1 in t)
@@ -390,7 +387,3 @@ _ONE = _new(1, {1: 1})
 ZERO = _ZERO
 ONE = _ONE
 I = _new(1, {-1: 1})
-
-
-def rational(num, den=1) -> Scalar:
-    return Scalar.of(Fraction(num, den))

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -76,12 +77,18 @@ def test_ghosts_unitary_point_has_no_negatives(capsys):
         assert level["negative"] == 0
 
 
-def test_ghosts_negative_charge_exits_one(capsys):
-    code, report, _ = run_json(capsys, [
-        "ghosts", "--c", "-1", "--h", "0", "--depth", "2"])
+@pytest.mark.parametrize("argv, grade", [
+    (["--c", "-1", "--h", "0", "--depth", "2"], "3/2"),
+    # a negative fraction after a space is a value, not an option
+    (["--sector", "virasoro", "--c", "1/2", "--h", "-1/4", "--depth", "1"],
+     "1"),
+    (["--c", "-1/2", "--h", "1/4", "--depth", "3"], "3/2"),
+])
+def test_ghosts_with_a_negative_norm_exit_one(capsys, argv, grade):
+    code, report, _ = run_json(capsys, ["ghosts"] + argv)
     assert code == 1
     assert report["has_ghost"] is True
-    assert report["first_negative_grade"] is not None
+    assert report["first_negative_grade"] == grade
 
 
 def test_ope_fermion_pair(capsys):
@@ -152,15 +159,15 @@ def test_cocycle_report(capsys):
         assert case["valid"] is True
 
 
-@pytest.mark.parametrize("smax", ["0", "-1/2"])
+@pytest.mark.parametrize("smax", [["--smax=0"], ["--smax=-1/2"],
+                                  ["--smax", "-1/2"]])
 def test_cocycle_with_no_odd_pair_exits_two_before_any_work(capsys,
                                                             monkeypatch,
                                                             smax):
     # an empty odd sweep would pass vacuously
     import nsvertex.cli as cli
     monkeypatch.setattr(cli, "cocycle_basis", None)
-    code, out, err = run(capsys, ["cocycle", "--nmax", "8",
-                                  f"--smax={smax}"])
+    code, out, err = run(capsys, ["cocycle", "--nmax", "8"] + smax)
     assert code == 2
     assert out == ""
     assert err.startswith("error: smax must be at least 1/2")
@@ -270,6 +277,8 @@ def test_malformed_inputs_exit_two(capsys):
      "depth must be a half-integer, got '1/3'"),
     (["module", "--algebra", "sl2", "--level", "1", "--spin", "1/4"],
      "spin must be a half-integer, got '1/4'"),
+    (["module", "--algebra", "sl2", "--level", "1", "--spin", "-1/2"],
+     "negative spin"),
     (["cocycle", "--smax", "1/3"], "smax must be a half-integer, got '1/3'"),
     (["gram", "--module", '{"type":"ns_verma","c":[1],"h":0}', "--level",
       "1"], "a scalar term is an object with integer num, den and rad, not 1"),
@@ -336,6 +345,76 @@ def test_float_or_bool_scalar_in_module_exits_two(capsys):
         assert code == 2, c
         assert out == ""
         assert "a term list, an integer or a fraction string" in err
+
+
+OPTIONS = {
+    "validate": ["--format", "--algebra"],
+    "catalog": ["--format"],
+    "gram": ["--format", "--module", "--level"],
+    "nullvec": ["--format", "--module", "--level"],
+    "ghosts": ["--format", "--depth", "--sector", "--c", "--h"],
+    "ope": ["--format", "--depth", "--window", "--max-order", "--module",
+            "--field-a", "--field-b"],
+    "brackets": ["--format", "--depth", "--window", "--max-order",
+                 "--module", "--field-a", "--field-b"],
+    "sugawara": ["--format", "--depth", "--window", "--max-order",
+                 "--algebra", "--level"],
+    "susy-check": ["--format", "--depth", "--window", "--algebra",
+                   "--level"],
+    "module": ["--format", "--depth", "--algebra", "--level", "--spin"],
+    "cocycle": ["--format", "--nmax", "--smax", "--c"],
+    "axioms": ["--format", "--depth", "--window", "--max-order",
+               "--construction", "--colors", "--algebra", "--level",
+               "--seed"],
+}
+
+
+def _subparsers():
+    from nsvertex.cli import _parser
+    action, = [a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_subcommand_is_pinned():
+    assert list(_subparsers()) == list(OPTIONS)
+    assert sum(map(len, OPTIONS.values())) == 57
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_subcommand_takes_only_the_options_it_reads(command):
+    options = [a.option_strings[-1] for a in _subparsers()[command]._actions
+               if a.dest != "help"]
+    assert options == OPTIONS[command]
+
+
+# the required options of each subcommand but axioms
+MINIMAL = {
+    "validate": ["--algebra", "sl2"],
+    "catalog": [],
+    "gram": ["--module", "{}", "--level", "1"],
+    "nullvec": ["--module", "{}", "--level", "1"],
+    "ghosts": ["--c", "1/2", "--h", "0"],
+    "ope": ["--module", "{}", "--field-a", "{}", "--field-b", "{}"],
+    "brackets": ["--module", "{}", "--field-a", "{}", "--field-b", "{}"],
+    "sugawara": ["--algebra", "sl2", "--level", "1"],
+    "susy-check": ["--algebra", "sl2", "--level", "1"],
+    "module": ["--algebra", "sl2", "--level", "1"],
+    "cocycle": [],
+}
+
+
+# the 16 options that subcommands took without reading them
+@pytest.mark.parametrize("command, flag", [
+    *((command, "--seed") for command in MINIMAL),
+    ("ghosts", "--window"), ("module", "--window"), ("ghosts", "--max-order"),
+    ("module", "--max-order"), ("susy-check", "--max-order")])
+def test_an_option_the_handler_does_not_read_is_refused(capsys, command,
+                                                        flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command] + MINIMAL[command] + [flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two(capsys):

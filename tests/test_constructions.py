@@ -213,6 +213,13 @@ def test_vertex_module_weights():
     assert vertex_module(sl2(), 2, 2)["h"] == half(1, 2)
 
 
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_vertex_module_at_spin_zero_is_the_construction_module(level):
+    vm = vertex_module(sl2(), level, 0)
+    assert vm["module"] is vm["construction"].module
+    assert weight_report(vm, depth2=2)["valid"]
+
+
 def test_vertex_module_rejects_floor_above_level():
     with pytest.raises(ValueError):
         vertex_module(sl2(), 1, 2)

@@ -23,7 +23,7 @@ from nsvertex.liealg import sl2
 from nsvertex.modules import (AffineModule, BasisState, FermionFock, Mode,
                               StateVector, VermaModule,
                               module_from_descriptor)
-from nsvertex.scalars import ONE, ZERO, Scalar, rational
+from nsvertex.scalars import ONE, ZERO, Scalar
 
 PSI = lambda n2, color=0: Mode("psi", color, n2)
 
@@ -83,7 +83,7 @@ def test_fermion_virasoro_field():
     L = state_field(mod, omega)
     assert L.weight2 == 4 and L.parity == 0
     assert realize(L, mod) == omega
-    assert 2 * mod.inner(omega, omega) == rational(1, 2)
+    assert 2 * mod.inner(omega, omega) == Scalar.of(Fraction(1, 2))
     # L(2) against the conformal state gives (c/2) vac
     out = L.apply(3, mod, omega)
     assert out == mod.vacuum().scaled(Fraction(1, 4))
@@ -210,7 +210,7 @@ def test_fermion_axiom_report():
     report = check_vosa_axioms(mod, {"psi": psi}, omega, depth2=3, window=2)
     assert report["valid"] is True
     assert all(report["checks"].values())
-    assert report["central_charge"] == rational(1, 2)
+    assert report["central_charge"] == Scalar.of(Fraction(1, 2))
     assert report["locality_table"]["psi,psi"] == {
         "order": 1, "bracket": "anticommutator"}
 

@@ -10,7 +10,7 @@ from nsvertex.liealg import (
     sl2,
     sl2_floor,
 )
-from nsvertex.scalars import Scalar, rational
+from nsvertex.scalars import Scalar
 
 
 def test_sl2_validates_with_dual_coxeter_two():
@@ -19,7 +19,7 @@ def test_sl2_validates_with_dual_coxeter_two():
     assert report["checks"] == {
         "real": True, "antisymmetric": True, "jacobi": True, "normalized": True,
     }
-    assert report["dual_coxeter"] == rational(2)
+    assert report["dual_coxeter"] == Scalar.of(2)
 
 
 def test_gamma_total_antisymmetry():
@@ -55,10 +55,10 @@ def test_catalog_formulas():
 
 
 def test_casimir_constants():
-    assert casimir_constant_sl2(0) == rational(0)
-    assert casimir_constant_sl2(Fraction(1, 2)) == rational(3, 2)
-    assert casimir_constant_sl2(1) == rational(4)
-    assert casimir_constant_sl2(Fraction(3, 2)) == rational(15, 2)
+    assert casimir_constant_sl2(0) == Scalar.of(0)
+    assert casimir_constant_sl2(Fraction(1, 2)) == Scalar.of(Fraction(3, 2))
+    assert casimir_constant_sl2(1) == Scalar.of(4)
+    assert casimir_constant_sl2(Fraction(3, 2)) == Scalar.of(Fraction(15, 2))
 
 
 def _mat_mul(a, b, dim):
@@ -170,8 +170,8 @@ def test_dual_coxeter_validates_once(monkeypatch):
         return validate(self)
 
     monkeypatch.setattr(LieAlgebra, "validate", counting)
-    assert g.dual_coxeter() == rational(2)
-    assert g.dual_coxeter() == rational(2)
+    assert g.dual_coxeter() == Scalar.of(2)
+    assert g.dual_coxeter() == Scalar.of(2)
     assert len(calls) == 1
 
 

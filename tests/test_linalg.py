@@ -4,7 +4,7 @@ import pytest
 
 from nsvertex.linalg import (_add, _integer_matrix, inertia_with_witness,
                              kernel_basis, row_reduce)
-from nsvertex.scalars import ONE, Scalar, rational
+from nsvertex.scalars import ONE, Scalar
 
 
 def s(x):
@@ -15,12 +15,12 @@ def test_add_passes_unit_factors_through_unchanged():
     c = Scalar.root(3)
     out = {}
     _add(out, {"a": ONE, "b": c}, c)
-    assert out["a"] is c and out == {"a": c, "b": rational(3)}
+    assert out["a"] is c and out == {"a": c, "b": Scalar.of(3)}
     _add(out, {"b": c}, ONE)
     _add(out, {"c": c}, 1)
-    assert out["c"] is c and out["b"] == rational(3) + c
+    assert out["c"] is c and out["b"] == Scalar.of(3) + c
     _add(out, {"d": ONE}, 2)
-    assert out["d"] == rational(2)
+    assert out["d"] == Scalar.of(2)
 
 
 def test_kernel_of_rank_one_matrix_with_radicals():

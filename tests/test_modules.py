@@ -17,7 +17,7 @@ from nsvertex.modules import (AffineModule, BasisState, FermionFock, Mode,
                               StateVector, TensorModule, VermaModule,
                               adjoint_mode, module_from_descriptor,
                               state_grade2, state_parity)
-from nsvertex.scalars import ONE, ZERO, I, Scalar, rational
+from nsvertex.scalars import ONE, ZERO, I, Scalar
 
 
 # -- oracles ----------------------------------------------------------------
@@ -155,25 +155,26 @@ def test_two_color_anticommutator_vanishes():
 # -- Verma modules ----------------------------------------------------------
 
 def test_ns_dims_match_oracle():
-    mod = VermaModule("ns", rational(1, 2), rational(1, 3))
+    mod = VermaModule("ns", Scalar.of(Fraction(1, 2)),
+                      Scalar.of(Fraction(1, 3)))
     assert mod.dims(9) == ns_verma_dims(9)
     assert len(mod.level_basis(16)) == 70
 
 
 def test_ns_level_three_halves_basis_and_gram():
-    c, h = rational(7, 10), rational(2, 5)
+    c, h = Scalar.of(Fraction(7, 10)), Scalar.of(Fraction(2, 5))
     mod = VermaModule("ns", c, h)
     basis, matrix = mod.gram(3)
     assert basis == [BasisState((GG(-3),), 0),
                      BasisState((LL(-2), GG(-1)), 0)]
-    assert matrix[0][0] == 2 * h + rational(2, 3) * c
+    assert matrix[0][0] == 2 * h + Scalar.of(Fraction(2, 3)) * c
     assert matrix[0][1] == 4 * h
     assert matrix[1][0] == 4 * h
     assert matrix[1][1] == 4 * h * h + 2 * h
 
 
 def test_virasoro_diagonal_norms():
-    c, h = rational(1, 2), rational(1, 16)
+    c, h = Scalar.of(Fraction(1, 2)), Scalar.of(Fraction(1, 16))
     mod = VermaModule("virasoro", c, h)
     vac = mod.vacuum()
     for n in range(1, 5):
@@ -183,26 +184,26 @@ def test_virasoro_diagonal_norms():
 
 
 def test_ns_half_mode_norm():
-    c, h = rational(3, 2), rational(1, 4)
+    c, h = Scalar.of(Fraction(3, 2)), Scalar.of(Fraction(1, 4))
     mod = VermaModule("ns", c, h)
     st = mod.apply(GG(-1), mod.vacuum())
     assert mod.inner(st, st) == 2 * h
 
 
 def test_g_square_is_virasoro_mode():
-    mod = VermaModule("ns", rational(1), rational(0))
+    mod = VermaModule("ns", Scalar.of(1), Scalar.of(0))
     vac = mod.vacuum()
     st = mod.apply(GG(-3), mod.apply(GG(-3), vac))
     assert st == StateVector.basis(BasisState((LL(-6),), 0))
 
 
 def test_virasoro_has_no_odd_levels():
-    mod = VermaModule("virasoro", rational(1, 2), rational(0))
+    mod = VermaModule("virasoro", Scalar.of(Fraction(1, 2)), Scalar.of(0))
     assert all(len(mod.level_basis(n2)) == 0 for n2 in (1, 3, 5, 7))
 
 
 def test_ising_kernel_and_quotient_dims():
-    mod = VermaModule("virasoro", rational(1, 2), rational(0))
+    mod = VermaModule("virasoro", Scalar.of(Fraction(1, 2)), Scalar.of(0))
     kers = mod.kernel_vectors(2)
     assert kers == [StateVector.basis(BasisState((LL(-2),), 0))]
     # the level-1 state is L(-1) acting on the floor and it is null
@@ -217,12 +218,12 @@ def test_ns_kernel_roots_of_level_three_halves_determinant():
     # det = (2h + 2c/3)(4h^2 + 2h) - 16h^2 vanishes at c = 7/10 for
     # h = 1/10 and h = 7/6, and at h = 0 for any c
     for h in (Fraction(1, 10), Fraction(7, 6)):
-        mod = VermaModule("ns", rational(7, 10), h)
+        mod = VermaModule("ns", Scalar.of(Fraction(7, 10)), h)
         assert len(mod.level_basis(3)) == 2
         assert len(mod.kernel_vectors(3)) == 1
-    generic = VermaModule("ns", rational(7, 10), rational(1))
+    generic = VermaModule("ns", Scalar.of(Fraction(7, 10)), Scalar.of(1))
     assert len(generic.kernel_vectors(3)) == 0
-    zero = VermaModule("ns", rational(7, 10), rational(0))
+    zero = VermaModule("ns", Scalar.of(Fraction(7, 10)), Scalar.of(0))
     assert len(zero.kernel_vectors(1)) == 1
     assert len(zero.kernel_vectors(3)) == 1
 
@@ -319,9 +320,11 @@ def _sample_modules():
          [PSI(n2) for n2 in (-3, -1, 1, 3)]),
         (FermionFock(2),
          [PSI(n2, c) for n2 in (-1, 1) for c in (0, 1)]),
-        (VermaModule("ns", rational(7, 10), rational(2, 5)),
+        (VermaModule("ns", Scalar.of(Fraction(7, 10)),
+                     Scalar.of(Fraction(2, 5))),
          [LL(-4), LL(-2), LL(2), GG(-3), GG(-1), GG(1), GG(3)]),
-        (VermaModule("virasoro", rational(1, 2), rational(1, 16)),
+        (VermaModule("virasoro", Scalar.of(Fraction(1, 2)),
+                     Scalar.of(Fraction(1, 16))),
          [LL(-4), LL(-2), LL(2), LL(4)]),
         (AffineModule(sl2(), 1, spin2=1),
          [XX(c, n2) for c in range(3) for n2 in (-2, 2)]),
@@ -370,7 +373,7 @@ def test_inner_sesquilinear():
 
 
 def test_cross_grade_inner_vanishes():
-    mod = VermaModule("ns", rational(1), rational(1, 3))
+    mod = VermaModule("ns", Scalar.of(1), Scalar.of(Fraction(1, 3)))
     u = mod.apply(GG(-1), mod.vacuum())
     v = mod.apply(LL(-2), mod.vacuum())
     assert mod.inner(u, v) == ZERO
@@ -380,7 +383,7 @@ def test_cross_grade_inner_vanishes():
 
 def test_gram_kernel_is_invariant_under_modes():
     # the kernel is a submodule, so the quotient's mode actions descend
-    mod = VermaModule("virasoro", rational(1, 2), rational(0))
+    mod = VermaModule("virasoro", Scalar.of(Fraction(1, 2)), Scalar.of(0))
     assert mod.kernel_vectors(2) and mod.kernel_vectors(6)
     for n2 in range(0, 11, 2):
         for k in mod.kernel_vectors(n2):
@@ -409,7 +412,7 @@ def test_affine_kernel_vectors_are_orthogonal_to_their_grade():
 # -- grading operators ------------------------------------------------------
 
 def test_L0_acts_as_h_plus_grade():
-    mod = VermaModule("ns", rational(1), rational(0))
+    mod = VermaModule("ns", Scalar.of(1), Scalar.of(0))
     for n2 in range(6):
         for b in mod.level_basis(n2):
             u = StateVector.basis(b)
@@ -417,7 +420,8 @@ def test_L0_acts_as_h_plus_grade():
 
 
 def test_translation_on_verma_matches_lowering_mode():
-    mod = VermaModule("ns", rational(7, 10), rational(2, 5))
+    mod = VermaModule("ns", Scalar.of(Fraction(7, 10)),
+                      Scalar.of(Fraction(2, 5)))
     for n2 in range(6):
         for b in mod.level_basis(n2):
             u = StateVector.basis(b)
@@ -443,7 +447,7 @@ def test_translation_on_affine():
 # -- ghosts -----------------------------------------------------------------
 
 def test_ghost_report_negative_weight():
-    mod = VermaModule("ns", rational(1, 2), rational(-1))
+    mod = VermaModule("ns", Scalar.of(Fraction(1, 2)), Scalar.of(-1))
     report = mod.ghost_report(2)
     assert report["has_ghost"] is True
     assert report["first_negative_grade"] == "1/2"
@@ -454,7 +458,8 @@ def test_ghost_report_negative_weight():
 
 
 def test_ghost_report_unitary_point():
-    mod = VermaModule("virasoro", rational(1, 2), rational(1, 16))
+    mod = VermaModule("virasoro", Scalar.of(Fraction(1, 2)),
+                      Scalar.of(Fraction(1, 16)))
     report = mod.ghost_report(6)
     assert report["has_ghost"] is False
     assert report["first_negative_grade"] is None
@@ -494,6 +499,6 @@ def test_parity_index_mismatch_rejected():
     mod = FermionFock(1)
     with pytest.raises(ValueError):
         mod.apply(Mode("psi", 0, -2), mod.vacuum())
-    ver = VermaModule("virasoro", rational(1), rational(0))
+    ver = VermaModule("virasoro", Scalar.of(1), Scalar.of(0))
     with pytest.raises(ValueError):
         ver.apply(GG(-1), ver.vacuum())

@@ -66,7 +66,7 @@ def assert_matches(got, want):
     assert hash(got) == hash(want)
     assert got.is_rational() == want.is_rational()
     assert got.is_real() == want.is_real()
-    assert got.is_zero() == want.is_zero()
+    assert bool(got) == (not want.is_zero())
     assert bool(got) == bool(want)
     if want.is_rational():
         q = got.as_fraction()

@@ -4,34 +4,34 @@ from fractions import Fraction
 
 import pytest
 
-from nsvertex.scalars import ONE, ZERO, I, Scalar, rational
+from nsvertex.scalars import ONE, ZERO, I, Scalar
 
 
 def test_sum_of_conjugate_surds():
-    a = rational(1) + Scalar.root(2)
-    b = rational(1) - Scalar.root(2)
-    assert a + b == rational(2)
+    a = Scalar.of(1) + Scalar.root(2)
+    b = Scalar.of(1) - Scalar.root(2)
+    assert a + b == Scalar.of(2)
 
 
 def test_root_two_squares_to_two():
     r = Scalar.root(2)
-    assert r * r == rational(2)
+    assert r * r == Scalar.of(2)
 
 
 def test_products_equal_to_one_share_the_one_scalar():
     assert Scalar.root(2) * Scalar.sqrt_fraction(Fraction(1, 2)) is ONE
-    assert rational(1, 3) * 3 is ONE
+    assert Scalar.of(Fraction(1, 3)) * 3 is ONE
     assert I * -I is ONE
 
 
 def test_imaginary_unit_squares_to_minus_one():
-    assert I * I == rational(-1)
+    assert I * I == Scalar.of(-1)
 
 
 def test_difference_of_squares():
-    a = rational(1) + Scalar.root(2)
-    b = rational(1) - Scalar.root(2)
-    assert a * b == rational(-1)
+    a = Scalar.of(1) + Scalar.root(2)
+    b = Scalar.of(1) - Scalar.root(2)
+    assert a * b == Scalar.of(-1)
 
 
 def test_inverse_of_root_two():
@@ -43,8 +43,8 @@ def test_inverse_of_i():
 
 
 def test_conjugation():
-    z = rational(2) + 3 * I
-    assert z.conjugate() == rational(2) - 3 * I
+    z = Scalar.of(2) + 3 * I
+    assert z.conjugate() == Scalar.of(2) - 3 * I
     w = Scalar.root(-2)
     assert w.conjugate() == -w
 
@@ -60,7 +60,7 @@ def test_radicand_normalization():
     assert Scalar.root(8) == 2 * Scalar.root(2)
     assert Scalar.root(12) == 2 * Scalar.root(3)
     assert Scalar.root(-8).terms == {-2: Fraction(2)}
-    assert Scalar.root(4) == rational(2)
+    assert Scalar.root(4) == Scalar.of(2)
     assert Scalar.root(0) == ZERO
 
 
@@ -73,17 +73,17 @@ def test_combined_radicands():
 
 
 def test_sqrt_of_fraction():
-    assert Scalar.sqrt_fraction(Fraction(9, 4)) == rational(3, 2)
+    assert Scalar.sqrt_fraction(Fraction(9, 4)) == Scalar.of(Fraction(3, 2))
     assert Scalar.sqrt_fraction(Fraction(1, 2)) == Scalar({2: Fraction(1, 2)})
     s = Scalar.sqrt_fraction(Fraction(-1, 4))
     assert s == Scalar({-1: Fraction(1, 2)})
-    assert s * s == rational(-1, 4)
+    assert s * s == Scalar.of(Fraction(-1, 4))
 
 
 def test_inverse_in_composite_field():
-    a = rational(1) + Scalar.root(2) + Scalar.root(3)
+    a = Scalar.of(1) + Scalar.root(2) + Scalar.root(3)
     assert a * a.inverse() == ONE
-    b = I + Scalar.root(2) - rational(1, 3)
+    b = I + Scalar.root(2) - Scalar.of(Fraction(1, 3))
     assert b * b.inverse() == ONE
     # four or more independent radicals, among them i, sqrt5 and sqrt7
     rng = random.Random(7)
@@ -97,17 +97,17 @@ def test_inverse_in_composite_field():
 
 
 def test_division():
-    assert (rational(3) / rational(2)) == rational(3, 2)
+    assert (Scalar.of(3) / Scalar.of(2)) == Scalar.of(Fraction(3, 2))
     assert (Scalar.root(2) / Scalar.root(2)) == ONE
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
 
 
 def test_powers():
-    phi = rational(1, 2) + Scalar({5: Fraction(1, 2)})
+    phi = Scalar.of(Fraction(1, 2)) + Scalar({5: Fraction(1, 2)})
     # golden ratio: phi^2 = phi + 1
     assert phi ** 2 == phi + 1
-    assert (Scalar.root(2) ** -2) == rational(1, 2)
+    assert (Scalar.root(2) ** -2) == Scalar.of(Fraction(1, 2))
 
 
 def _random_scalar(rng):
@@ -136,7 +136,7 @@ def test_field_axioms_random_sweep():
 
 
 def test_json_round_trip():
-    z = rational(2) - rational(3, 4) * Scalar.root(2) + I * 5
+    z = Scalar.of(2) - Scalar.of(Fraction(3, 4)) * Scalar.root(2) + I * 5
     data = z.to_json()
     assert data == [
         {"num": 5, "den": 1, "rad": -1},
@@ -153,12 +153,12 @@ def test_from_json_rejects_floats_bools_and_other_forms():
         with pytest.raises(ValueError, match="a term list, an integer or "
                                              "a fraction string"):
             Scalar.from_json(bad)
-    assert Scalar.from_json(3) == rational(3)
-    assert Scalar.from_json("-3/4") == rational(-3, 4)
+    assert Scalar.from_json(3) == Scalar.of(3)
+    assert Scalar.from_json("-3/4") == Scalar.of(Fraction(-3, 4))
 
 
 def test_as_fraction():
-    assert rational(7, 3).as_fraction() == Fraction(7, 3)
+    assert Scalar.of(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
     with pytest.raises(ValueError):
         Scalar.root(2).as_fraction()
 
@@ -175,6 +175,6 @@ def test_rejects_non_squarefree_radicand():
 
 def test_str_rendering():
     assert str(ZERO) == "0"
-    assert str(rational(1) + Scalar.root(2)) == "1 + √2"
+    assert str(Scalar.of(1) + Scalar.root(2)) == "1 + √2"
     assert str(-Scalar.root(-2)) == "-i·√2"
-    assert str(rational(2) - 3 * I) == "2 - 3·i"
+    assert str(Scalar.of(2) - 3 * I) == "2 - 3·i"

@@ -194,18 +194,22 @@ def test_sweep_visits_points_in_order_and_prints_states():
     ["axioms", "--construction", "fermion", "--window", "-3"],
     ["ope", "--module", '{"type":"fermion","colors":1}', "--field-a",
      '{"gen":"psi"}', "--field-b", '{"gen":"psi"}', "--max-order", "-1"],
-    ["susy-check", "--algebra", "sl2", "--level", "1", "--max-order", "-2"],
+    ["susy-check", "--algebra", "sl2", "--level", "1", "--window", "-2"],
+    ["ope", "--module", '{"type":"fermion","colors":1}', "--field-a",
+     '{"gen":"psi"}', "--field-b", '{"gen":"psi"}', "--window", "-1"],
+    ["sugawara", "--algebra", "sl2", "--level", "1", "--max-order", "-1"],
 ])
 def test_negative_window_or_order_is_rejected(capsys, monkeypatch, argv):
     # rejected before any construction is built or any sweep runs
     import nsvertex.cli as cli
-    for name in ("super_construction", "fermion_vosa", "bracket_check",
-                 "locality_order"):
+    for name in ("super_construction", "fermion_vosa", "boson_sugawara",
+                 "bracket_check", "locality_order"):
         monkeypatch.setattr(cli, name, None)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be nonnegative" in captured.err
+    assert captured.err == \
+        "error: --window and --max-order must be nonnegative\n"
 
 
 def test_window_zero_is_still_a_valid_sweep(capsys):
