@@ -8,10 +8,10 @@ inertia of each level form.
 
 from fractions import Fraction
 
-from nsvertex.modules import FermionFock, VermaModule, module_from_descriptor
+from nsvertex.modules import FockModule, VermaModule, module_from_descriptor
 from nsvertex.scalars import Scalar
 
-fock = FermionFock(1)
+fock = FockModule(colors=1)
 print("one-fermion Fock space dimensions by half-grade:")
 print(" ", fock.dims(8))
 print("grade-2 basis:", [str(b) for b in fock.level_basis(4)])

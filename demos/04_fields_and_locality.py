@@ -12,9 +12,9 @@ from nsvertex.fields import (GeneratorField, bracket_from_ope,
                              commutator_direct, generate_closure,
                              locality_order, ope_singular_part, realize,
                              state_field)
-from nsvertex.modules import FermionFock
+from nsvertex.modules import FockModule
 
-module = FermionFock(1)
+module = FockModule(colors=1)
 psi = GeneratorField("psi")
 L = state_field(module, fermion_omega(module))
 

@@ -316,15 +316,27 @@ def cmd_cocycle(args) -> int:
                  0 if ok else 1)
 
 
+# the options of `axioms` that each construction reads; given to any
+# other, an option is refused (an absent one is not in the namespace)
+_READS = {"fermion": ("colors",), "g-fermion": ("algebra",),
+          "sugawara": ("algebra", "level"), "super": ("algebra", "level")}
+
+
 def _build_construction(args):
-    if args.construction == "fermion":
-        return fermion_vosa(args.colors)
-    lie = _algebra(args.algebra)
-    if args.construction == "g-fermion":
+    name = args.construction
+    for option in ("colors", "algebra", "level"):
+        if hasattr(args, option) and option not in _READS[name]:
+            raise ValueError(f"--{option} is not read by the {name} "
+                             "construction")
+    if name == "fermion":
+        return fermion_vosa(getattr(args, "colors", 1))
+    lie = _algebra(getattr(args, "algebra", "sl2"))
+    if name == "g-fermion":
         return g_fermion_system(lie)
-    if args.construction == "sugawara":
-        return boson_sugawara(lie, args.level)
-    return super_construction(lie, args.level)
+    level = getattr(args, "level", 1)
+    if name == "sugawara":
+        return boson_sugawara(lie, level)
+    return super_construction(lie, level)
 
 
 def _random_vector(rng, module, n2: int) -> StateVector:
@@ -488,12 +500,13 @@ def _parser() -> argparse.ArgumentParser:
                        help="full axiom report plus a seeded adjoint sweep")
     p.add_argument("--construction", required=True,
                    choices=("fermion", "g-fermion", "sugawara", "super"))
-    p.add_argument("--colors", type=int, default=1,
-                   help="fermion colors (fermion construction)")
-    p.add_argument("--algebra", default="sl2",
-                   help="algebra for current-based constructions")
-    p.add_argument("--level", type=int, default=1,
-                   help="current level (sugawara and super)")
+    p.add_argument("--colors", type=int, default=argparse.SUPPRESS,
+                   help="fermion colors (fermion only; default 1)")
+    p.add_argument("--algebra", default=argparse.SUPPRESS,
+                   help="algebra (g-fermion, sugawara and super; "
+                        "default sl2)")
+    p.add_argument("--level", type=int, default=argparse.SUPPRESS,
+                   help="current level (sugawara and super; default 1)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the adjoint sweep")
     p.set_defaults(func=cmd_axioms)
@@ -502,11 +515,15 @@ def _parser() -> argparse.ArgumentParser:
     negative = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     for p in sub.choices.values():
         p._negative_number_matcher = negative
+        p.set_defaults(subparser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)
+    if extra:
+        # refused by the chosen subcommand, whose usage lists what it takes
+        args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         # a negative window or order would empty every sweep and pass
         if min(getattr(args, "window", 0), getattr(args, "max_order", 0)) < 0:

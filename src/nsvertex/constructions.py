@@ -20,8 +20,7 @@ from .fields import (Field, IdentityField, ScaledSum, bracket_sweep,
                      grading_sweep, realize, state_field, sweep,
                      virasoro_bracket_check)
 from .liealg import LieAlgebra, casimir_constant_sl2
-from .modules import (AffineModule, BasisState, FermionFock, Mode, Module,
-                      StateVector, TensorModule)
+from .modules import BasisState, FockModule, Mode, Module, StateVector
 from .scalars import ONE, ZERO, I, Scalar
 
 
@@ -79,7 +78,7 @@ def _generators(module: Module, kind: str, count: int) -> dict:
 
 # -- free fermions ----------------------------------------------------------
 
-def fermion_omega(module: FermionFock) -> StateVector:
+def fermion_omega(module: FockModule) -> StateVector:
     """(1/2) sum_a psi^a(-3/2) psi^a(-1/2) applied to the vacuum."""
     return sum((_word(module, Mode("psi", a, -3), Mode("psi", a, -1))
                 for a in range(module.colors)),
@@ -87,7 +86,7 @@ def fermion_omega(module: FermionFock) -> StateVector:
 
 
 def fermion_vosa(colors: int = 1) -> Construction:
-    module = FermionFock(colors)
+    module = FockModule(colors=colors)
     fields = _generators(module, "psi", colors)
     return Construction("fermion", module, fields, fermion_omega(module))
 
@@ -105,7 +104,7 @@ def _current_state(module: Module, lie: LieAlgebra, c: int) -> StateVector:
 
 def g_fermion_system(lie: LieAlgebra) -> Construction:
     """dim-many fermions with the currents S^a induced by the bracket."""
-    module = FermionFock(lie.dim)
+    module = FockModule(colors=lie.dim)
     fields = _generators(module, "psi", lie.dim)
     currents = [state_field(module, _current_state(module, lie, c))
                 for c in range(lie.dim)]
@@ -153,7 +152,7 @@ def current_square_state(cons: Construction) -> StateVector:
 
 # -- quadratic Virasoro vector of an affine algebra -------------------------
 
-def sugawara_omega(module: AffineModule) -> StateVector:
+def sugawara_omega(module: FockModule) -> StateVector:
     """(1 / (2(level + g))) sum_a X^a(-1)^2 applied to the vacuum."""
     lie, level = module.lie, module.level
     denom = 2 * (Fraction(level) + lie.dual_coxeter().as_fraction())
@@ -162,7 +161,7 @@ def sugawara_omega(module: AffineModule) -> StateVector:
 
 
 def boson_sugawara(lie: LieAlgebra, level: int) -> Construction:
-    module = AffineModule(lie, level)
+    module = FockModule(lie, level)
     fields = _generators(module, "x", lie.dim)
     return Construction("sugawara", module, fields, sugawara_omega(module),
                         lie=lie, level=level)
@@ -185,10 +184,7 @@ def super_construction(lie: LieAlgebra, level: int) -> Construction:
         raise ValueError("level must be nonnegative with level + g > 0")
     inv_root = Scalar.sqrt_fraction(1 / d)
 
-    if level == 0:
-        module = FermionFock(dim)
-    else:
-        module = TensorModule(AffineModule(lie, level), FermionFock(dim))
+    module = FockModule(lie if level else None, level, dim)
 
     s_states = [_current_state(module, lie, a) for a in range(dim)]
     tau1 = StateVector()
@@ -336,8 +332,7 @@ def vertex_module(lie: LieAlgebra, level: int, spin2: int) -> dict:
     if spin2 == 0:
         module = cons.module
     else:
-        module = TensorModule(AffineModule(lie, level, spin2),
-                              FermionFock(lie.dim))
+        module = FockModule(lie, level, lie.dim, spin2)
     return {"construction": cons, "module": module, "h": h, "spin2": spin2}
 
 

@@ -1,9 +1,9 @@
 """Graded state spaces with exact inner products.
 
-Covers fermionic Fock spaces, Verma modules for the Virasoro and
-Neveu-Schwarz algebras, induced modules of affine Lie algebras with a
-highest-weight floor, and tensor products of an affine module with a
-Fock space.
+Two concrete modules: Verma modules of the Virasoro and Neveu-Schwarz
+algebras, and the Fock module of affine currents at a level tensored
+with free fermions (Kac-Todorov), induced from a highest-weight floor;
+either family of modes may be absent.
 
 Conventions.  Mode indices are stored doubled (``n2 = 2n``) so
 half-integers stay integral.  A basis word lists creation modes sorted
@@ -127,7 +127,11 @@ class StateVector(dict):
 
 
 class Module:
-    """Shared machinery: normal ordering, pairings, Gram analysis."""
+    """Shared machinery: normal ordering, pairings, Gram analysis.  A
+    concrete module supplies `kinds`, `bracket(m1, m2)` (the graded
+    bracket as [(coeff, Mode | None)], None the identity),
+    `creation_modes(max_n2)` and `floor_action0(mode, floor)` (an
+    index-zero mode on a floor vector, as [(coeff, floor')])."""
 
     kinds: dict     # generator kind -> number of colors
 
@@ -141,24 +145,13 @@ class Module:
         # the products that commute the field past a head mode
         self._field_cache = {}
 
-    # -- interface supplied by concrete modules -------------------------
+    # -- floor defaults, overridden by concrete modules ------------------
 
     def floor_dim(self) -> int:
         return 1
 
     def floor_pairing(self, i: int, j: int) -> Scalar:
         return ONE if i == j else ZERO
-
-    def floor_action0(self, mode: Mode, floor: int) -> list:
-        """Action of an index-zero mode on a floor vector: [(coeff, floor')]."""
-        raise ValueError(f"no index-zero action for {mode} on {type(self).__name__}")
-
-    def bracket(self, m1: Mode, m2: Mode) -> list:
-        """Graded bracket [m1, m2] as [(coeff, Mode | None)]; None is the identity."""
-        raise NotImplementedError
-
-    def creation_modes(self, max_n2: int) -> list:
-        raise NotImplementedError
 
     def translation_floor(self, floor: int) -> dict:
         """T applied to a floor vector, as a state dict."""
@@ -384,31 +377,6 @@ class Module:
         return out
 
 
-class FermionFock(Module):
-    """Neveu-Schwarz Fock space of `colors` free fermions.
-
-    psi^a_m with m in Z + 1/2, {psi^a_m, psi^b_n} = delta_ab delta_{m+n},
-    psi^a_m* = psi^a_{-m}.
-    """
-
-    def __init__(self, colors: int = 1):
-        super().__init__()
-        if colors < 1:
-            raise ValueError("need at least one fermion")
-        self.colors = colors
-        self.kinds = {"psi": colors}
-
-    def bracket(self, m1: Mode, m2: Mode) -> list:
-        if m1.color == m2.color and m1.n2 + m2.n2 == 0:
-            return [(ONE, None)]
-        return []
-
-    def creation_modes(self, max_n2: int) -> list:
-        return [Mode("psi", a, -m2)
-                for m2 in range(1, max_n2 + 1, 2)
-                for a in range(self.colors)]
-
-
 class VermaModule(Module):
     """Verma module V(c, h) of the Virasoro or Neveu-Schwarz algebra.
 
@@ -465,30 +433,39 @@ class VermaModule(Module):
         return {BasisState((Mode("L", 0, -2),), floor): ONE}
 
 
-class AffineModule(Module):
-    """Module of an affine Lie algebra induced from a floor representation.
+class FockModule(Module):
+    """Currents of an affine Lie algebra tensored with `colors` free
+    fermions, induced from a highest-weight floor.
 
-    [X^a_m, X^b_n] = i sum_c Gamma_ab^c X^c_{m+n} + m delta_ab
-    delta_{m+n} * level, with X^a_m* = X^a_{-m}; positive modes kill the
-    floor and X^a_0 acts there by the floor matrices.
+    [x^a_m, x^b_n] = i sum_c Gamma_ab^c x^c_{m+n} + m delta_ab delta_{m+n}
+    * level with m in Z, {psi^a_m, psi^b_n} = delta_ab delta_{m+n} with m
+    in Z + 1/2, and the two families commute, so no Koszul sign crosses
+    between them; every mode's adjoint negates its index.  Positive modes
+    kill the floor, and x^a_0 acts there by the floor matrices: trivially,
+    or on the sl2 spin floor of twice-spin spin2.  With no Lie algebra the
+    module is the fermion Fock space alone.
     """
 
-    def __init__(self, lie: LieAlgebra, level: int, spin2: int = 0):
+    def __init__(self, lie: LieAlgebra | None = None, level: int = 0,
+                 colors: int = 0, spin2: int = 0):
         super().__init__()
         self.lie = lie
-        self.kinds = {"x": lie.dim}
-        self.level = int(level)
+        self.level = _exact_int(level, "level")
+        self.colors = _exact_int(colors, "colors")
         if self.level < 0:
             raise ValueError("level must be nonnegative")
+        if self.colors < (0 if lie else 1):
+            raise ValueError("need at least one fermion")
+        self.kinds = {"x": lie.dim} if lie else {}
+        if self.colors:
+            self.kinds["psi"] = self.colors
         self.spin2 = spin2
         if spin2:
-            if lie.name != "sl2":
+            if lie is None or lie.name != "sl2":
                 raise ValueError("spin floors are available for sl2 only")
             self._floor_dim, self._floor_mats, self._floor_gram = sl2_floor(spin2)
         else:
-            self._floor_dim = 1
-            self._floor_mats = [dict() for _ in range(lie.dim)]
-            self._floor_gram = [ONE]
+            self._floor_dim, self._floor_gram = 1, [ONE]
 
     def floor_dim(self) -> int:
         return self._floor_dim
@@ -497,58 +474,27 @@ class AffineModule(Module):
         return self._floor_gram[i] if i == j else ZERO
 
     def floor_action0(self, mode: Mode, floor: int) -> list:
+        if not self.spin2:
+            return []
         mat = self._floor_mats[mode.color]
         return [(val, r) for (r, c), val in mat.items() if c == floor]
 
     def bracket(self, m1: Mode, m2: Mode) -> list:
-        out = []
-        for c, coeff in self.lie.bracket_coeffs(m1.color, m2.color):
-            out.append((I * coeff, Mode("x", c, m1.n2 + m2.n2)))
-        if m1.color == m2.color and m1.n2 + m2.n2 == 0:
-            m = m1.n2 // 2
-            if m and self.level:
-                out.append((Scalar.of(m * self.level), None))
+        if m1.kind != m2.kind:
+            return []
+        dual = m1.color == m2.color and m1.n2 + m2.n2 == 0
+        if m1.kind == "psi":
+            return [(ONE, None)] if dual else []
+        out = [(I * coeff, Mode("x", c, m1.n2 + m2.n2))
+               for c, coeff in self.lie.bracket_coeffs(m1.color, m2.color)]
+        if dual and m1.n2 and self.level:
+            out.append((Scalar.of(m1.n2 // 2 * self.level), None))
         return out
 
     def creation_modes(self, max_n2: int) -> list:
-        return [Mode("x", a, -m2)
-                for m2 in range(2, max_n2 + 1, 2)
-                for a in range(self.lie.dim)]
-
-
-class TensorModule(Module):
-    """Tensor product of an affine module (even) with a fermionic Fock space.
-
-    Words mix current and fermion creation modes; the factors commute, so
-    no Koszul signs cross the tensor sign.
-    """
-
-    def __init__(self, left: AffineModule, right: FermionFock):
-        super().__init__()
-        self.left = left
-        self.right = right
-        self.kinds = {**left.kinds, **right.kinds}
-
-    def floor_dim(self) -> int:
-        return self.left.floor_dim()
-
-    def floor_pairing(self, i: int, j: int) -> Scalar:
-        return self.left.floor_pairing(i, j)
-
-    def floor_action0(self, mode: Mode, floor: int) -> list:
-        if mode.kind == "x":
-            return self.left.floor_action0(mode, floor)
-        raise ValueError(f"no index-zero action for {mode}")
-
-    def bracket(self, m1: Mode, m2: Mode) -> list:
-        if m1.kind == "x" and m2.kind == "x":
-            return self.left.bracket(m1, m2)
-        if m1.kind == "psi" and m2.kind == "psi":
-            return self.right.bracket(m1, m2)
-        return []
-
-    def creation_modes(self, max_n2: int) -> list:
-        return self.left.creation_modes(max_n2) + self.right.creation_modes(max_n2)
+        return [Mode(kind, a, -m2) for kind, count in self.kinds.items()
+                for m2 in range(2 - mode_parity(kind), max_n2 + 1, 2)
+                for a in range(count)]
 
 
 def half2(value, name: str) -> int:
@@ -571,8 +517,9 @@ def module_from_descriptor(desc: dict) -> Module:
     Supported: {"type": "ns_verma", "c": ..., "h": ...} (and
     "virasoro_verma"), {"type": "affine", "algebra": "sl2", "level": n,
     "spin": j}, {"type": "fermion", "colors": n}, and {"type": "tensor",
-    "factors": [affine, fermion]}.  Scalar entries accept the JSON term
-    list, a bare integer, or a fraction string.
+    "factors": [affine, fermion]}; the last three build a FockModule.
+    Scalar entries accept the JSON term list, a bare integer, or a
+    fraction string.
     """
     if not isinstance(desc, dict):
         raise ValueError("module descriptor must be an object")
@@ -583,7 +530,7 @@ def module_from_descriptor(desc: dict) -> Module:
                            Scalar.from_json(desc["c"]),
                            Scalar.from_json(desc["h"]))
     if kind == "fermion":
-        return FermionFock(_exact_int(desc.get("colors", 1), "colors"))
+        return FockModule(colors=desc.get("colors", 1))
     if kind == "affine":
         name = desc.get("algebra", "sl2")
         if isinstance(name, dict):
@@ -592,12 +539,13 @@ def module_from_descriptor(desc: dict) -> Module:
             lie = sl2()
         else:
             raise ValueError(f"unknown algebra {name!r}")
-        return AffineModule(lie, _exact_int(desc["level"], "level"),
-                            half2(desc.get("spin", 0), "spin"))
+        return FockModule(lie, desc["level"],
+                          spin2=half2(desc.get("spin", 0), "spin"))
     if kind == "tensor":
+        # each factor reports its own errors before the order is checked
         factors = [module_from_descriptor(f) for f in desc["factors"]]
-        if len(factors) != 2 or not isinstance(factors[1], FermionFock) \
-                or not isinstance(factors[0], AffineModule):
+        if [f["type"] for f in desc["factors"]] != ["affine", "fermion"]:
             raise ValueError("tensor descriptor needs [affine, fermion] factors")
-        return TensorModule(factors[0], factors[1])
+        x, psi = factors
+        return FockModule(x.lie, x.level, psi.colors, x.spin2)
     raise ValueError(f"unknown module type {kind!r}")

@@ -18,7 +18,7 @@ from nsvertex.fields import (GeneratorField, bracket_check, check_borcherds,
                              closure_spans, generate_closure, locality_order,
                              state_field, virasoro_bracket_check)
 from nsvertex.liealg import sl2
-from nsvertex.modules import FermionFock, StateVector, VermaModule
+from nsvertex.modules import FockModule, StateVector, VermaModule
 from nsvertex.scalars import Scalar
 
 
@@ -113,7 +113,7 @@ def test_criterion_06_vertex_module_weight():
 
 def test_criterion_07_minimal_submodule_dimensions():
     t0 = time.time()
-    module = FermionFock(1)
+    module = FockModule(colors=1)
     L = state_field(module, fermion_omega(module))
     generated = submodule_dims(module, L, 10)
     irreducible = VermaModule("virasoro", Scalar.of(Fraction(1, 2)),

@@ -230,7 +230,7 @@ def test_malformed_inputs_exit_two(capsys):
       '{"type":"tensor","factors":[{"type":"affine","level":1},[2]]}',
       "--level", "1"], "module descriptor must be an object"),
     (["ope", "--module", '{"type":"fermion"}', "--field-a", '{"gen":"L"}',
-      "--field-b", '{"gen":"psi"}'], "FermionFock has no L modes"),
+      "--field-b", '{"gen":"psi"}'], "FockModule has no L modes"),
     (["sugawara", "--algebra", '{"name":"x","dim":0,"gamma":[]}',
       "--level", "1"], "x has no dual Coxeter number"),
     (["validate", "--algebra", '{"name":"x","dim":-2,"gamma":[]}'],
@@ -239,21 +239,21 @@ def test_malformed_inputs_exit_two(capsys):
      "dim must be a nonnegative integer, got True"),
     (["ope", "--module", '{"type":"fermion"}', "--field-a",
       '{"gen":"psi","color":5}', "--field-b", '{"gen":"psi"}'],
-     "FermionFock has no psi color 5: its colors are 0 to 0"),
+     "FockModule has no psi color 5: its colors are 0 to 0"),
     (["brackets", "--module", '{"type":"ns_verma","c":"7/10","h":"1/10"}',
       "--field-a", '{"gen":"G","color":3}', "--field-b", '{"gen":"L"}',
       "--depth", "1"], "VermaModule has no G color 3: its colors are 0 to 0"),
     (["ope", "--module", '{"type":"affine","algebra":"sl2","level":1}',
       "--field-a", '{"gen":"x","color":7}', "--field-b", '{"gen":"x"}'],
-     "AffineModule has no x color 7: its colors are 0 to 2"),
+     "FockModule has no x color 7: its colors are 0 to 2"),
     (["brackets", "--module",
       '{"type":"affine","algebra":"sl2","level":1,"spin":"1/2"}',
       "--field-a", '{"gen":"x","color":-1}', "--field-b", '{"gen":"x"}',
-      "--depth", "1"], "AffineModule has no x color -1: its colors are 0 to 2"),
+      "--depth", "1"], "FockModule has no x color -1: its colors are 0 to 2"),
     (["ope", "--module", '{"type":"tensor","factors":[{"type":"affine",'
       '"level":1},{"type":"fermion","colors":3}]}', "--field-a",
       '{"gen":"psi","color":3}', "--field-b", '{"gen":"x","color":2}'],
-     "TensorModule has no psi color 3: its colors are 0 to 2"),
+     "FockModule has no psi color 3: its colors are 0 to 2"),
     (["gram", "--module", '{"type":"affine","level":1.5}', "--level", "1"],
      "level must be an integer, got 1.5"),
     (["gram", "--module", '{"type":"tensor","factors":[{"type":"affine",'
@@ -414,7 +414,40 @@ def test_an_option_the_handler_does_not_read_is_refused(capsys, command,
     with pytest.raises(SystemExit) as exc:
         main([command] + MINIMAL[command] + [flag, "3"])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the usage is the subcommand's, which lists what it does take
+    assert err.startswith(f"usage: nsvertex {command} ")
+    assert f"unrecognized arguments: {flag} 3" in err
+
+
+# the options of axioms that a construction does not read, refused before
+# any work, even at their defaults
+@pytest.mark.parametrize("argv, option", [
+    (["fermion", "--algebra", "{broken"], "--algebra"),
+    (["g-fermion", "--level", "-5", "--colors", "9"], "--colors"),
+    (["fermion", "--algebra", "sl2"], "--algebra"),
+    (["fermion", "--level", "1"], "--level"),
+    (["g-fermion", "--level", "1"], "--level"),
+    (["sugawara", "--colors", "1"], "--colors"),
+    (["super", "--colors", "1"], "--colors")])
+def test_axioms_refuses_what_the_construction_does_not_read(capsys, argv,
+                                                            option):
+    code, out, err = run(capsys, ["axioms", "--depth", "1/2",
+                                  "--construction"] + argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: {option} is not read by the {argv[0]} "
+                   "construction\n")
+
+
+def test_axioms_reads_colors_on_the_fermion_construction(capsys):
+    code, report, _ = run_json(capsys, [
+        "axioms", "--construction", "fermion", "--colors", "2",
+        "--depth", "1/2"])
+    assert code == 0 and report["valid"] is True
+    code, out, err = run(capsys, ["axioms", "--construction", "fermion",
+                                  "--colors", "0", "--depth", "1/2"])
+    assert code == 2 and out == ""
+    assert err == "error: need at least one fermion\n"
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -12,7 +12,7 @@ from nsvertex.constructions import (boson_sugawara, fermion_vosa,
 from nsvertex.fields import (NthProduct, ScaledSum, field_from_tree,
                              field_to_tree, state_field)
 from nsvertex.liealg import sl2
-from nsvertex.modules import AffineModule, FermionFock, VermaModule
+from nsvertex.modules import FockModule, VermaModule
 
 SLOTS = range(-3, 4)
 
@@ -83,9 +83,9 @@ def test_susy_report_commutes_own_products_past_every_head(monkeypatch):
 
 
 def test_only_vacuum_modules_commute():
-    assert FermionFock(2).is_vacuum_module()
-    assert AffineModule(sl2(), 1).is_vacuum_module()
-    assert not AffineModule(sl2(), 1, spin2=1).is_vacuum_module()
+    assert FockModule(colors=2).is_vacuum_module()
+    assert FockModule(sl2(), 1).is_vacuum_module()
+    assert not FockModule(sl2(), 1, spin2=1).is_vacuum_module()
     assert not VermaModule("ns", 0, 0).is_vacuum_module()
     verma = VermaModule("virasoro", 1, 0)
     # L(-1) L(-1) vac

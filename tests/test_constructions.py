@@ -24,7 +24,7 @@ from nsvertex.constructions import (Construction, boson_sugawara,
 from nsvertex.fields import (GeneratorField, check_vosa_axioms,
                              commutator_direct, realize, state_field)
 from nsvertex.liealg import sl2
-from nsvertex.modules import (BasisState, FermionFock, Mode, StateVector,
+from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
                               VermaModule, state_grade2)
 from nsvertex.scalars import ZERO, I, Scalar
 
@@ -51,7 +51,7 @@ def test_fermion_omega_is_half_psi_pair():
 
 def test_current_state_normalization():
     # S^3 = -(i/2) Gamma_ab^3 psi^a psi^b collapses to i sqrt(2) psi^2 psi^1
-    s3 = _current_state(FermionFock(3), sl2(), 2)
+    s3 = _current_state(FockModule(colors=3), sl2(), 2)
     st = BasisState((Mode("psi", 1, -1), Mode("psi", 0, -1)), 0)
     assert s3.get(st, ZERO) == Scalar.root(-2)
     assert len(list(s3.items())) == 1
@@ -316,9 +316,8 @@ def test_verify_odd_cocycle_needs_an_odd_pair():
 
 
 def test_super_level_zero_susy_report():
-    from nsvertex.modules import FermionFock
     cons = super_construction(sl2(), 0)
-    assert isinstance(cons.module, FermionFock)
+    assert cons.module.kinds == {"psi": 3} and cons.module.lie is None
     rep = susy_report(cons, depth2=2, window=2)
     assert rep["valid"], rep["checks"]
     assert rep["central_charge"] == Scalar.of(half(3, 2))

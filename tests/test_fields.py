@@ -20,9 +20,8 @@ from nsvertex.fields import (GeneratorField, IdentityField, ScaledSum,
                              ope_singular_part, realize, slot_of_index2,
                              state_field)
 from nsvertex.liealg import sl2
-from nsvertex.modules import (AffineModule, BasisState, FermionFock, Mode,
-                              StateVector, VermaModule,
-                              module_from_descriptor)
+from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
+                              VermaModule, module_from_descriptor)
 from nsvertex.scalars import ONE, ZERO, Scalar
 
 PSI = lambda n2, color=0: Mode("psi", color, n2)
@@ -34,7 +33,7 @@ def derivative_act(f, n, mod, st):
 
 
 def fermion_setup():
-    mod = FermionFock(1)
+    mod = FockModule(colors=1)
     psi = GeneratorField("psi")
     omega = StateVector({BasisState((PSI(-3), PSI(-1)), 0): Fraction(1, 2)})
     return mod, psi, omega
@@ -199,7 +198,7 @@ def test_bracket_from_products_matches_direct():
 
 
 def test_state_field_inverse_on_affine():
-    mod = AffineModule(sl2(), 1)
+    mod = FockModule(sl2(), 1)
     for n2 in range(5):
         for b in mod.level_basis(n2):
             assert realize(state_field(mod, b), mod) == StateVector.basis(b)
@@ -332,14 +331,14 @@ def test_vosa_axioms_certify_virasoro_at_requested_window(monkeypatch):
 
 
 def test_state_field_is_one_field_per_vector():
-    mod = FermionFock(2)
+    mod = FockModule(colors=2)
     v = StateVector({BasisState((PSI(-3, a), PSI(-1, a)), 0): 1
                      for a in range(2)})
     f = state_field(mod, v)
     assert isinstance(f, ScaledSum)
     assert state_field(mod, StateVector(v)) is f
     assert state_field(mod, v.scaled(2)) is not f
-    assert state_field(FermionFock(2), v) is not f
+    assert state_field(FockModule(colors=2), v) is not f
 
 
 def test_vosa_axioms_build_one_field_for_omega(monkeypatch):
@@ -428,7 +427,7 @@ def test_bracket_expands_trees_off_the_vacuum_module(case):
         mod = VermaModule("ns", Fraction(7, 10), 0)
         A, B = (state_field(mod, creating_state(k)) for k in ("G", "L"))
     else:
-        mod = AffineModule(sl2(), 1, 1)
+        mod = FockModule(sl2(), 1, spin2=1)
         A, B = (state_field(mod, creating_state("x", a)) for a in (0, 1))
     order = 2
     for m in range(-1, 2):

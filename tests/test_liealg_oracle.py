@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import liealg_oracle as oracle
 from nsvertex.constructions import _current_state
 from nsvertex.liealg import LieAlgebra, sl2
-from nsvertex.modules import AffineModule, FermionFock, TensorModule
+from nsvertex.modules import FockModule
 from nsvertex.scalars import Scalar
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -51,7 +51,7 @@ def assert_matches(lie: LieAlgebra):
     assert report == want
     assert list(report) == list(want)
     assert list(report["checks"]) == list(want["checks"])
-    module = FermionFock(max(lie.dim, 1))
+    module = FockModule(colors=max(lie.dim, 1))
     for c in span:
         assert list(_current_state(module, lie, c).items()) == \
             list(oracle.current_state(old, c).items())
@@ -65,7 +65,7 @@ def test_sl2_matches_oracle():
 def test_su3_matches_oracle():
     lie = su3()
     assert assert_matches(lie)["dual_coxeter"] == Scalar.of(3)
-    tensor = TensorModule(AffineModule(lie, 1), FermionFock(lie.dim))
+    tensor = FockModule(lie, 1, lie.dim)
     old = oracle.LieAlgebra(lie.name, lie.dim, lie.gamma)
     for c in range(lie.dim):
         assert list(_current_state(tensor, lie, c).items()) == \

@@ -13,10 +13,10 @@ import pytest
 
 from nsvertex.liealg import sl2
 from nsvertex.linalg import row_reduce
-from nsvertex.modules import (AffineModule, BasisState, FermionFock, Mode,
-                              StateVector, TensorModule, VermaModule,
-                              adjoint_mode, module_from_descriptor,
-                              state_grade2, state_parity)
+from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
+                              VermaModule, adjoint_mode,
+                              module_from_descriptor, state_grade2,
+                              state_parity)
 from nsvertex.scalars import ONE, ZERO, I, Scalar
 
 
@@ -110,21 +110,21 @@ def test_state_vector_arithmetic():
 # -- fermion Fock -----------------------------------------------------------
 
 def test_fermion_dims_match_partition_oracle():
-    mod = FermionFock(1)
+    mod = FockModule(colors=1)
     assert mod.dims(12) == fermion_dims(12)
-    mod2 = FermionFock(2)
+    mod2 = FockModule(colors=2)
     assert mod2.dims(9) == fermion_dims(9, colors=2)
 
 
 def test_fermion_frozen_small_dims():
-    mod = FermionFock(1)
+    mod = FockModule(colors=1)
     # grade 1 is empty, grade 2 is spanned by psi(-3/2)psi(-1/2)
     assert len(mod.level_basis(2)) == 0
     assert mod.level_basis(4) == [BasisState((PSI(-3), PSI(-1)), 0)]
 
 
 def test_fermion_mode_algebra():
-    mod = FermionFock(1)
+    mod = FockModule(colors=1)
     vac = mod.vacuum()
     st = mod.apply(PSI(-1), vac)
     assert mod.apply(PSI(1), st) == vac
@@ -136,7 +136,7 @@ def test_fermion_mode_algebra():
 
 
 def test_fermion_gram_is_identity():
-    mod = FermionFock(1)
+    mod = FockModule(colors=1)
     for n2 in range(10):
         basis, matrix = mod.gram(n2)
         for i in range(len(basis)):
@@ -145,7 +145,7 @@ def test_fermion_gram_is_identity():
 
 
 def test_two_color_anticommutator_vanishes():
-    mod = FermionFock(2)
+    mod = FockModule(colors=2)
     vac = mod.vacuum()
     a = mod.apply(PSI(-1, 0), mod.apply(PSI(-1, 1), vac))
     b = mod.apply(PSI(-1, 1), mod.apply(PSI(-1, 0), vac))
@@ -231,14 +231,14 @@ def test_ns_kernel_roots_of_level_three_halves_determinant():
 # -- affine modules ---------------------------------------------------------
 
 def test_affine_induced_dims():
-    mod = AffineModule(sl2(), 1)
+    mod = FockModule(sl2(), 1)
     dims = mod.dims(8)
     assert dims == affine_sl2_dims(8)
     assert [dims[2 * k] for k in range(5)] == [1, 3, 9, 22, 51]
 
 
 def test_affine_level_one_gram_is_identity():
-    mod = AffineModule(sl2(), 1)
+    mod = FockModule(sl2(), 1)
     basis, matrix = mod.gram(2)
     assert len(basis) == 3
     for i in range(3):
@@ -247,7 +247,7 @@ def test_affine_level_one_gram_is_identity():
 
 
 def test_affine_level_two_gram():
-    mod = AffineModule(sl2(), 2)
+    mod = FockModule(sl2(), 2)
     _, matrix = mod.gram(2)
     for i in range(3):
         for j in range(3):
@@ -255,21 +255,21 @@ def test_affine_level_two_gram():
 
 
 def test_affine_quotient_characters_vacuum():
-    mod = AffineModule(sl2(), 1)
+    mod = FockModule(sl2(), 1)
     dims = mod.irreducible_dims(6)
     assert [dims[2 * k] for k in range(4)] == su2_level1_character(3, False)
     assert su2_level1_character(5, False) == [1, 3, 4, 7, 13, 19]
 
 
 def test_affine_quotient_characters_spin_half():
-    mod = AffineModule(sl2(), 1, spin2=1)
+    mod = FockModule(sl2(), 1, spin2=1)
     dims = mod.irreducible_dims(4)
     assert [dims[2 * k] for k in range(3)] == su2_level1_character(2, True)
     assert su2_level1_character(5, True) == [2, 2, 6, 8, 14, 20]
 
 
 def test_affine_floor_action():
-    mod = AffineModule(sl2(), 1, spin2=1)
+    mod = FockModule(sl2(), 1, spin2=1)
     top = mod.vacuum(0)
     # X3 = H/sqrt(2) acts diagonally on the spin-1/2 floor
     out = mod.apply(XX(2, 0), top)
@@ -281,7 +281,7 @@ def test_affine_floor_action():
 
 def test_affine_central_term():
     level = 3
-    mod = AffineModule(sl2(), level)
+    mod = FockModule(sl2(), level)
     vac = mod.vacuum()
     st = mod.apply(XX(0, -2), vac)
     # <X_{-1} v, X_{-1} v> = level for the trivial floor
@@ -294,14 +294,14 @@ def test_affine_central_term():
 # -- tensor products --------------------------------------------------------
 
 def test_tensor_dims():
-    mod = TensorModule(AffineModule(sl2(), 1), FermionFock(3))
+    mod = FockModule(sl2(), 1, 3)
     factors = [(m2, False, 3) for m2 in range(2, 7, 2)]
     factors += [(m2, True, 3) for m2 in range(1, 7, 2)]
     assert mod.dims(6) == series_dims(6, factors)
 
 
 def test_tensor_factors_commute():
-    mod = TensorModule(AffineModule(sl2(), 1), FermionFock(3))
+    mod = FockModule(sl2(), 1, 3)
     vac = mod.vacuum()
     a = mod.apply(XX(1, -2), mod.apply(PSI(-1, 2), vac))
     b = mod.apply(PSI(-1, 2), mod.apply(XX(1, -2), vac))
@@ -312,13 +312,46 @@ def test_tensor_factors_commute():
     assert state.word == (XX(1, -2), PSI(-1, 2))
 
 
+def test_spin_floor_with_fermions_dims():
+    mod = FockModule(sl2(), 1, 3, spin2=1)
+    assert mod.dims(4) == [2, 6, 12, 26, 54]
+    factors = [(m2, False, 3) for m2 in range(2, 5, 2)]
+    factors += [(m2, True, 3) for m2 in range(1, 5, 2)]
+    assert mod.dims(4) == [2 * d for d in series_dims(4, factors)]
+
+
+def test_currents_and_fermions_bracket_by_kind():
+    mod = FockModule(sl2(), 2, 3)
+    # [x^a_1, x^a_{-1}] = level, {psi^a_{1/2}, psi^a_{-1/2}} = 1, and the
+    # two families commute
+    assert mod.bracket(XX(0, 2), XX(0, -2)) == [(Scalar.of(2), None)]
+    assert mod.bracket(PSI(1, 0), PSI(-1, 0)) == [(ONE, None)]
+    assert mod.bracket(PSI(1, 0), PSI(-1, 1)) == []
+    assert mod.bracket(XX(0, 2), PSI(-1, 0)) == []
+    assert mod.bracket(PSI(-1, 0), XX(0, 2)) == []
+
+
+def test_non_integer_level_or_colors_is_refused():
+    from nsvertex.constructions import boson_sugawara, super_construction
+    with pytest.raises(ValueError, match="level must be an integer"):
+        boson_sugawara(sl2(), 1.5)
+    with pytest.raises(ValueError, match="level must be an integer"):
+        super_construction(sl2(), Fraction(3, 2))
+    with pytest.raises(ValueError, match="colors must be an integer"):
+        FockModule(colors=2.0)
+    with pytest.raises(ValueError, match="need at least one fermion"):
+        FockModule()
+    with pytest.raises(ValueError, match="spin floors are available for sl2"):
+        FockModule(colors=1, spin2=1)
+
+
 # -- pairing properties -----------------------------------------------------
 
 def _sample_modules():
     return [
-        (FermionFock(1),
+        (FockModule(colors=1),
          [PSI(n2) for n2 in (-3, -1, 1, 3)]),
-        (FermionFock(2),
+        (FockModule(colors=2),
          [PSI(n2, c) for n2 in (-1, 1) for c in (0, 1)]),
         (VermaModule("ns", Scalar.of(Fraction(7, 10)),
                      Scalar.of(Fraction(2, 5))),
@@ -326,10 +359,13 @@ def _sample_modules():
         (VermaModule("virasoro", Scalar.of(Fraction(1, 2)),
                      Scalar.of(Fraction(1, 16))),
          [LL(-4), LL(-2), LL(2), LL(4)]),
-        (AffineModule(sl2(), 1, spin2=1),
+        (FockModule(sl2(), 1, spin2=1),
          [XX(c, n2) for c in range(3) for n2 in (-2, 2)]),
-        (TensorModule(AffineModule(sl2(), 1), FermionFock(3)),
+        (FockModule(sl2(), 1, 3),
          [XX(0, -2), XX(2, 2), PSI(-1, 1), PSI(1, 0)]),
+        # H_{1,1/2} (x) F: a spin floor together with fermions
+        (FockModule(sl2(), 1, 3, spin2=1),
+         [XX(0, -2), XX(2, 0), XX(1, 2), PSI(-1, 2), PSI(1, 1), PSI(3, 0)]),
     ]
 
 
@@ -366,7 +402,7 @@ def test_gram_hermitian_sweep():
 
 
 def test_inner_sesquilinear():
-    mod = FermionFock(1)
+    mod = FockModule(colors=1)
     u = StateVector.basis(BasisState((PSI(-1),), 0))
     assert mod.inner(u.scaled(I), u) == I
     assert mod.inner(u, u.scaled(I)) == -I
@@ -394,14 +430,14 @@ def test_gram_kernel_is_invariant_under_modes():
 
 
 def test_gram_rank_is_irreducible_dim():
-    mod = AffineModule(sl2(), 1)
+    mod = FockModule(sl2(), 1)
     for n2 in (0, 2, 4):
         _, matrix = mod.gram(n2)
         assert len(row_reduce(matrix)[1]) == mod.irreducible_dims(n2)[n2]
 
 
 def test_affine_kernel_vectors_are_orthogonal_to_their_grade():
-    mod = AffineModule(sl2(), 1)
+    mod = FockModule(sl2(), 1)
     kernel = mod.kernel_vectors(4)
     assert kernel
     for k in kernel:
@@ -429,7 +465,7 @@ def test_translation_on_verma_matches_lowering_mode():
 
 
 def test_translation_on_fock():
-    mod = FermionFock(1)
+    mod = FockModule(colors=1)
     assert not mod.operator_T(mod.vacuum())
     one = mod.apply(PSI(-1), mod.vacuum())
     assert mod.operator_T(one) == StateVector.basis(BasisState((PSI(-3),), 0))
@@ -439,7 +475,7 @@ def test_translation_on_fock():
 
 
 def test_translation_on_affine():
-    mod = AffineModule(sl2(), 1)
+    mod = FockModule(sl2(), 1)
     one = mod.apply(XX(0, -2), mod.vacuum())
     assert mod.operator_T(one) == StateVector.basis(BasisState((XX(0, -4),), 0))
 
@@ -475,19 +511,28 @@ def test_module_descriptors():
     mod = module_from_descriptor({"type": "virasoro_verma", "c": "1/2", "h": "1/16"})
     assert mod.algebra == "virasoro"
     mod = module_from_descriptor({"type": "fermion", "colors": 3})
-    assert isinstance(mod, FermionFock) and mod.colors == 3
+    assert isinstance(mod, FockModule) and mod.colors == 3
+    assert mod.kinds == {"psi": 3}
     mod = module_from_descriptor({"type": "affine", "algebra": "sl2",
                                   "level": 1, "spin": "1/2"})
-    assert isinstance(mod, AffineModule) and mod.spin2 == 1
+    assert isinstance(mod, FockModule) and mod.spin2 == 1
+    assert mod.kinds == {"x": 3}
     # a spin is a half-integer, written as a fraction string or a number
     for spin, spin2 in (("1/2", 1), (0.5, 1), (1, 2), (0, 0)):
         assert module_from_descriptor({"type": "affine", "level": 2,
                                        "spin": spin}).spin2 == spin2
-    mod = module_from_descriptor({
-        "type": "tensor",
-        "factors": [{"type": "affine", "algebra": "sl2", "level": 1},
-                    {"type": "fermion", "colors": 3}]})
-    assert isinstance(mod, TensorModule)
+    affine = {"type": "affine", "algebra": "sl2", "level": 2, "spin": 1}
+    fermion = {"type": "fermion", "colors": 3}
+    mod = module_from_descriptor({"type": "tensor",
+                                  "factors": [affine, fermion]})
+    # the affine factor's spin and level, the fermion factor's colors
+    assert isinstance(mod, FockModule) and mod.kinds == {"x": 3, "psi": 3}
+    assert (mod.spin2, mod.level, mod.colors) == (2, 2, 3)
+    assert mod.floor_dim() == 3
+    for factors in ([fermion, affine], [affine], [affine, fermion, fermion],
+                    [affine, affine]):
+        with pytest.raises(ValueError, match=r"needs \[affine, fermion\]"):
+            module_from_descriptor({"type": "tensor", "factors": factors})
     with pytest.raises(ValueError):
         module_from_descriptor({"type": "bosonic_string"})
     with pytest.raises(ValueError):
@@ -496,7 +541,7 @@ def test_module_descriptors():
 
 
 def test_parity_index_mismatch_rejected():
-    mod = FermionFock(1)
+    mod = FockModule(colors=1)
     with pytest.raises(ValueError):
         mod.apply(Mode("psi", 0, -2), mod.vacuum())
     ver = VermaModule("virasoro", Scalar.of(1), Scalar.of(0))

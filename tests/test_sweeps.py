@@ -25,7 +25,7 @@ from nsvertex.fields import (GeneratorField, IdentityField, NthProduct,
                              field_from_tree, locality_order, locality_table,
                              state_field, sweep, window_points)
 from nsvertex.liealg import sl2
-from nsvertex.modules import (BasisState, FermionFock, Mode, StateVector,
+from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
                               VermaModule, state_grade2)
 from nsvertex.scalars import I, Scalar
 
@@ -34,7 +34,7 @@ G_TREE = '{"gen":"G"}'
 
 
 def test_sweep_reports_failures_m_major():
-    module = FermionFock(1)
+    module = FockModule(colors=1)
     states = module.basis_upto(2)
     vac, psi = BasisState((), 0), BasisState((Mode("psi", 0, -1),), 0)
     assert states == [vac, psi]
@@ -54,7 +54,7 @@ def test_sweep_reports_failures_m_major():
 
 
 def test_sweep_passes_and_counts_an_empty_window():
-    module = FermionFock(1)
+    module = FockModule(colors=1)
     same = lambda m, n, state: m + n
     assert sweep(window_points(module, 2, 2), same, same) == {
         "checked": 25 * 2, "failures": []}
@@ -89,7 +89,7 @@ def test_bracket_sweep_with_doubled_c_fails_where_a_hand_loop_does():
 
 
 def test_bracket_sweep_labels_points_in_case_order():
-    module = FermionFock(1)
+    module = FockModule(colors=1)
     psi = state_field(module, BasisState((Mode("psi", 0, -1),), 0))
     one = IdentityField()
     # {psi(m), psi(n)} = delta_{m+n+1}; both cases drop the central term
@@ -223,8 +223,8 @@ def test_locality_table_raises_what_is_not_a_locality_verdict():
     # a field the module cannot act with is an input error, not a
     # non-local pair
     named = [("L", GeneratorField("L")), ("psi", GeneratorField("psi"))]
-    with pytest.raises(ValueError, match="FermionFock has no L modes"):
-        locality_table(named, FermionFock(1), 2, 8, 1)
+    with pytest.raises(ValueError, match="FockModule has no L modes"):
+        locality_table(named, FockModule(colors=1), 2, 8, 1)
 
 
 def test_vosa_axioms_name_a_nonlocal_pair():
@@ -375,8 +375,8 @@ def borcherds_hand_loop(module, depth2, nwin=2, window=2, max_order=8):
 
 @pytest.mark.parametrize("depth2", [3, 4])
 def test_borcherds_sweep_matches_hand_loop(depth2):
-    rep = check_borcherds(FermionFock(1), depth2=depth2)
-    assert rep == borcherds_hand_loop(FermionFock(1), depth2)
+    rep = check_borcherds(FockModule(colors=1), depth2=depth2)
+    assert rep == borcherds_hand_loop(FockModule(colors=1), depth2)
     assert rep["checked"] > 0 and rep["valid"] is True
 
 
@@ -390,9 +390,9 @@ def test_failing_borcherds_sweep_matches_hand_loop(monkeypatch):
         return {s: c * 2 for s, c in out.items()} if self.k == 0 else out
 
     monkeypatch.setattr(NthProduct, "_act", doubled)
-    rep = check_borcherds(FermionFock(1), depth2=3)
+    rep = check_borcherds(FockModule(colors=1), depth2=3)
     assert rep["failures"] and rep["valid"] is False
-    assert rep == borcherds_hand_loop(FermionFock(1), 3)
+    assert rep == borcherds_hand_loop(FockModule(colors=1), 3)
 
 
 def test_adjoint_sweep_names_the_vectors_of_a_failing_field():
