@@ -14,6 +14,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .constructions import (boson_sugawara, central_charges, cocycle_basis,
                             fermion_vosa, g_fermion_system, super_construction,
@@ -401,6 +402,7 @@ def cmd_axioms(args) -> int:
 
 # -- argument wiring --------------------------------------------------------
 
+@cache   # built once per process; parsing leaves the parser unchanged
 def _parser() -> argparse.ArgumentParser:
     # parents nest, one option each: common < depth < window < order
     common = argparse.ArgumentParser(add_help=False)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .linalg import Echelon, _add
 from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
                       StateVector, mode_parity, state_grade2, state_parity)
-from .scalars import ONE, Scalar, _exact_int
+from .scalars import ONE, Scalar, _exact_int, _json_list
 
 
 def gbinom(k: int, j: int) -> int:
@@ -76,9 +76,12 @@ class Field:
             if 2 * n > state_grade2(state) + self.weight2 - 2:
                 return {}
             if state.word and self in module._field_cache:
-                out = _commute(self, n, module, state)
+                out = module._share(_commute(self, n, module, state))
             else:
                 out = self._act(n, module, state)
+                # a generator's action is the module's apply memo, shared
+                if type(self) is not GeneratorField:
+                    module._share(out)
             self._cache[key] = out
         return out
 
@@ -693,12 +696,14 @@ def field_from_tree(tree) -> Field:
             raise ValueError(f"unknown generator kind {kind!r}")
         return GeneratorField(kind, _exact_int(tree.get("color", 0), "color"))
     if "nprod" in tree:
-        a, b, n = tree["nprod"]
+        a, b, n = _json_list(tree["nprod"], "nprod", 3)
         return field_from_tree(a).prod(field_from_tree(b),
                                        _exact_int(n, "product order"))
     if "lincomb" in tree:
+        terms = [_json_list(pair, "lincomb term", 2)
+                 for pair in _json_list(tree["lincomb"], "lincomb")]
         return ScaledSum([(Scalar.from_json(c), field_from_tree(t))
-                          for c, t in tree["lincomb"]])
+                          for c, t in terms])
     raise ValueError("field tree needs a gen, nprod, or lincomb key")
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .linalg import _add
-from .scalars import ZERO, Scalar, _exact_int
+from .scalars import ZERO, Scalar, _exact_int, _json_key, _json_list
 
 
 # signs of itertools.permutations of a triple, in the order it yields them
@@ -140,21 +140,23 @@ class LieAlgebra:
 
     @staticmethod
     def from_json(data: dict) -> "LieAlgebra":
-        dim = data["dim"]
+        name, dim, entries = (_json_key(data, k, "algebra")
+                              for k in ("name", "dim", "gamma"))
         gamma = {}
-        for item in data["gamma"]:
-            a, b, c = (_exact_int(item[k], f"gamma index {k}") - 1
+        for item in _json_list(entries, "gamma"):
+            a, b, c = (_exact_int(_json_key(item, k, "gamma entry"),
+                                  f"gamma index {k}") - 1
                        for k in "abc")
             if not a < b:
                 raise ValueError("gamma entries must have a < b")
-            val = Scalar.from_json(item["val"])
+            val = Scalar.from_json(_json_key(item, "val", "gamma entry"))
             idx = tuple(sorted((a, b, c)))
             sign = dict(_signed_permutations(idx))[a, b, c]
             canon = val if sign == 1 else -val
             if idx in gamma and gamma[idx] != canon:
                 raise ValueError(f"conflicting entries for triple {idx}")
             gamma[idx] = canon
-        return LieAlgebra(data["name"], dim, gamma)
+        return LieAlgebra(name, dim, gamma)
 
 
 def sl2() -> LieAlgebra:

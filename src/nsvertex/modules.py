@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .liealg import LieAlgebra, sl2, sl2_floor
 from .linalg import _acc, _add, inertia_with_witness, kernel_basis
-from .scalars import ONE, ZERO, I, Scalar, _exact_int
+from .scalars import ONE, ZERO, I, Scalar, _exact_int, _json_key, _json_list
 
 KIND_RANK = {"x": 0, "L": 1, "G": 2, "psi": 3}
 ODD_KINDS = frozenset({"psi", "G"})
@@ -139,6 +139,9 @@ class Module:
         self._apply_cache = {}
         self._inner_cache = {}
         self._basis_cache = {}
+        # exact key of a coefficient value -> the first Scalar stored with
+        # it, so equal coefficients in the memos are one object
+        self._values = {}
         # the state-field memo of fields.py: a basis state or frozen vector
         # -> its field, (A, B, j) -> the product field of bracket_from_ope,
         # an own composite field -> its state, and (field, kind, color) ->
@@ -216,8 +219,22 @@ class Module:
         key = (mode, state)
         out = self._apply_cache.get(key)
         if out is None:
-            out = self._apply_uncached(mode, state)
+            out = self._share(self._apply_uncached(mode, state))
             self._apply_cache[key] = out
+        return out
+
+    def _shared(self, c: Scalar) -> Scalar:
+        """The first Scalar equal to c that the module's memos stored."""
+        t = c._t
+        # the key is exact: common denominator, sorted (radicand, numerator)
+        items = t.items() if len(t) < 2 else sorted(t.items())
+        return self._values.setdefault((c._d, *items), c)
+
+    def _share(self, out: dict) -> dict:
+        """out, a new action dict, with each coefficient swapped in place
+        for its shared Scalar."""
+        for state, c in out.items():
+            out[state] = self._shared(c)
         return out
 
     def _apply_uncached(self, mode: Mode, state: BasisState) -> dict:
@@ -292,6 +309,7 @@ class Module:
                 moved = self.apply_to_basis(adjoint_mode(head), b2)
                 for t, c in moved.items():
                     out = out + c.conjugate() * self._inner_same_grade(rest, t)
+            out = self._shared(out)
             self._inner_cache[key] = out
         return out
 
@@ -526,9 +544,9 @@ def module_from_descriptor(desc: dict) -> Module:
     kind = desc.get("type")
     if kind == "ns_verma" or kind == "virasoro_verma":
         algebra = "ns" if kind == "ns_verma" else "virasoro"
-        return VermaModule(algebra,
-                           Scalar.from_json(desc["c"]),
-                           Scalar.from_json(desc["h"]))
+        return VermaModule(algebra, *(
+            Scalar.from_json(_json_key(desc, k, f"{kind} descriptor"))
+            for k in ("c", "h")))
     if kind == "fermion":
         return FockModule(colors=desc.get("colors", 1))
     if kind == "affine":
@@ -539,12 +557,14 @@ def module_from_descriptor(desc: dict) -> Module:
             lie = sl2()
         else:
             raise ValueError(f"unknown algebra {name!r}")
-        return FockModule(lie, desc["level"],
+        return FockModule(lie, _json_key(desc, "level", "affine descriptor"),
                           spin2=half2(desc.get("spin", 0), "spin"))
     if kind == "tensor":
         # each factor reports its own errors before the order is checked
-        factors = [module_from_descriptor(f) for f in desc["factors"]]
-        if [f["type"] for f in desc["factors"]] != ["affine", "fermion"]:
+        descs = _json_list(_json_key(desc, "factors", "tensor descriptor"),
+                           "tensor factors")
+        factors = [module_from_descriptor(f) for f in descs]
+        if [f["type"] for f in descs] != ["affine", "fermion"]:
             raise ValueError("tensor descriptor needs [affine, fermion] factors")
         x, psi = factors
         return FockModule(x.lie, x.level, psi.colors, x.spin2)

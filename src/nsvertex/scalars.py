@@ -31,6 +31,27 @@ def _exact_int(value, name: str) -> int:
     return value
 
 
+def _json_key(data, key: str, what: str):
+    """data[key] of the JSON object that `what` names; data that is not
+    an object, or one without the key, raises naming the fault."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {data!r}")
+    if key not in data:
+        raise ValueError(f"{what} has no {key!r} key")
+    return data[key]
+
+
+def _json_list(value, what: str, length: int | None = None) -> list:
+    """A JSON list, of the given length if one is given; anything else
+    raises naming the expected shape."""
+    if not isinstance(value, list) or (length is not None
+                                       and len(value) != length):
+        raise ValueError(f"{what} must be a list"
+                         + (f" of {length} items" if length else "")
+                         + f", got {value!r}")
+    return value
+
+
 def _squarefree_split(n: int) -> tuple[int, int]:
     """Write n = outer**2 * core with core square-free; the sign stays on core."""
     if n == 0:
@@ -291,7 +312,10 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        """Complex conjugation: i -> -i, real radicals fixed."""
+        """Complex conjugation: i -> -i, real radicals fixed; a real
+        scalar is its own conjugate."""
+        if self.is_real():
+            return self
         return _new(self._d, {r: (-n if r < 0 else n) for r, n in self._t.items()})
 
     # -- comparisons and hashing ----------------------------------------
@@ -334,7 +358,8 @@ class Scalar:
             if not isinstance(item, dict):
                 raise ValueError(f"a scalar term is an object with integer "
                                  f"num, den and rad, not {item!r}")
-            num = _exact_int(item["num"], "scalar term num")
+            num = _exact_int(_json_key(item, "num", "scalar term"),
+                             "scalar term num")
             den, rad = (_exact_int(item.get(k, 1), f"scalar term {k}")
                         for k in ("den", "rad"))
             t[rad] = t.get(rad, 0) + Fraction(num, den)

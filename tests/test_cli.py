@@ -306,6 +306,32 @@ def test_malformed_inputs_exit_two(capsys):
     (["validate", "--algebra", '{"name":"x","dim":3,"gamma":'
       '[{"a":true,"b":2,"c":3,"val":1}]}'],
      "gamma index a must be an integer, got True"),
+    (["validate", "--algebra", "{}"], "algebra has no 'name' key"),
+    (["validate", "--algebra", '{"name":"x","gamma":[]}'],
+     "algebra has no 'dim' key"),
+    (["validate", "--algebra", "[1,2]"],
+     "algebra must be an object, got [1, 2]"),
+    (["validate", "--algebra", '{"name":"x","dim":3,"gamma":5}'],
+     "gamma must be a list, got 5"),
+    (["validate", "--algebra", '{"name":"x","dim":3,"gamma":[7]}'],
+     "gamma entry must be an object, got 7"),
+    (["validate", "--algebra", '{"name":"x","dim":3,"gamma":'
+      '[{"a":1,"b":2,"c":3}]}'], "gamma entry has no 'val' key"),
+    (["validate", "--algebra", '{"name":"x","dim":3,"gamma":'
+      '[{"a":1,"b":2,"c":3,"val":[{"rad":2}]}]}'],
+     "scalar term has no 'num' key"),
+    (["gram", "--module", '{"type":"ns_verma","h":"0"}', "--level", "1"],
+     "ns_verma descriptor has no 'c' key"),
+    (["gram", "--module", '{"type":"affine"}', "--level", "1"],
+     "affine descriptor has no 'level' key"),
+    (["gram", "--module", '{"type":"tensor","factors":3}', "--level", "1"],
+     "tensor factors must be a list, got 3"),
+    (["ope", "--module", '{"type":"fermion"}', "--field-a",
+      '{"nprod":[{"gen":"psi"}]}', "--field-b", '{"gen":"psi"}'],
+     "nprod must be a list of 3 items, got [{'gen': 'psi'}]"),
+    (["ope", "--module", '{"type":"fermion"}', "--field-a",
+      '{"lincomb":[[1]]}', "--field-b", '{"gen":"psi"}'],
+     "lincomb term must be a list of 2 items, got [1]"),
 ])
 def test_malformed_inputs_name_their_fault(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -448,6 +474,26 @@ def test_axioms_reads_colors_on_the_fermion_construction(capsys):
                                   "--colors", "0", "--depth", "1/2"])
     assert code == 2 and out == ""
     assert err == "error: need at least one fermion\n"
+
+
+def test_calls_in_one_process_answer_as_each_does_alone(capsys):
+    from nsvertex.cli import _parser
+    calls = [["ghosts", "--c", "1/2", "--h", "0", "--depth", "3/2"],
+             ["gram", "--module", '{"type":"fermion"}', "--level", "1",
+              "--format", "text"]]
+    alone = []
+    for argv in calls:
+        _parser.cache_clear()
+        alone.append(run(capsys, argv)[:2])
+    _parser.cache_clear()
+    assert [run(capsys, argv)[:2] for argv in calls] == alone
+    assert [code for code, _ in alone] == [0, 0] and all(
+        out for _, out in alone)
+    # a refused option after a valid call still names its subcommand
+    with pytest.raises(SystemExit) as exc:
+        main(["ghosts", "--c", "1/2", "--h", "0", "--seed", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: nsvertex ghosts ")
 
 
 def test_unknown_subcommand_exits_two(capsys):

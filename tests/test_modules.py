@@ -10,7 +10,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_accumulate import _reachable_fields
 
+from nsvertex.constructions import super_construction, susy_report
 from nsvertex.liealg import sl2
 from nsvertex.linalg import row_reduce
 from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
@@ -547,3 +549,17 @@ def test_parity_index_mismatch_rejected():
     ver = VermaModule("virasoro", Scalar.of(1), Scalar.of(0))
     with pytest.raises(ValueError):
         ver.apply(GG(-1), ver.vacuum())
+
+
+def test_memos_hold_one_scalar_per_coefficient_value():
+    # every cached coefficient of a module is the one Scalar of its value
+    # that the module stored first, so repeated values cost one object
+    cons = super_construction(sl2(), 1)
+    susy_report(cons, depth2=1, window=1)
+    module = cons.module
+    coeffs = [c for out in module._apply_cache.values() for c in out.values()]
+    coeffs += module._inner_cache.values()
+    coeffs += [c for f in _reachable_fields(cons)
+               for out in f._cache.values() for c in out.values()]
+    assert len(coeffs) > 2000 and module._inner_cache
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))

@@ -49,6 +49,12 @@ def test_conjugation():
     assert w.conjugate() == -w
 
 
+def test_a_real_scalar_is_its_own_conjugate():
+    for x in (ZERO, ONE, Scalar.of(Fraction(-7, 10)),
+              Scalar.root(2) - Fraction(1, 2) * Scalar.root(3)):
+        assert x.conjugate() is x
+
+
 def test_zero_is_canonical_empty_sum():
     z = Scalar.root(2) - Scalar.root(2)
     assert z.terms == {}
