@@ -38,6 +38,23 @@ def _depth2(args) -> int:
     return d2
 
 
+def _fraction(value: str, name: str) -> Fraction:
+    """A rational number given as a fraction string; a value that is not
+    one, or has a zero denominator, raises naming the option."""
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a fraction, got {value!r}") \
+            from None
+
+
+def _grade2(args) -> int:
+    n2 = half2(args.level, "level")
+    if n2 < 0:
+        raise ValueError(f"level must be nonnegative, got {args.level!r}")
+    return n2
+
+
 def _load_json(text: str):
     """Inline JSON if the argument looks like a literal, else a file path."""
     t = text.strip()
@@ -168,7 +185,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_gram(args) -> int:
     module = _module(args.module)
-    n2 = half2(args.level, "level")
+    n2 = _grade2(args)
     basis, matrix = module.gram(n2)
     report = {"level": Fraction(n2, 2), "dim": len(basis),
               "basis": [str(b) for b in basis], "matrix": matrix}
@@ -178,7 +195,7 @@ def cmd_gram(args) -> int:
 
 def cmd_nullvec(args) -> int:
     module = _module(args.module)
-    n2 = half2(args.level, "level")
+    n2 = _grade2(args)
     vectors = module.kernel_vectors(n2)
     dim = len(module.level_basis(n2))
     report = {"level": Fraction(n2, 2), "dim": dim,
@@ -189,11 +206,10 @@ def cmd_nullvec(args) -> int:
 
 
 def cmd_ghosts(args) -> int:
-    module = VermaModule(args.sector, Scalar.of(Fraction(args.c)),
-                         Scalar.of(Fraction(args.h)))
+    c, h = _fraction(args.c, "c"), _fraction(args.h, "h")
+    module = VermaModule(args.sector, Scalar.of(c), Scalar.of(h))
     report = module.ghost_report(_depth2(args))
-    report = {"sector": args.sector, "c": Fraction(args.c),
-              "h": Fraction(args.h), **report}
+    report = {"sector": args.sector, "c": c, "h": h, **report}
     ghost = report["has_ghost"]
     where = (f"first negative at grade {report['first_negative_grade']}"
              if ghost else "no negative-norm directions")
@@ -301,7 +317,7 @@ def cmd_module(args) -> int:
 
 def cmd_cocycle(args) -> int:
     smax2 = half2(args.smax, "smax")
-    charges = [Fraction(c) for c in (args.c or ["0", "1/2", "5/2"])]
+    charges = [_fraction(c, "c") for c in (args.c or ["0", "1/2", "5/2"])]
     # the odd sweep first: an smax that leaves it empty exits before any work
     odd = [{"c": c, "valid": verify_odd_cocycle(c, smax2)} for c in charges]
     even = cocycle_basis(args.nmax)
@@ -522,6 +538,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # A call frees the cycles it made (a module's field memo holds fields
+    # whose caches are keyed by the module) before it returns.  What the
+    # caller holds is frozen first, so the collection walks only the
+    # call's objects and leaves the caller's garbage to its collector; a
+    # caller that froze objects itself keeps them frozen.
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        gc.collect()
+        if freeze:
+            gc.unfreeze()
+
+
+def _run(argv) -> int:
     args, extra = _parser().parse_known_args(argv)
     if extra:
         # refused by the chosen subcommand, whose usage lists what it takes
@@ -535,11 +568,6 @@ def main(argv=None) -> int:
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        # a module's field memo holds fields whose caches are keyed by the
-        # module; such cycles outlive the call until the cyclic collector
-        # runs, so free them here instead of letting them pile up
-        gc.collect()
 
 
 if __name__ == "__main__":

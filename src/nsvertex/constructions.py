@@ -20,6 +20,7 @@ from .fields import (Field, IdentityField, ScaledSum, bracket_sweep,
                      grading_sweep, realize, state_field, sweep,
                      virasoro_bracket_check)
 from .liealg import LieAlgebra, casimir_constant_sl2
+from .linalg import _integer_matrix
 from .modules import BasisState, FockModule, Mode, Module, StateVector
 from .scalars import ONE, ZERO, I, Scalar
 
@@ -297,6 +298,8 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
 def _floor_weight(lie: LieAlgebra, level: int, spin2: int) -> Fraction:
     """h = casimir / (2(level + g)) for the chosen floor, restricted to
     floors with 2j <= level."""
+    if level < 0:
+        raise ValueError(f"level must be nonnegative, got {level}")
     if spin2 < 0:
         raise ValueError("negative spin")
     if spin2 > level:
@@ -403,15 +406,30 @@ def cocycle_basis(nmax: int) -> dict:
 
 def verify_jacobi_cocycle(A: dict, nmax: int) -> bool:
     """(m-n) A(p) + (n-p) A(m) + (p-m) A(n) = 0 over m+n+p = 0."""
+    return not _jacobi_sweep(A, nmax)["failures"]
+
+
+def _integer_tables(*tables: dict) -> list[dict]:
+    """The tables times the lcm of all their denominators, as int tables.
+    The cocycle identities are linear and homogeneous in the tables, so
+    they fail at the same points on the scaled ones."""
+    rows = _integer_matrix([list(t.values()) for t in tables])
+    return [dict(zip(t, row)) for t, row in zip(tables, rows)]
+
+
+def _jacobi_sweep(A: dict, nmax: int) -> dict:
+    """The sweep of verify_jacobi_cocycle, on the integer table of A."""
+    A, = _integer_tables(A)
+
     def a(k):
         return A[k] if k in A else -A[-k]
 
     span = range(-nmax, nmax + 1)
-    return not sweep(
+    return sweep(
         ({"m": m, "n": n, "p": -m - n} for m in span for n in span
          if abs(m + n) <= nmax),
         lambda m, n, p: (m - n) * a(p) + (n - p) * a(m) + (p - m) * a(n),
-        lambda m, n, p: 0)["failures"]
+        lambda m, n, p: 0)
 
 
 def odd_central_term(c, smax2: int) -> dict:
@@ -429,6 +447,15 @@ def verify_super_cocycle(A: dict, C: dict) -> bool:
     """2 A(n) + (s - n/2) C(r) + (r - n/2) C(s) = 0 over r + s + n = 0,
     swept over all pairs the two tables cover; an index n that A does
     not table fails."""
+    return not _super_sweep(A, C)["failures"]
+
+
+def _super_sweep(A: dict, C: dict) -> dict:
+    """The sweep of verify_super_cocycle on the integer tables of A and
+    C, with the identity doubled onto doubled indices r2, s2:
+    4 A(n) + (s2 - n) C(r2) + (r2 - n) C(s2) = 0."""
+    A, C = _integer_tables(A, C)
+
     def a(k):
         return A[k] if k in A else -A[-k]
 
@@ -436,12 +463,10 @@ def verify_super_cocycle(A: dict, C: dict) -> bool:
         n = -(r2 + s2) // 2
         if n not in A and -n not in A:
             return None
-        r, s = Fraction(r2, 2), Fraction(s2, 2)
-        return 2 * a(n) + (s - Fraction(n, 2)) * C[r2] \
-            + (r - Fraction(n, 2)) * C[s2]
+        return 4 * a(n) + (s2 - n) * C[r2] + (r2 - n) * C[s2]
 
-    return not sweep(({"r2": r2, "s2": s2} for r2 in C for s2 in C),
-                     mixed, lambda r2, s2: 0)["failures"]
+    return sweep(({"r2": r2, "s2": s2} for r2 in C for s2 in C),
+                 mixed, lambda r2, s2: 0)
 
 
 def verify_odd_cocycle(c, smax2: int) -> bool:

@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import Echelon, _add
+from .linalg import Echelon
 from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
                       StateVector, mode_parity, state_grade2, state_parity)
-from .scalars import ONE, Scalar, _exact_int, _json_list
+from .scalars import ONE, Scalar, _add, _exact_int, _json_list
 
 
 def gbinom(k: int, j: int) -> int:
@@ -324,9 +324,9 @@ def _t_apply(A, B, N, eps, p, q, module, state) -> dict:
     sum_k (-1)^k C(N, k) [A(p+N-k), B(q+k)]_eps."""
     out = {}
     for k in range(N + 1):
-        c = math.comb(N, k)
-        _add(out, _bracket_apply(A, p + N - k, B, q + k, eps, module, state),
-             -c if k % 2 else c)
+        c = -math.comb(N, k) if k % 2 else math.comb(N, k)
+        _compose(out, c, A, p + N - k, B, q + k, module, state)
+        _compose(out, c if eps else -c, B, q + k, A, p + N - k, module, state)
     return out
 
 

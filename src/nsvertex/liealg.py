@@ -18,8 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .linalg import _add
-from .scalars import ZERO, Scalar, _exact_int, _json_key, _json_list
+from .scalars import ZERO, Scalar, _add, _exact_int, _json_key, _json_list
 
 
 # signs of itertools.permutations of a triple, in the order it yields them

@@ -1,8 +1,6 @@
 """Exact linear algebra over the scalar field.
 
-_add is the one sparse accumulate, out += coeff * vec on dicts keyed by
-basis states or columns, shared by modules, fields and the row
-reduction.  Echelon is the one row reduction: it reduces sparse rows
+Echelon is the one row reduction: it reduces sparse rows
 incrementally, and the reduced row echelon form and kernels are built
 on it.  They work over the full field (radicals allowed).
 The inertia of a symmetric form is restricted to rational entries, where
@@ -16,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _add, _ratio
 
 
 def _acc(d: dict, key, coeff: Scalar):
@@ -27,24 +25,6 @@ def _acc(d: dict, key, coeff: Scalar):
         d[key] = cur
     elif key in d:
         del d[key]
-
-
-def _add(out: dict, vec: dict, coeff):
-    """out += coeff * vec, dropping the entries that vanish.  vec is only
-    read, so it may be a cached action; coeff is a Scalar or a number.
-    A unit coeff, or an entry that is ONE times a Scalar coeff, takes no
-    multiply."""
-    unit = coeff is ONE or (type(coeff) is int and coeff == 1)
-    whole = coeff if type(coeff) is Scalar else None
-    for key, c in vec.items():
-        if not unit:
-            c = whole if c is ONE and whole is not None else c * coeff
-        cur = out.get(key)
-        cur = c if cur is None else cur + c
-        if cur:
-            out[key] = cur
-        elif key in out:
-            del out[key]
 
 
 class Echelon:
@@ -110,14 +90,6 @@ def _integer_matrix(matrix) -> list[list[int]]:
     """The rational matrix times the least common multiple of its denominators."""
     den = lcm(*(_ratio(x)[1] for row in matrix for x in row))
     return [[n * (den // d) for n, d in map(_ratio, row)] for row in matrix]
-
-
-def _ratio(x) -> tuple[int, int]:
-    """Numerator and denominator of a rational Scalar, int or Fraction."""
-    if isinstance(x, Scalar) and x.is_rational():
-        return x._t.get(1, 0), x._d
-    x = x.as_fraction() if isinstance(x, Scalar) else Fraction(x)
-    return x.numerator, x.denominator
 
 
 def _swap(a: list[list[int]], idx: list[int], i: int, k: int):

@@ -20,8 +20,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .liealg import LieAlgebra, sl2, sl2_floor
-from .linalg import _acc, _add, inertia_with_witness, kernel_basis
-from .scalars import ONE, ZERO, I, Scalar, _exact_int, _json_key, _json_list
+from .linalg import _acc, inertia_with_witness, kernel_basis
+from .scalars import (ONE, ZERO, I, Scalar, _add, _exact_int, _interned,
+                      _json_key, _json_list)
 
 KIND_RANK = {"x": 0, "L": 1, "G": 2, "psi": 3}
 ODD_KINDS = frozenset({"psi", "G"})
@@ -223,18 +224,12 @@ class Module:
             self._apply_cache[key] = out
         return out
 
-    def _shared(self, c: Scalar) -> Scalar:
-        """The first Scalar equal to c that the module's memos stored."""
-        t = c._t
-        # the key is exact: common denominator, sorted (radicand, numerator)
-        items = t.items() if len(t) < 2 else sorted(t.items())
-        return self._values.setdefault((c._d, *items), c)
-
     def _share(self, out: dict) -> dict:
         """out, a new action dict, with each coefficient swapped in place
         for its shared Scalar."""
+        values = self._values
         for state, c in out.items():
-            out[state] = self._shared(c)
+            out[state] = _interned(values, c)
         return out
 
     def _apply_uncached(self, mode: Mode, state: BasisState) -> dict:
@@ -309,7 +304,7 @@ class Module:
                 moved = self.apply_to_basis(adjoint_mode(head), b2)
                 for t, c in moved.items():
                     out = out + c.conjugate() * self._inner_same_grade(rest, t)
-            out = self._shared(out)
+            out = _interned(self._values, out)
             self._inner_cache[key] = out
         return out
 

@@ -14,6 +14,10 @@ numerator, with ``q_r = _t[r] / _d``.  Every scalar is kept in lowest
 terms, ``gcd(_d, *_t.values()) == 1`` (zero is ``_d = 1`` with the
 empty dict), so two scalars are equal exactly when both fields are, and
 an operation is integer arithmetic followed by one gcd.
+
+_add, the one sparse accumulate out += coeff * vec on dicts of scalars
+keyed by basis states or columns, lives here with the representation it
+reads; modules, fields and the row reduction share it.
 """
 
 from __future__ import annotations
@@ -101,6 +105,18 @@ def _reduce(d: int, t: dict) -> "Scalar":
             d //= g
             t = {r: n // g for r, n in t.items()}
     return _new(d, t)
+
+
+def _monomial(d: int, rad: int, n: int) -> "Scalar":
+    """The scalar n sqrt(rad) / d in lowest terms; n != 0 and d > 0."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    if n == 1 and d == 1 and rad == 1:
+        return _ONE
+    return _new(d, {rad: n})
 
 
 class Scalar:
@@ -239,6 +255,7 @@ class Scalar:
             else:
                 f, rad = _mul_rad(r, s)
                 n = x * y * f
+            # _monomial(d, rad, n), inlined: a call costs ~5 % of a multiply
             if d != 1:
                 g = gcd(n, d)
                 if g != 1:
@@ -393,6 +410,85 @@ class Scalar:
         return out
 
     __repr__ = __str__
+
+
+def _add(out: dict, vec: dict, coeff):
+    """out += coeff * vec on dicts of Scalars, dropping the entries that
+    vanish.  vec is only read, so it may be a cached action; coeff is a
+    Scalar or a number.  A unit coeff, or an entry that is ONE, passes
+    the other factor through as the same object.
+
+    When the entry and coeff are both single terms, the product and the
+    running sum are taken on their integer numerators and denominators,
+    and a Scalar is made only for a nonzero result."""
+    k = coeff if type(coeff) is Scalar else _coerce(coeff)
+    kt = k._t
+    if not kt:
+        return
+    unit = k._d == 1 and kt == _ONE._t
+    if len(kt) == 1:
+        (s, y), = kt.items()
+        e = k._d
+    else:
+        s = None
+    for key, c in vec.items():
+        ct = c._t
+        cur = out.get(key)
+        if s is None or len(ct) != 1:
+            p = c if unit else k if c is _ONE else c * k
+            cur = p if cur is None else cur + p
+        else:
+            (r, x), = ct.items()
+            if r == 1:
+                rad, n = s, x * y
+            elif s == 1:
+                rad, n = r, x * y
+            else:
+                f, rad = _mul_rad(r, s)
+                n = x * y * f
+            d = c._d * e
+            if cur is None:
+                out[key] = c if unit else k if c is _ONE \
+                    else _monomial(d, rad, n)
+                continue
+            t = cur._t
+            if len(t) == 1 and rad in t:
+                # both terms sit at rad: one integer sum over a common d
+                dc = cur._d
+                if dc == d:
+                    n += t[rad]
+                else:
+                    g = gcd(dc, d)
+                    n = n * (dc // g) + t[rad] * (d // g)
+                    d = d // g * dc
+                if n:
+                    out[key] = _monomial(d, rad, n)
+                else:
+                    del out[key]
+                continue
+            cur = cur + (c if unit else k if c is _ONE
+                         else _monomial(d, rad, n))
+        if cur:
+            out[key] = cur
+        elif key in out:
+            del out[key]
+
+
+def _ratio(x) -> tuple[int, int]:
+    """Numerator and denominator of a rational Scalar, int or Fraction."""
+    if isinstance(x, Scalar) and x.is_rational():
+        return x._t.get(1, 0), x._d
+    x = x.as_fraction() if isinstance(x, Scalar) else Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _interned(values: dict, c: Scalar) -> Scalar:
+    """The first Scalar equal to c that the table values holds, stored
+    there if it is the first; the key is exact: the common denominator
+    and the sorted (radicand, numerator) pairs."""
+    t = c._t
+    items = t.items() if len(t) < 2 else sorted(t.items())
+    return values.setdefault((c._d, *items), c)
 
 
 def _coerce(value):

@@ -332,6 +332,15 @@ def test_malformed_inputs_exit_two(capsys):
     (["ope", "--module", '{"type":"fermion"}', "--field-a",
       '{"lincomb":[[1]]}', "--field-b", '{"gen":"psi"}'],
      "lincomb term must be a list of 2 items, got [1]"),
+    (["ghosts", "--c", "1/0", "--h", "0"], "c must be a fraction, got '1/0'"),
+    (["cocycle", "--c", "1/0"], "c must be a fraction, got '1/0'"),
+    (["ghosts", "--c", "1/2", "--h", "x"], "h must be a fraction, got 'x'"),
+    (["gram", "--module", '{"type":"fermion"}', "--level", "-1/2"],
+     "level must be nonnegative, got '-1/2'"),
+    (["nullvec", "--module", '{"type":"fermion"}', "--level", "-1/2"],
+     "level must be nonnegative, got '-1/2'"),
+    (["module", "--algebra", "sl2", "--level", "-1"],
+     "level must be nonnegative, got -1"),
 ])
 def test_malformed_inputs_name_their_fault(capsys, argv, message):
     code, out, err = run(capsys, argv)

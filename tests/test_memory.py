@@ -2,11 +2,14 @@
 
 Every field memo and cache belongs to the module it refers to, so once a
 command returns, its modules can be collected; the generator fields of a
-construction are the module's own state fields."""
+construction are the module's own state fields.  A call collects only
+the cycles it made: what the caller holds, garbage included, is left to
+the caller's collector."""
 
 import contextlib
 import gc
 import io
+import weakref
 
 from nsvertex.cli import main
 from nsvertex.constructions import super_construction
@@ -45,6 +48,38 @@ def test_cli_call_frees_its_modules_before_returning():
     left = [obj for obj in gc.get_objects()
             if isinstance(obj, Module) and id(obj) not in before]
     assert left == []
+
+
+class _Node:
+    pass
+
+
+def test_cli_call_leaves_the_callers_garbage_alone():
+    gc.collect()
+    # no automatic collection may free the cycle before main is called
+    gc.disable()
+    try:
+        node = _Node()
+        node.self = node
+        ref = weakref.ref(node)
+        del node
+        _run_quietly(["catalog"])
+        assert ref() is not None
+    finally:
+        gc.enable()
+    gc.collect()
+    assert ref() is None
+
+
+def test_cli_call_keeps_what_the_caller_froze_frozen():
+    gc.collect()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        _run_quietly(AXIOMS)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 def test_construction_fields_are_module_state_fields():

@@ -17,7 +17,10 @@ from nsvertex.cli import _adjoint_sweep, _json_ready, main
 from nsvertex.constructions import (boson_sugawara, current_bracket_report,
                                     fermion_vosa, g_fermion_system,
                                     super_construction, susy_report,
-                                    _current_algebra_sweep)
+                                    verify_jacobi_cocycle,
+                                    verify_super_cocycle,
+                                    _current_algebra_sweep, _jacobi_sweep,
+                                    _super_sweep)
 from nsvertex.fields import (GeneratorField, IdentityField, NthProduct,
                              ScaledSum, bracket_check, bracket_from_ope,
                              bracket_sweep, check_borcherds,
@@ -414,3 +417,62 @@ def test_adjoint_sweep_names_the_vectors_of_a_failing_field():
         assert {Fraction(state_grade2(s), 2) for s, _ in u.items()} == {
             Fraction(failure["grade"])}
         assert _json_ready(failure)["u"] == _json_ready(u)
+
+
+# -- cocycle sweeps on integer tables ---------------------------------------
+
+def jacobi_hand_loop(A, nmax):
+    """(m, n, p) where (m-n) A(p) + (n-p) A(m) + (p-m) A(n) != 0, in
+    Fractions, m-major."""
+    def a(k):
+        return Fraction(A[k] if k in A else -A[-k])
+
+    out = []
+    for m in range(-nmax, nmax + 1):
+        for n in range(-nmax, nmax + 1):
+            p = -m - n
+            if abs(p) <= nmax and (m - n) * a(p) + (n - p) * a(m) \
+                    + (p - m) * a(n):
+                out.append({"m": m, "n": n, "p": p})
+    return out
+
+
+def super_hand_loop(A, C):
+    """(r2, s2) where 2 A(n) + (s - n/2) C(r) + (r - n/2) C(s) != 0 at
+    n = -(r + s), in Fractions; an n that A does not table fails."""
+    out = []
+    for r2 in C:
+        for s2 in C:
+            r, s = Fraction(r2, 2), Fraction(s2, 2)
+            n = -(r + s)
+            if n not in A and -n not in A:
+                out.append({"r2": r2, "s2": s2})
+                continue
+            a = Fraction(A[n] if n in A else -A[-n])
+            if 2 * a + (s - n / 2) * Fraction(C[r2]) \
+                    + (r - n / 2) * Fraction(C[s2]):
+                out.append({"r2": r2, "s2": s2})
+    return out
+
+
+def test_cocycle_sweeps_on_integer_tables_fail_where_fractions_do():
+    nmax = smax2 = 7
+    A = {n: Fraction(n, 3) for n in range(-nmax, nmax + 1)}
+    # A(n) = n/3 pairs with the constant odd term C = 1/3
+    C = {s2: Fraction(1, 3) for s2 in range(-smax2, smax2 + 1, 2)}
+    assert jacobi_hand_loop(A, nmax) == [] and super_hand_loop(A, C) == []
+    assert verify_jacobi_cocycle(A, nmax) and verify_super_cocycle(A, C)
+
+    bad = {**A, 2: A[2] + Fraction(1, 7)}
+    failures = jacobi_hand_loop(bad, nmax)
+    assert failures and _jacobi_sweep(bad, nmax) == {
+        "checked": len(range(-nmax, nmax + 1)) ** 2 - nmax * (nmax + 1),
+        "failures": failures}
+    failures = super_hand_loop(bad, C)
+    assert failures and _super_sweep(bad, C) == {"checked": len(C) ** 2,
+                                                 "failures": failures}
+    odd = {**C, 3: C[3] + Fraction(1, 7)}
+    failures = super_hand_loop(A, odd)
+    assert failures and _super_sweep(A, odd)["failures"] == failures
+    assert not verify_jacobi_cocycle(bad, nmax)
+    assert not verify_super_cocycle(bad, C)
