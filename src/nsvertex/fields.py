@@ -3,15 +3,20 @@
 A field is expanded in unit slots, A(z) = sum_n A(n) z^(-n-1); a field
 of weight w has physical modes A_m = A(m + w - 1), so slot -1 always
 creates the corresponding state from the vacuum.  Slot actions on basis
-states are memoized per field, and composite fields (n-th products and
-sums) evaluate through the universal expansion
+states are memoized per field.  With eps the parity product, the
+Borcherds identity reads
 
-  (A_k B)(m) = sum_j (-1)^j C(k,j) [A(k-j)B(m+j)
-               - (-1)^(k+eps) B(k+m-j)A(j)],
+  sum_j C(p,j) (A_(r+j)B)(p+q-j)
+    = sum_j (-1)^j C(r,j) [A(p+r-j)B(q+j) - (-1)^(r+eps) B(q+r-j)A(p+j)],
 
-with eps the parity product.  On a vacuum module, a composite field F
-that the module's state-field map built keeps that expansion for the
-floor only; on a word h w whose head is the mode h = a(p) of a
+and one kernel evaluates its right side on a basis state, each order of
+composition cut off at the grading bound of its first factor.  Its three
+special cases are the n-th product (A_r B)(q) at p = 0, through which
+composite fields evaluate; the bracket [A(p), B(q)]_eps at r = 0; and at
+r = N the coefficient of z^(-p-1) w^(-q-1) in (z-w)^N [A(z), B(w)]_eps,
+whose vanishing is locality.  On a vacuum module, a composite field F
+that the module's state-field map built keeps the product expansion for
+the floor only; on a word h w whose head is the mode h = a(p) of a
 generator a, it commutes past the head,
 
   F(n) h w = s h F(n) w - s sum_j C(p,j) (a_j F)(p+n-j) w,
@@ -163,7 +168,30 @@ class ScaledSum(Field):
 def _compose(out: dict, coeff: int, A, na, B, nb, module, state):
     """out += coeff * A(na) B(nb) state, for an integer coeff."""
     for st, c in B.act(nb, module, state).items():
-        _add(out, A.act(na, module, st), c if coeff == 1 else c * coeff)
+        vec = A.act(na, module, st)
+        if vec:
+            _add(out, vec, c if coeff == 1 else c * coeff)
+
+
+def _borcherds(A, p, r, B, q, eps, module, state) -> dict:
+    """The right side of the Borcherds identity on one basis state; j
+    runs to r for r >= 0 and to the grading bound otherwise."""
+    swap = 1 if (r + eps) % 2 else -1
+    g2 = state_grade2(state)
+    # each composition order dies once its first factor's slot,
+    # B(q + j) or A(p + j), exceeds its grading bound
+    jab = (g2 + B.weight2 - 2) // 2 - q
+    jba = (g2 + A.weight2 - 2) // 2 - p
+    if r >= 0:
+        jab, jba = min(jab, r), min(jba, r)
+    out = {}
+    for j in range(max(jab, jba, -1) + 1):
+        c = -gbinom(r, j) if j % 2 else gbinom(r, j)
+        if j <= jab:
+            _compose(out, c, A, p + r - j, B, q + j, module, state)
+        if j <= jba:
+            _compose(out, c * swap, B, q + r - j, A, p + j, module, state)
+    return out
 
 
 class NthProduct(Field):
@@ -176,28 +204,9 @@ class NthProduct(Field):
         self.parity = (a.parity + b.parity) & 1
 
     def _act(self, m, module, state):
-        a, b, k = self.a, self.b, self.k
-        eps = a.parity & b.parity
-        swap_sign = -1 if (k + eps) % 2 else 1
-        g2 = state_grade2(state)
-        # each composition order dies once its first factor's slot,
-        # B(m + j) or A(j), exceeds its grading bound
-        jab = (g2 + b.weight2 - 2) // 2 - m
-        jba = (g2 + a.weight2 - 2) // 2
-        if k >= 0:
-            jab, jba = min(jab, k), min(jba, k)
-        out = {}
-        for j in range(max(jab, jba, -1) + 1):
-            cj = gbinom(k, j)
-            if not cj:
-                continue
-            coeff = -cj if j % 2 else cj
-            if j <= jab:
-                _compose(out, coeff, a, k - j, b, m + j, module, state)
-            if j <= jba:
-                _compose(out, -coeff * swap_sign, b, k + m - j, a, j, module,
-                         state)
-        return out
+        a, b = self.a, self.b
+        return _borcherds(a, 0, self.k, b, m, a.parity & b.parity, module,
+                          state)
 
     def __str__(self):
         return f"({self.a})_{{{self.k}}}({self.b})"
@@ -310,26 +319,6 @@ def _basis_field(module: Module, state: BasisState) -> Field:
 
 # -- locality ---------------------------------------------------------------
 
-def _bracket_apply(A, na, B, nb, eps, module, state) -> dict:
-    """[A(na), B(nb)]_eps applied to one basis state."""
-    out = {}
-    _compose(out, 1, A, na, B, nb, module, state)
-    # eps = 1 flips the commutator to an anticommutator
-    _compose(out, 1 if eps else -1, B, nb, A, na, module, state)
-    return out
-
-
-def _t_apply(A, B, N, eps, p, q, module, state) -> dict:
-    """Coefficient of (z-w)^N [A(z), B(w)]_eps at z^(-p-1) w^(-q-1):
-    sum_k (-1)^k C(N, k) [A(p+N-k), B(q+k)]_eps."""
-    out = {}
-    for k in range(N + 1):
-        c = -math.comb(N, k) if k % 2 else math.comb(N, k)
-        _compose(out, c, A, p + N - k, B, q + k, module, state)
-        _compose(out, c if eps else -c, B, q + k, A, p + N - k, module, state)
-    return out
-
-
 class NotLocalError(ValueError):
     """No order up to the bound makes the bracket vanish on the window."""
 
@@ -351,10 +340,12 @@ def locality_order(A: Field, B: Field, module: Module, depth2: int = 4,
     witness = {0: None, 1: None}
     for N in range(max_order + 1):
         for eps in (predicted, 1 - predicted):
-            # state-major search; the first nonzero point is the witness
+            # the coefficient of z^(-p-1) w^(-q-1) is the Borcherds sum
+            # at r = N; state-major search, the first nonzero point is
+            # the witness
             found = next(((N, p, q, state) for state in states
                           for p in slots for q in slots
-                          if _t_apply(A, B, N, eps, p, q, module, state)),
+                          if _borcherds(A, p, N, B, q, eps, module, state)),
                          None)
             if found is None:
                 return {"order": N,
@@ -375,7 +366,8 @@ def ope_singular_part(A: Field, B: Field, module: Module, order: int) -> dict:
 
 def commutator_direct(A: Field, m: int, B: Field, n: int,
                       module: Module, state: BasisState) -> dict:
-    return _bracket_apply(A, m, B, n, A.parity & B.parity, module, state)
+    """[A(m), B(n)]_eps on one basis state: the Borcherds sum at r = 0."""
+    return _borcherds(A, m, 0, B, n, A.parity & B.parity, module, state)
 
 
 def bracket_from_ope(A: Field, m: int, B: Field, n: int, order: int,

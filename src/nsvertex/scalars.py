@@ -421,6 +421,8 @@ def _add(out: dict, vec: dict, coeff):
     When the entry and coeff are both single terms, the product and the
     running sum are taken on their integer numerators and denominators,
     and a Scalar is made only for a nonzero result."""
+    if not vec:
+        return
     k = coeff if type(coeff) is Scalar else _coerce(coeff)
     kt = k._t
     if not kt:

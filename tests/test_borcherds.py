@@ -1,0 +1,93 @@
+"""The Borcherds kernel against an uncut sum, and the order bound it encodes.
+
+fields._borcherds evaluates the right side of the Borcherds identity,
+
+  sum_j (-1)^j C(r,j) [A(p+r-j)B(q+j) - (-1)^(r+eps) B(q+r-j)A(p+j)],
+
+and stops each composition order at the grading bound of its first
+factor.  The oracle here takes every term up to j = r for r >= 0, and
+up to a fixed J well past any grading bound otherwise, each through
+Field.act and _add, so a cutoff that dropped a nonzero term shows up as
+a difference.  The kernel serves n-th products (p = 0), brackets
+(r = 0) and locality coefficients (r = N).
+"""
+
+from fractions import Fraction
+from itertools import product
+
+from nsvertex.constructions import fermion_vosa, super_construction
+from nsvertex.fields import (_borcherds, creating_state, gbinom,
+                             generate_closure, state_field)
+from nsvertex.liealg import sl2
+from nsvertex.modules import VermaModule
+from nsvertex.scalars import _add
+
+# on states of grade <= 1 a field of weight <= 2 vanishes at slots above
+# 2, so with p, q >= -2 every term past j = 4 is zero; J leaves room
+J = 10
+
+
+def compose(X, nx, Y, ny, module, state, memo) -> dict:
+    """X(nx) Y(ny) state, memoized: terms recur across (p, r, q)."""
+    key = (X, nx, Y, ny, state)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = {}
+        for st, c in Y.act(ny, module, state).items():
+            _add(out, X.act(nx, module, st), c)
+    return out
+
+
+def uncut(A, p, r, B, q, module, state, memo) -> tuple:
+    """The two orders of the sum, sum_j (-1)^j C(r,j) A(p+r-j)B(q+j) and
+    sum_j (-1)^j C(r,j) B(q+r-j)A(p+j), each term taken in full."""
+    ab, ba = {}, {}
+    for j in range(r + 1 if r >= 0 else J):
+        c = (-1) ** j * gbinom(r, j)
+        _add(ab, compose(A, p + r - j, B, q + j, module, state, memo), c)
+        _add(ba, compose(B, q + r - j, A, p + j, module, state, memo), c)
+    return ab, ba
+
+
+def _assert_kernel_matches(fields, module):
+    memo = {}
+    for A, B, p, q, r, state in product(fields, fields, range(-2, 3),
+                                        range(-2, 3), range(-2, 4),
+                                        module.basis_upto(2)):
+        ab, ba = uncut(A, p, r, B, q, module, state, memo)
+        for eps in (0, 1):
+            want = dict(ab)
+            _add(want, ba, 1 if (r + eps) % 2 else -1)
+            assert _borcherds(A, p, r, B, q, eps, module, state) == want, \
+                (str(A), p, r, str(B), q, eps, str(state))
+
+
+def test_kernel_matches_uncut_sum_on_ns_verma():
+    module = VermaModule("ns", Fraction(7, 10), Fraction(1, 10))
+    fields = [state_field(module, creating_state(k)) for k in ("G", "L")]
+    _assert_kernel_matches(fields, module)
+
+
+def test_kernel_matches_uncut_sum_on_super_construction():
+    cons = super_construction(sl2(), 1)
+    module = cons.module
+    psi = cons.fields["psi1"]
+    # a product of weight -5, zero at every slot on these states
+    negative = psi.prod(psi, 5)
+    assert negative.weight2 < 0
+    _assert_kernel_matches([cons.fields["G"], psi,
+                            state_field(module, cons.omega), negative],
+                           module)
+
+
+def test_locality_orders_stay_within_the_weight_bound():
+    # A_(j)B has weight w_A + w_B - j - 1, which a graded module keeps
+    # >= 0, so the products vanish from j = w_A + w_B on
+    for cons, depth2 in ((fermion_vosa(2), 4),
+                         (super_construction(sl2(), 1), 2)):
+        rep = generate_closure(cons.module, cons.fields, depth2)
+        assert rep["valid"]
+        fields = rep["fields"]
+        for (a, b), loc in rep["locality_table"].items():
+            A, B = fields[a], fields[b]
+            assert loc["order"] <= (A.weight2 + B.weight2) // 2, (a, b)
