@@ -222,11 +222,9 @@ def cmd_ope(args) -> int:
     B = _field(args.field_b)
     depth2 = _depth2(args)
     try:
-        loc = locality_order(A, B, module, depth2=depth2,
-                             max_order=args.max_order, window=args.window)
+        loc = locality_order(A, B, module, depth2=depth2, window=args.window)
     except NotLocalError as exc:
-        report = {"local": False, "max_order": args.max_order,
-                  "error": str(exc)}
+        report = {"local": False, "error": str(exc)}
         return _emit(args, report, f"not local: {exc}", 1)
     singular = ope_singular_part(A, B, module, loc["order"])
     report = {"local": True, "order": loc["order"],
@@ -244,8 +242,7 @@ def cmd_brackets(args) -> int:
     module = _module(args.module)
     A = _field(args.field_a)
     B = _field(args.field_b)
-    report = bracket_check(A, B, module, _depth2(args), args.max_order,
-                           args.window)
+    report = bracket_check(A, B, module, _depth2(args), args.window)
     ok = report["valid"]
     return _emit(args, report,
                  f"{report['checked']} bracket values "
@@ -261,8 +258,7 @@ def cmd_sugawara(args) -> int:
     measured = cons.central_charge
     closed = central_charges(lie, args.level)["c_boson"]
     vir = check_vosa_axioms(cons.module, cons.fields, cons.omega,
-                            depth2=depth2, window=args.window,
-                            max_order=args.max_order)
+                            depth2=depth2, window=args.window)
     match = measured == closed
     report = {"algebra": lie.name, "level": args.level,
               "central_charge": measured, "closed_form": closed,
@@ -399,8 +395,7 @@ def cmd_axioms(args) -> int:
     cons = _build_construction(args)
     depth2 = _depth2(args)
     rep = check_vosa_axioms(cons.module, cons.fields, cons.omega,
-                            depth2=depth2, window=args.window,
-                            max_order=args.max_order)
+                            depth2=depth2, window=args.window)
     named = sorted(cons.fields.items())
     named.append(("L", state_field(cons.module, cons.omega)))
     adjoint = _adjoint_sweep(cons.module, named, depth2, args.seed)
@@ -420,7 +415,7 @@ def cmd_axioms(args) -> int:
 
 @cache   # built once per process; parsing leaves the parser unchanged
 def _parser() -> argparse.ArgumentParser:
-    # parents nest, one option each: common < depth < window < order
+    # parents nest, one option each: common < depth < window
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json",
                         help="report encoding on stdout")
@@ -430,9 +425,6 @@ def _parser() -> argparse.ArgumentParser:
     window = argparse.ArgumentParser(add_help=False, parents=[depth])
     window.add_argument("--window", type=int, default=2,
                         help="mode-index window for sweeps")
-    order = argparse.ArgumentParser(add_help=False, parents=[window])
-    order.add_argument("--max-order", type=int, default=8,
-                       help="largest locality order to search")
 
     parser = argparse.ArgumentParser(
         prog="nsvertex",
@@ -470,7 +462,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="floor weight (fraction)")
     p.set_defaults(func=cmd_ghosts)
 
-    p = sub.add_parser("ope", parents=[order],
+    p = sub.add_parser("ope", parents=[window],
                        help="locality order and singular products")
     p.add_argument("--module", required=True)
     p.add_argument("--field-a", required=True,
@@ -478,14 +470,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--field-b", required=True)
     p.set_defaults(func=cmd_ope)
 
-    p = sub.add_parser("brackets", parents=[order],
+    p = sub.add_parser("brackets", parents=[window],
                        help="mode brackets against the product expansion")
     p.add_argument("--module", required=True)
     p.add_argument("--field-a", required=True)
     p.add_argument("--field-b", required=True)
     p.set_defaults(func=cmd_brackets)
 
-    p = sub.add_parser("sugawara", parents=[order],
+    p = sub.add_parser("sugawara", parents=[window],
                        help="current-bilinear conformal state checks")
     p.add_argument("--algebra", required=True)
     p.add_argument("--level", type=int, required=True)
@@ -514,7 +506,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="central charge to pair (repeatable fraction)")
     p.set_defaults(func=cmd_cocycle)
 
-    p = sub.add_parser("axioms", parents=[order],
+    p = sub.add_parser("axioms", parents=[window],
                        help="full axiom report plus a seeded adjoint sweep")
     p.add_argument("--construction", required=True,
                    choices=("fermion", "g-fermion", "sugawara", "super"))
@@ -560,9 +552,9 @@ def _run(argv) -> int:
         # refused by the chosen subcommand, whose usage lists what it takes
         args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        # a negative window or order would empty every sweep and pass
-        if min(getattr(args, "window", 0), getattr(args, "max_order", 0)) < 0:
-            raise ValueError("--window and --max-order must be nonnegative")
+        # a negative window would empty every sweep and pass
+        if getattr(args, "window", 0) < 0:
+            raise ValueError("--window must be nonnegative")
         return args.func(args)
     except (ValueError, KeyError, TypeError, ZeroDivisionError,
             OSError, json.JSONDecodeError) as exc:

@@ -60,6 +60,13 @@ def slot_of_index2(weight2: int, m2: int) -> int:
     return n2 // 2
 
 
+def _order_bound(weight2_a: int, weight2_b: int) -> int:
+    """The first j from which A_(j)B = 0, for fields of the doubled
+    weights: A_(j)B has weight w_A + w_B - j - 1, which a graded module
+    keeps >= 0.  It bounds the locality order 1 + max{j : A_(j)B != 0}."""
+    return (weight2_a + weight2_b) // 2
+
+
 class Field:
     """Base field: memoized slot action on module basis states."""
 
@@ -231,21 +238,23 @@ def _commute(F: Field, n: int, module: Module, state: BasisState) -> dict:
     for st, c in F.act(n, module, rest).items():
         _add(out, module.apply_to_basis(head, st), c if s == 1 else -c)
     for j, c, E in _head_products(F, head.kind, head.color, module):
-        _add(out, E.act(p + n - j, module, rest), c * (-s * gbinom(p, j)))
+        vec = E.act(p + n - j, module, rest)
+        if vec:
+            _add(out, vec, c * (-s * gbinom(p, j)))
     return out
 
 
 def _head_products(F: Field, kind: str, color: int, module: Module) -> list:
     """(j, coeff, E) for each term coeff |E> of a(j)|F>, with a the
     generator of the kind and color and E the module's field of the
-    term's basis state; a(j)|F> = 0 once 2(j + 1) > weight2(F) +
-    weight2(a).  Kept in the module's field memo under (F, kind, color)."""
+    term's basis state; a(j)|F> = 0 from the order bound on.  Kept in
+    the module's field memo under (F, kind, color)."""
     key = (F, kind, color)
     out = module._field_cache.get(key)
     if out is None:
         w2 = GENERATOR_WEIGHT2[kind]
         out = []
-        for j in range((F.weight2 + w2) // 2):
+        for j in range(_order_bound(F.weight2, w2)):
             mode = Mode(kind, color, 2 * j - w2 + 2)
             vec = {}
             for st, c in module._field_cache[F].items():
@@ -320,11 +329,13 @@ def _basis_field(module: Module, state: BasisState) -> Field:
 # -- locality ---------------------------------------------------------------
 
 class NotLocalError(ValueError):
-    """No order up to the bound makes the bracket vanish on the window."""
+    """No order up to the search's bound makes the bracket vanish on the
+    window.  At the default bound, the fields' weight bound, the pair is
+    not local, or the engine is at fault."""
 
 
 def locality_order(A: Field, B: Field, module: Module, depth2: int = 4,
-                   max_order: int = 8, window: int = 3) -> dict:
+                   window: int = 3, *, max_order: int | None = None) -> dict:
     """Minimal N with (z-w)^N [A(z), B(w)]_eps = 0 on the swept window.
 
     Both parities are searched rather than assuming eps is the parity
@@ -332,8 +343,11 @@ def locality_order(A: Field, B: Field, module: Module, depth2: int = 4,
     The sweep covers basis states of grade up to depth2/2 and slot pairs
     (p, q) in [-window, window]^2.  The check certifies vanishing on
     that window only, which pins N from below by an explicit witness at
-    N-1.
+    N-1.  N is searched up to max_order, by default the weight bound
+    (A.weight2 + B.weight2) // 2 that no local pair exceeds.
     """
+    if max_order is None:
+        max_order = max(0, _order_bound(A.weight2, B.weight2))
     predicted = A.parity & B.parity
     states = module.basis_upto(depth2)
     slots = range(-window, window + 1)
@@ -404,12 +418,11 @@ def _product_field(A: Field, B: Field, j: int,
 
 
 def bracket_check(A: Field, B: Field, module: Module, depth2: int,
-                  max_order: int, window: int) -> dict:
+                  window: int) -> dict:
     """The locality order of A and B on the window, then every direct
     bracket [A(m), B(n)] against its expansion through the products
     A_j B, j below that order."""
-    loc = locality_order(A, B, module, depth2=depth2, max_order=max_order,
-                         window=window)
+    loc = locality_order(A, B, module, depth2=depth2, window=window)
     order = loc["order"]
     swept = sweep(
         window_points(module, depth2, window),
@@ -448,8 +461,7 @@ def closure_spans(module: Module, field_list, depth2: int) -> list:
 
 
 def generate_closure(module: Module, generators, depth2: int,
-                     window: int = 2, max_order: int = 8,
-                     max_fields: int = 64) -> dict:
+                     window: int = 2, max_fields: int = 64) -> dict:
     """Fields realizing the generated vacuum submodule up to depth.
 
     Every spanning state of the closure is turned back into a field
@@ -464,23 +476,22 @@ def generate_closure(module: Module, generators, depth2: int,
     if len(states) > max_fields:
         raise ValueError(f"closure exceeds {max_fields} fields")
     fields = [state_field(module, vec) for vec in states]
-    table = locality_table(list(enumerate(fields)), module, depth2,
-                           max_order, window)
+    table = locality_table(list(enumerate(fields)), module, depth2, window)
     return {"dims": [len(sp) for sp in spaces], "states": states,
             "fields": fields, "locality_table": table,
             "valid": None not in table.values()}
 
 
-def locality_table(named, module: Module, depth2: int, max_order: int,
-                   window: int) -> dict:
+def locality_table(named, module: Module, depth2: int, window: int) -> dict:
     """Locality order and bracket of each pair (a, b), b not before a, of
-    a (key, field) list; None if not local at order <= max_order."""
+    a (key, field) list; None if not local within the pair's weight
+    bound."""
     table = {}
     for i, (a, A) in enumerate(named):
         for b, B in named[i:]:
             try:
                 loc = locality_order(A, B, module, depth2=depth2,
-                                     max_order=max_order, window=window)
+                                     window=window)
                 table[a, b] = {"order": loc["order"], "bracket": loc["bracket"]}
             except NotLocalError:
                 table[a, b] = None
@@ -560,8 +571,7 @@ def grading_sweep(module: Module, L: Field, depth2: int) -> dict:
 
 
 def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
-                      depth2: int = 2, window: int = 2,
-                      max_order: int = 8) -> dict:
+                      depth2: int = 2, window: int = 2) -> dict:
     """Axioms of a vertex operator superalgebra on a swept window.
 
     fields maps names to generating fields; omega is the conformal
@@ -575,7 +585,7 @@ def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
     vir = virasoro_bracket_check(module, omega, depth2=depth2, window=window)
     spans = closure_spans(module, [f for _, f in named], depth2)
     table = {f"{a},{b}": loc for (a, b), loc in locality_table(
-        named, module, depth2, max_order, window).items()}
+        named, module, depth2, window).items()}
 
     def field_points(slots):
         return ({"field": name, "n": n, "state": state} for name, _ in named
@@ -633,7 +643,7 @@ def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
 
 
 def check_borcherds(module: Module, depth2: int = 2, nwin: int = 2,
-                    window: int = 2, max_order: int = 8) -> dict:
+                    window: int = 2) -> dict:
     """Compare (A_n B)(m) against the field of the state A(n)b.
 
     The left side expands the n-th product mode by mode; the right side
@@ -648,8 +658,7 @@ def check_borcherds(module: Module, depth2: int = 2, nwin: int = 2,
             A = state_field(module, a)
             for b in states:
                 N = locality_order(A, state_field(module, b), module,
-                                   depth2=depth2, max_order=max_order,
-                                   window=window)["order"]
+                                   depth2=depth2, window=window)["order"]
                 yield from ({"a": a, "b": b, "n": n, "m": m, "v": v}
                             for n in range(-nwin, N)
                             for m in range(-window, window + 1)

@@ -331,8 +331,6 @@ class Module:
 
     def kernel_vectors(self, n2: int) -> list:
         basis, matrix = self.gram(n2)
-        if not basis:
-            return []
         # null vectors of the pairing: v with <w, v> = 0 for all w; the
         # Gram columns are conjugate-linear in v, so solve with the
         # conjugated matrix (real Grams are unaffected)
@@ -340,21 +338,14 @@ class Module:
         return [StateVector(zip(basis, coeffs)) for coeffs in kernel_basis(conj)]
 
     def irreducible_dims(self, depth2: int) -> list:
-        dims = []
-        for n2 in range(depth2 + 1):
-            basis = self.level_basis(n2)
-            dims.append(len(basis) - len(self.kernel_vectors(n2)) if basis else 0)
-        return dims
+        return [len(self.level_basis(n2)) - len(self.kernel_vectors(n2))
+                for n2 in range(depth2 + 1)]
 
     def ghost_report(self, depth2: int) -> dict:
         levels = []
         first_negative = None
         for n2 in range(depth2 + 1):
             basis, matrix = self.gram(n2)
-            if not basis:
-                levels.append({"grade": grade_str(n2), "dim": 0,
-                               "positive": 0, "zero": 0, "negative": 0})
-                continue
             pos, zero, neg, witness = inertia_with_witness(matrix)
             entry = {"grade": grade_str(n2), "dim": len(basis),
                      "positive": pos, "zero": zero, "negative": neg}

@@ -51,7 +51,7 @@ def test_criterion_02_locality_orders():
     ok = True
     got = []
     for A, B, order, bracket in expected:
-        loc = locality_order(A, B, module, depth2=8, max_order=8, window=3)
+        loc = locality_order(A, B, module, depth2=8, window=3)
         got.append(loc["order"])
         if (loc["order"], loc["bracket"]) != (order, bracket) \
                 or not loc["parity_consistent"]:
@@ -183,7 +183,7 @@ def test_criterion_11_bracket_cross_check():
     fermion_fields = closure["fields"]
     for A in fermion_fields:
         for B in fermion_fields:
-            rep = bracket_check(A, B, module, 4, 8, 2)
+            rep = bracket_check(A, B, module, 4, 2)
             checked += rep["checked"]
             ok = ok and rep["valid"]
 
@@ -201,7 +201,7 @@ def test_criterion_11_bracket_cross_check():
                                       StateVector(rows[min(rows)])))
     for i, A in enumerate(fields):
         for B in fields[i:]:
-            rep = bracket_check(A, B, module, 4, 8, 2)
+            rep = bracket_check(A, B, module, 4, 2)
             checked += rep["checked"]
             ok = ok and rep["valid"]
 

@@ -16,8 +16,9 @@ from fractions import Fraction
 from itertools import product
 
 from nsvertex.constructions import fermion_vosa, super_construction
-from nsvertex.fields import (_borcherds, creating_state, gbinom,
-                             generate_closure, state_field)
+from nsvertex.fields import (_borcherds, _order_bound, creating_state,
+                             gbinom, generate_closure, locality_order,
+                             realize, state_field)
 from nsvertex.liealg import sl2
 from nsvertex.modules import VermaModule
 from nsvertex.scalars import _add
@@ -91,3 +92,28 @@ def test_locality_orders_stay_within_the_weight_bound():
         for (a, b), loc in rep["locality_table"].items():
             A, B = fields[a], fields[b]
             assert loc["order"] <= (A.weight2 + B.weight2) // 2, (a, b)
+
+
+def _assert_orders_match_products(fields, module, depth2, window):
+    # on the vacuum module A_(j)B is the field of the state A(j)b, so the
+    # locality order is 1 + the largest j below the bound with that
+    # state nonzero, or 0 if there is none
+    for A, B in product(fields, fields):
+        want = max((j + 1 for j in range(_order_bound(A.weight2, B.weight2))
+                    if realize(A.prod(B, j), module)), default=0)
+        got = locality_order(A, B, module, depth2=depth2, window=window)
+        assert got["order"] == want, (str(A), str(B))
+
+
+def test_locality_orders_match_the_products_on_a_fermion_closure():
+    cons = fermion_vosa(1)
+    rep = generate_closure(cons.module, cons.fields, 4)
+    _assert_orders_match_products(rep["fields"], cons.module, 4, 2)
+
+
+def test_locality_orders_match_the_products_on_the_super_construction():
+    cons = super_construction(sl2(), 1)
+    module = cons.module
+    fields = [f for _, f in sorted(cons.fields.items())]
+    fields.append(state_field(module, cons.omega))
+    _assert_orders_match_products(fields, module, 2, 2)

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from nsvertex import cli, fields
 from nsvertex.cli import main
+from nsvertex.fields import NotLocalError
 
 ONE_TERM = [{"num": 1, "den": 1, "rad": 1}]
 
@@ -349,27 +351,50 @@ def test_malformed_inputs_name_their_fault(capsys, argv, message):
     assert err.startswith(f"error: {message}")
 
 
+def _not_local(*args, **kwargs):
+    # the verdict of locality_order on a pair that is not local
+    raise NotLocalError("fields not local at order <= 1 on this window")
+
+
 @pytest.mark.parametrize("command", [["sugawara"],
                                      ["axioms", "--construction", "sugawara"]])
-def test_sugawara_locality_reads_max_order(capsys, command):
-    # no pair of currents is local at order 0
+def test_sugawara_reports_a_nonlocal_pair(capsys, monkeypatch, command):
+    monkeypatch.setattr(fields, "locality_order", _not_local)
     code, report, _ = run_json(capsys, command + [
-        "--algebra", "sl2", "--level", "1", "--depth", "1/2",
-        "--max-order", "0"])
+        "--algebra", "sl2", "--level", "1", "--depth", "1/2"])
     assert code == 1
     checks = report["axioms" if command == ["sugawara"] else "checks"]
     assert checks["locality"] is False
 
 
-def test_ope_of_a_nonlocal_pair_exits_one_with_its_report(capsys):
+def test_ope_of_a_nonlocal_pair_exits_one_with_its_report(capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(cli, "locality_order", _not_local)
     code, report, err = run_json(capsys, [
         "ope", "--module", '{"type":"fermion","colors":1}',
-        "--field-a", '{"gen":"psi"}', "--field-b", '{"gen":"psi"}',
-        "--max-order", "0"])
+        "--field-a", '{"gen":"psi"}', "--field-b", '{"gen":"psi"}'])
     assert code == 1
-    assert report == {"local": False, "max_order": 0,
-                      "error": "fields not local at order <= 0 on this window"}
+    assert report == {"local": False,
+                      "error": "fields not local at order <= 1 on this window"}
     assert err.startswith("not local: ")
+
+
+# psi_(-5)psi has weight 5, so its locality order with itself may reach
+# the weight bound 10
+HEAVY = '{"nprod":[{"gen":"psi"},{"gen":"psi"},-5]}'
+
+
+@pytest.mark.parametrize("command", ["ope", "brackets"])
+def test_a_heavy_pair_is_local_at_its_weight_bound(capsys, command):
+    code, report, _ = run_json(capsys, [
+        command, "--module", '{"type":"fermion","colors":1}',
+        "--field-a", HEAVY, "--field-b", HEAVY, "--depth", "1/2",
+        "--window", "1"])
+    assert code == 0
+    assert report["order"] == 10
+    assert report["bracket"] == "commutator"
+    if command == "brackets":
+        assert report["valid"] is True and report["checked"] == 18
 
 
 def test_float_or_bool_scalar_in_module_exits_two(capsys):
@@ -388,19 +413,17 @@ OPTIONS = {
     "gram": ["--format", "--module", "--level"],
     "nullvec": ["--format", "--module", "--level"],
     "ghosts": ["--format", "--depth", "--sector", "--c", "--h"],
-    "ope": ["--format", "--depth", "--window", "--max-order", "--module",
-            "--field-a", "--field-b"],
-    "brackets": ["--format", "--depth", "--window", "--max-order",
-                 "--module", "--field-a", "--field-b"],
-    "sugawara": ["--format", "--depth", "--window", "--max-order",
-                 "--algebra", "--level"],
+    "ope": ["--format", "--depth", "--window", "--module", "--field-a",
+            "--field-b"],
+    "brackets": ["--format", "--depth", "--window", "--module", "--field-a",
+                 "--field-b"],
+    "sugawara": ["--format", "--depth", "--window", "--algebra", "--level"],
     "susy-check": ["--format", "--depth", "--window", "--algebra",
                    "--level"],
     "module": ["--format", "--depth", "--algebra", "--level", "--spin"],
     "cocycle": ["--format", "--nmax", "--smax", "--c"],
-    "axioms": ["--format", "--depth", "--window", "--max-order",
-               "--construction", "--colors", "--algebra", "--level",
-               "--seed"],
+    "axioms": ["--format", "--depth", "--window", "--construction",
+               "--colors", "--algebra", "--level", "--seed"],
 }
 
 
@@ -413,7 +436,7 @@ def _subparsers():
 
 def test_every_subcommand_is_pinned():
     assert list(_subparsers()) == list(OPTIONS)
-    assert sum(map(len, OPTIONS.values())) == 57
+    assert sum(map(len, OPTIONS.values())) == 53
 
 
 @pytest.mark.parametrize("command", OPTIONS)
@@ -423,7 +446,38 @@ def test_subcommand_takes_only_the_options_it_reads(command):
     assert options == OPTIONS[command]
 
 
-# the required options of each subcommand but axioms
+def _readme_option_table():
+    """README's option table as {command: options}, and the text above
+    it."""
+    import re
+    from pathlib import Path
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    head, table = text.split("| command | options |\n| --- | --- |\n", 1)
+    rows = {}
+    for line in table.splitlines():
+        if not line.startswith("| "):
+            break
+        commands, options = line.strip("| ").split(" | ")
+        for command in re.findall(r"`([a-z-]+)`", commands):
+            assert command not in rows, command
+            rows[command] = re.findall(r"`(--[a-z-]+)`", options)
+    return head, rows
+
+
+def test_readme_option_table_matches_the_parser():
+    head, rows = _readme_option_table()
+    # --format is stated once, above the table, for every subcommand
+    assert head.count("`--format json|text`") == 1
+    assert list(rows) == list(_subparsers())
+    for command, listed in rows.items():
+        options = [a.option_strings[-1]
+                   for a in _subparsers()[command]._actions
+                   if a.dest not in ("help", "format")]
+        assert len(set(listed)) == len(listed), command
+        assert sorted(listed) == sorted(options), command
+
+
+# the required options of each subcommand
 MINIMAL = {
     "validate": ["--algebra", "sl2"],
     "catalog": [],
@@ -436,14 +490,18 @@ MINIMAL = {
     "susy-check": ["--algebra", "sl2", "--level", "1"],
     "module": ["--algebra", "sl2", "--level", "1"],
     "cocycle": [],
+    "axioms": ["--construction", "fermion"],
 }
 
 
-# the 16 options that subcommands took without reading them
+# options that subcommands took without reading them, and --max-order,
+# which none takes: the fields' weights bound the locality search
 @pytest.mark.parametrize("command, flag", [
-    *((command, "--seed") for command in MINIMAL),
+    *((command, "--seed") for command in MINIMAL if command != "axioms"),
     ("ghosts", "--window"), ("module", "--window"), ("ghosts", "--max-order"),
-    ("module", "--max-order"), ("susy-check", "--max-order")])
+    ("module", "--max-order"), ("susy-check", "--max-order"),
+    *((command, "--max-order")
+      for command in ("ope", "brackets", "sugawara", "axioms"))])
 def test_an_option_the_handler_does_not_read_is_refused(capsys, command,
                                                         flag):
     with pytest.raises(SystemExit) as exc:

@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from nsvertex.constructions import super_construction
-from nsvertex.fields import (GeneratorField, IdentityField, ScaledSum,
-                             bracket_from_ope, check_borcherds,
+from nsvertex.fields import (GeneratorField, IdentityField, NotLocalError,
+                             ScaledSum, bracket_from_ope, check_borcherds,
                              check_vosa_axioms, closure_spans,
                              commutator_direct, creating_state,
                              field_from_tree, gbinom, locality_order,
@@ -140,6 +140,9 @@ def test_locality_orders():
     loc = locality_order(L, L, mod, depth2=4, window=2)
     assert loc["order"] == 4 and loc["bracket"] == "commutator"
     assert loc["witness"] is not None
+    # an explicit max_order below the true order ends the search there
+    with pytest.raises(NotLocalError, match="order <= 3 on this window"):
+        locality_order(L, L, mod, depth2=4, window=2, max_order=3)
 
 
 def test_derivative_field():

@@ -21,12 +21,13 @@ from nsvertex.constructions import (boson_sugawara, current_bracket_report,
                                     verify_super_cocycle,
                                     _current_algebra_sweep, _jacobi_sweep,
                                     _super_sweep)
-from nsvertex.fields import (GeneratorField, IdentityField, NthProduct,
-                             ScaledSum, bracket_check, bracket_from_ope,
-                             bracket_sweep, check_borcherds,
-                             check_vosa_axioms, commutator_direct,
-                             field_from_tree, locality_order, locality_table,
-                             state_field, sweep, window_points)
+from nsvertex.fields import (Field, GeneratorField, IdentityField,
+                             NotLocalError, NthProduct, ScaledSum,
+                             bracket_check, bracket_from_ope, bracket_sweep,
+                             check_borcherds, check_vosa_axioms,
+                             commutator_direct, field_from_tree,
+                             locality_order, locality_table, state_field,
+                             sweep, window_points)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
                               VermaModule, state_grade2)
@@ -116,7 +117,7 @@ def test_failing_brackets_match_hand_loop_and_cli(capsys):
     # expansion truncates below the true pole order of G against G
     module = VermaModule("ns", Scalar.of(Fraction(1, 2)), Scalar.of(0))
     G = field_from_tree({"gen": "G"})
-    rep = bracket_check(G, G, module, 2, 8, 0)
+    rep = bracket_check(G, G, module, 2, 0)
     order = locality_order(G, G, module, depth2=2, window=0)["order"]
     expect = []
     for state in module.level_basis(0) + module.level_basis(1) \
@@ -195,14 +196,11 @@ def test_sweep_visits_points_in_order_and_prints_states():
     ["brackets", "--module", NS, "--field-a", G_TREE, "--field-b", G_TREE,
      "--depth", "1", "--window", "-1"],
     ["axioms", "--construction", "fermion", "--window", "-3"],
-    ["ope", "--module", '{"type":"fermion","colors":1}', "--field-a",
-     '{"gen":"psi"}', "--field-b", '{"gen":"psi"}', "--max-order", "-1"],
     ["susy-check", "--algebra", "sl2", "--level", "1", "--window", "-2"],
     ["ope", "--module", '{"type":"fermion","colors":1}', "--field-a",
      '{"gen":"psi"}', "--field-b", '{"gen":"psi"}', "--window", "-1"],
-    ["sugawara", "--algebra", "sl2", "--level", "1", "--max-order", "-1"],
 ])
-def test_negative_window_or_order_is_rejected(capsys, monkeypatch, argv):
+def test_negative_window_is_rejected(capsys, monkeypatch, argv):
     # rejected before any construction is built or any sweep runs
     import nsvertex.cli as cli
     for name in ("super_construction", "fermion_vosa", "boson_sugawara",
@@ -211,8 +209,7 @@ def test_negative_window_or_order_is_rejected(capsys, monkeypatch, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == \
-        "error: --window and --max-order must be nonnegative\n"
+    assert captured.err == "error: --window must be nonnegative\n"
 
 
 def test_window_zero_is_still_a_valid_sweep(capsys):
@@ -227,20 +224,51 @@ def test_locality_table_raises_what_is_not_a_locality_verdict():
     # non-local pair
     named = [("L", GeneratorField("L")), ("psi", GeneratorField("psi"))]
     with pytest.raises(ValueError, match="FockModule has no L modes"):
-        locality_table(named, FockModule(colors=1), 2, 8, 1)
+        locality_table(named, FockModule(colors=1), 2, 1)
+
+
+class Warped(Field):
+    """psi with its slot n scaled by 2^(n^2): odd, of weight 1/2, and
+    not local with itself or psi at any order, the scale not being a
+    polynomial in n."""
+
+    weight2, parity = 1, 1
+
+    def __init__(self):
+        super().__init__()
+        self.psi = GeneratorField("psi")
+
+    def _act(self, n, module, state):
+        return {st: c * 2 ** (n * n)
+                for st, c in self.psi.act(n, module, state).items()}
+
+
+def test_a_nonlocal_pair_fails_within_its_weight_bound():
+    module = FockModule(colors=1)
+    W, psi = Warped(), GeneratorField("psi")
+    with pytest.raises(NotLocalError, match="order <= 1 on this window"):
+        locality_order(W, W, module, depth2=2, window=2)
+    with pytest.raises(NotLocalError, match="order <= 1 on this window"):
+        bracket_check(W, W, module, 2, 2)
+    assert locality_table([("w", W), ("psi", psi)], module, 2, 2) == {
+        ("w", "w"): None, ("w", "psi"): None,
+        ("psi", "psi"): {"order": 1, "bracket": "anticommutator"}}
 
 
 def test_vosa_axioms_name_a_nonlocal_pair():
     cons = fermion_vosa(1)
-    rep = check_vosa_axioms(cons.module, cons.fields, cons.omega, depth2=2,
-                            window=2, max_order=0)
-    assert rep["locality_table"] == {"psi1,psi1": None}
+    rep = check_vosa_axioms(cons.module, {"w": Warped()}, cons.omega,
+                            depth2=2, window=2)
+    assert rep["locality_table"] == {"w,w": None}
     assert rep["checks"]["locality"] is False
-    assert rep["failures"]["locality"] == [{"pair": "psi1,psi1"}]
+    assert rep["failures"]["locality"] == [{"pair": "w,w"}]
     assert rep["valid"] is False
+    # the scale also breaks [T, W(n)] = -n W(n - 1), so translation
+    # fails too; every other check holds
     for name, found in rep["failures"].items():
-        assert rep["checks"][name] is (name != "locality")
-        assert bool(found) is (name == "locality")
+        bad = name in ("locality", "translation")
+        assert rep["checks"][name] is not bad, name
+        assert bool(found) is bad, name
 
 
 def test_vosa_axioms_with_doubled_omega_match_hand_loops():
@@ -348,7 +376,7 @@ def test_current_algebra_sweep_order_and_count():
     assert ok["failures"] == [] and ok["valid"] is True
 
 
-def borcherds_hand_loop(module, depth2, nwin=2, window=2, max_order=8):
+def borcherds_hand_loop(module, depth2, nwin=2, window=2):
     """check_borcherds as nested loops, without the sweep primitive."""
     vac_states = module.basis_upto(depth2)
     checked = 0
@@ -358,7 +386,7 @@ def borcherds_hand_loop(module, depth2, nwin=2, window=2, max_order=8):
         for sb in vac_states:
             B = state_field(module, sb)
             N = locality_order(A, B, module, depth2=depth2,
-                               max_order=max_order, window=window)["order"]
+                               window=window)["order"]
             for n in range(-nwin, N):
                 prod_state = A.act(n, module, sb)
                 U = state_field(module, prod_state) if prod_state else None
