@@ -10,7 +10,6 @@ for identical arguments and seed.
 import argparse
 import gc
 import json
-import random
 import re
 import sys
 from fractions import Fraction
@@ -20,9 +19,9 @@ from .constructions import (boson_sugawara, central_charges, cocycle_basis,
                             fermion_vosa, g_fermion_system, super_construction,
                             susy_report, verify_odd_cocycle, vertex_module,
                             weight_report)
-from .fields import (NotLocalError, bracket_check, check_vosa_axioms,
-                     field_from_tree, locality_order, ope_singular_part,
-                     state_field, sweep)
+from .fields import (NotLocalError, adjoint_sweep, bracket_check,
+                     check_vosa_axioms, field_from_tree, locality_order,
+                     ope_singular_part, state_field)
 from .liealg import CATALOG, LieAlgebra, sl2
 from .modules import (BasisState, Mode, StateVector, VermaModule, grade_str,
                       half2, module_from_descriptor)
@@ -352,45 +351,6 @@ def _build_construction(args):
     return super_construction(lie, level)
 
 
-def _random_vector(rng, module, n2: int) -> StateVector:
-    return StateVector([(state, rng.randrange(-2, 3))
-                        for state in module.level_basis(n2)])
-
-
-def _adjoint_points(rng, module, named_fields, depth2: int, trials: int):
-    """Per trial, a field, a grade and a slot, then random vectors u and
-    v at the two grades that the slot pairs; a trial whose second grade
-    leaves [0, depth2], or whose u or v is zero, gives no point."""
-    for _ in range(trials):
-        name, F = named_fields[rng.randrange(len(named_fields))]
-        g2 = rng.randrange(depth2 + 1)
-        s = rng.randrange(-2, 3)
-        h2 = g2 + F.weight2 - 2 - 2 * s
-        if 0 <= h2 <= depth2:
-            u = _random_vector(rng, module, g2)
-            v = _random_vector(rng, module, h2)
-            if u and v:
-                yield {"field": name, "slot": s, "grade": grade_str(g2),
-                       "u": u, "v": v}
-
-
-def _adjoint_sweep(module, named_fields, depth2: int, seed: int,
-                   trials: int = 60) -> dict:
-    """Seeded spot check of <F(s)u, v> = <u, F(w-2-s)v> for every
-    construction field; each field is its own adjoint under index
-    negation, so both sides use the same field."""
-    fields = dict(named_fields)
-    swept = sweep(
-        _adjoint_points(random.Random(seed), module, named_fields, depth2,
-                        trials),
-        lambda field, slot, grade, u, v: module.inner(
-            fields[field].apply(slot, module, u), v),
-        lambda field, slot, grade, u, v: module.inner(
-            u, fields[field].apply(fields[field].weight2 - 2 - slot, module,
-                                   v)))
-    return {"seed": seed, **swept, "valid": not swept["failures"]}
-
-
 def cmd_axioms(args) -> int:
     cons = _build_construction(args)
     depth2 = _depth2(args)
@@ -398,7 +358,7 @@ def cmd_axioms(args) -> int:
                             depth2=depth2, window=args.window)
     named = sorted(cons.fields.items())
     named.append(("L", state_field(cons.module, cons.omega)))
-    adjoint = _adjoint_sweep(cons.module, named, depth2, args.seed)
+    adjoint = adjoint_sweep(cons.module, named, depth2, args.seed)
     ok = rep["valid"] and adjoint["valid"]
     report = {"construction": cons.name, "checks": rep["checks"],
               "adjoint": adjoint, "valid": ok}

@@ -22,7 +22,7 @@ from .fields import (Field, IdentityField, ScaledSum, bracket_sweep,
 from .liealg import LieAlgebra, casimir_constant_sl2
 from .linalg import _integer_matrix
 from .modules import BasisState, FockModule, Mode, Module, StateVector
-from .scalars import ONE, ZERO, I, Scalar
+from .scalars import ZERO, I, Scalar
 
 
 def sugawara_central_charge(dim: int, g, level: int) -> Fraction:
@@ -197,12 +197,13 @@ def super_construction(lie: LieAlgebra, level: int) -> Construction:
     tau = (tau1 + tau2.scaled(Fraction(1, 3))).scaled(inv_root)
 
     G = state_field(module, tau)
-    currents = [state_field(module, s) for s in s_states]
     psi = list(_generators(module, "psi", dim).values())
     if level > 0:
         x = list(_generators(module, "x", dim).values())
-        currents = [ScaledSum([(ONE, x[a]), (ONE, currents[a])])
+        # B^a = x^a(-1) vac + S^a
+        s_states = [_word(module, Mode("x", a, -2)) + s_states[a]
                     for a in range(dim)]
+    currents = [state_field(module, s) for s in s_states]
     # slot 0 is the physical -1/2 mode of a weight-3/2 field
     omega = G.apply(0, module, tau).scaled(Fraction(1, 2))
 

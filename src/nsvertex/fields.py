@@ -33,11 +33,13 @@ that check_borcherds certifies.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 from .linalg import Echelon
 from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
-                      StateVector, mode_parity, state_grade2, state_parity)
+                      StateVector, _slot_index2, grade_str, mode_parity,
+                      slot_of_index2, state_grade2, state_parity)
 from .scalars import ONE, Scalar, _add, _exact_int, _json_list
 
 
@@ -49,15 +51,6 @@ def gbinom(k: int, j: int) -> int:
         return math.comb(k, j) if j <= k else 0
     v = math.comb(j - k - 1, j)
     return -v if j % 2 else v
-
-
-def slot_of_index2(weight2: int, m2: int) -> int:
-    """Unit slot of the physical mode with doubled index m2."""
-    n2 = m2 + weight2 - 2
-    if n2 % 2:
-        raise ValueError(f"index {Fraction(m2, 2)} has wrong parity for weight "
-                         f"{Fraction(weight2, 2)}")
-    return n2 // 2
 
 
 def _order_bound(weight2_a: int, weight2_b: int) -> int:
@@ -85,7 +78,7 @@ class Field:
         key = (module, n, state)
         out = self._cache.get(key)
         if out is None:
-            if 2 * n > state_grade2(state) + self.weight2 - 2:
+            if _slot_index2(self.weight2, n) > state_grade2(state):
                 return {}
             if state.word and self in module._field_cache:
                 out = module._share(_commute(self, n, module, state))
@@ -138,8 +131,8 @@ class GeneratorField(Field):
         self.parity = mode_parity(kind)
 
     def _act(self, n, module, state):
-        m2 = 2 * n - self.weight2 + 2
-        return module.apply_to_basis(Mode(self.kind, self.color, m2), state)
+        return module.apply_to_basis(
+            Mode(self.kind, self.color, _slot_index2(self.weight2, n)), state)
 
     def __str__(self):
         if self.kind in ("L", "G"):
@@ -187,8 +180,8 @@ def _borcherds(A, p, r, B, q, eps, module, state) -> dict:
     g2 = state_grade2(state)
     # each composition order dies once its first factor's slot,
     # B(q + j) or A(p + j), exceeds its grading bound
-    jab = (g2 + B.weight2 - 2) // 2 - q
-    jba = (g2 + A.weight2 - 2) // 2 - p
+    jab = (g2 - _slot_index2(B.weight2, q)) // 2
+    jba = (g2 - _slot_index2(A.weight2, p)) // 2
     if r >= 0:
         jab, jba = min(jab, r), min(jba, r)
     out = {}
@@ -255,7 +248,7 @@ def _head_products(F: Field, kind: str, color: int, module: Module) -> list:
         w2 = GENERATOR_WEIGHT2[kind]
         out = []
         for j in range(_order_bound(F.weight2, w2)):
-            mode = Mode(kind, color, 2 * j - w2 + 2)
+            mode = Mode(kind, color, _slot_index2(w2, j))
             vec = {}
             for st, c in module._field_cache[F].items():
                 _add(vec, module.apply_to_basis(mode, st), c)
@@ -280,9 +273,9 @@ def realize(field: Field, module: Module) -> StateVector:
 
 
 def creating_state(kind: str, color: int = 0) -> BasisState:
-    """The one-mode state that a generator's slot -1 creates from the
-    vacuum."""
-    return BasisState((Mode(kind, color, -GENERATOR_WEIGHT2[kind]),), 0)
+    """The one-mode state that a generator's slot -1 makes from vacuum."""
+    m2 = _slot_index2(GENERATOR_WEIGHT2[kind], -1)
+    return BasisState((Mode(kind, color, m2),), 0)
 
 
 def state_field(module: Module, arg) -> Field:
@@ -446,26 +439,20 @@ def closure_spans(module: Module, field_list, depth2: int) -> list:
     while work:
         g2, vec = work.pop()
         for f in field_list:
-            w2 = f.weight2
-            # slots n < (w2 - 2) / 2 raise the grade by w2 - 2 - 2n
-            n = (w2 - 3) // 2
-            while True:
-                shift = w2 - 2 - 2 * n
-                if g2 + shift > depth2:
-                    break
-                out = f.apply(n, module, vec)
-                if out and spaces[g2 + shift].add(out):
-                    work.append((g2 + shift, out))
-                n -= 1
+            # each grade raise r2 > 0 of the field's index parity
+            for r2 in range(2 - f.weight2 % 2, depth2 - g2 + 1, 2):
+                out = f.apply(slot_of_index2(f.weight2, -r2), module, vec)
+                if out and spaces[g2 + r2].add(out):
+                    work.append((g2 + r2, out))
     return spaces
 
 
 def generate_closure(module: Module, generators, depth2: int,
-                     window: int = 2, max_fields: int = 64) -> dict:
+                     window: int = 2) -> dict:
     """Fields realizing the generated vacuum submodule up to depth.
 
-    Every spanning state of the closure is turned back into a field
-    through the state-field map (an n-th-product word in the
+    Every spanning state of the closure, at most 64, is turned back into
+    a field through the state-field map (an n-th-product word in the
     generators), and every produced pair is re-checked local; pairwise
     locality of products is the closure content of the sweep."""
     gens = list(generators.values()) if isinstance(generators, dict) \
@@ -473,8 +460,8 @@ def generate_closure(module: Module, generators, depth2: int,
     spaces = closure_spans(module, gens, depth2)
     states = [StateVector(sp.rows[pivot])
               for sp in spaces for pivot in sorted(sp.rows)]
-    if len(states) > max_fields:
-        raise ValueError(f"closure exceeds {max_fields} fields")
+    if len(states) > 64:
+        raise ValueError("closure exceeds 64 fields")
     fields = [state_field(module, vec) for vec in states]
     table = locality_table(list(enumerate(fields)), module, depth2, window)
     return {"dims": [len(sp) for sp in spaces], "states": states,
@@ -642,15 +629,52 @@ def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
             "valid": all(checks.values())}
 
 
-def check_borcherds(module: Module, depth2: int = 2, nwin: int = 2,
-                    window: int = 2) -> dict:
+def adjoint_sweep(module: Module, named, depth2: int, seed: int) -> dict:
+    """Seeded spot check of <F(s)u, v> = <u, F(s')v>, s' the slot of the
+    negated index, for (name, field) pairs F that are self-adjoint under
+    index negation.  Each of 60 trials draws a field, a grade and a slot,
+    then random u and v at the two grades that the slot pairs; a trial
+    whose second grade leaves [0, depth2], or whose u or v is 0, is void."""
+    rng = random.Random(seed)
+
+    def draw(n2):
+        return StateVector([(state, rng.randrange(-2, 3))
+                            for state in module.level_basis(n2)])
+
+    def points():
+        for _ in range(60):
+            name, F = named[rng.randrange(len(named))]
+            g2 = rng.randrange(depth2 + 1)
+            s = rng.randrange(-2, 3)
+            h2 = g2 - _slot_index2(F.weight2, s)
+            if 0 <= h2 <= depth2:
+                u, v = draw(g2), draw(h2)
+                if u and v:
+                    yield {"field": name, "slot": s, "grade": grade_str(g2),
+                           "u": u, "v": v}
+
+    fields = dict(named)
+
+    def lhs(field, slot, grade, u, v):
+        return module.inner(fields[field].apply(slot, module, u), v)
+
+    def rhs(field, slot, grade, u, v):
+        F = fields[field]
+        adjoint = slot_of_index2(F.weight2, -_slot_index2(F.weight2, slot))
+        return module.inner(u, F.apply(adjoint, module, v))
+
+    swept = sweep(points(), lhs, rhs)
+    return {"seed": seed, **swept, "valid": not swept["failures"]}
+
+
+def check_borcherds(module: Module, depth2: int = 2, window: int = 2) -> dict:
     """Compare (A_n B)(m) against the field of the state A(n)b.
 
     The left side expands the n-th product mode by mode; the right side
     first computes the state A(n) applied to b and then takes its field.
     Agreement over the swept (a, b, n, m, v) window is the associativity
-    content of the expansion.  Each pair (a, b) sweeps n from -nwin up
-    to its locality order, then m in [-window, window], then v."""
+    content of the expansion.  Each pair (a, b) sweeps n from -2 up to
+    its locality order, then m in [-window, window], then v."""
     states = module.basis_upto(depth2)
 
     def points():
@@ -660,7 +684,7 @@ def check_borcherds(module: Module, depth2: int = 2, nwin: int = 2,
                 N = locality_order(A, state_field(module, b), module,
                                    depth2=depth2, window=window)["order"]
                 yield from ({"a": a, "b": b, "n": n, "m": m, "v": v}
-                            for n in range(-nwin, N)
+                            for n in range(-2, N)
                             for m in range(-window, window + 1)
                             for v in states)
 

@@ -17,16 +17,6 @@ from math import gcd, lcm
 from .scalars import ONE, ZERO, Scalar, _add, _ratio
 
 
-def _acc(d: dict, key, coeff: Scalar):
-    """d[key] += coeff, dropping the entry if it vanishes."""
-    cur = d.get(key)
-    cur = coeff if cur is None else cur + coeff
-    if cur:
-        d[key] = cur
-    elif key in d:
-        del d[key]
-
-
 class Echelon:
     """Incremental row reduction: sparse rows {key: Scalar}, each scaled
     to lead with 1 and kept under its leading (least) key."""

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .liealg import LieAlgebra, sl2, sl2_floor
-from .linalg import _acc, inertia_with_witness, kernel_basis
-from .scalars import (ONE, ZERO, I, Scalar, _add, _exact_int, _interned,
-                      _json_key, _json_list)
+from .linalg import inertia_with_witness, kernel_basis
+from .scalars import (ONE, ZERO, I, Scalar, _acc, _add, _exact_int,
+                      _interned, _json_key, _json_list)
 
 KIND_RANK = {"x": 0, "L": 1, "G": 2, "psi": 3}
 ODD_KINDS = frozenset({"psi", "G"})
@@ -53,6 +53,21 @@ def mode_key(m: Mode) -> tuple:
 
 def adjoint_mode(m: Mode) -> Mode:
     return Mode(m.kind, m.color, -m.n2)
+
+
+def _slot_index2(weight2: int, n: int) -> int:
+    """Doubled index of unit slot n of a field of doubled weight weight2:
+    A(n) is the physical mode A_(n-w+1), which lowers the grade by it."""
+    return 2 * n - weight2 + 2
+
+
+def slot_of_index2(weight2: int, m2: int) -> int:
+    """Unit slot of the physical mode with doubled index m2."""
+    n2 = m2 + weight2 - 2
+    if n2 % 2:
+        raise ValueError(f"index {Fraction(m2, 2)} has wrong parity for weight "
+                         f"{Fraction(weight2, 2)}")
+    return n2 // 2
 
 
 class BasisState(NamedTuple):
@@ -373,8 +388,8 @@ class Module:
         out = {}
         for st, c in self._translate_basis(rest).items():
             _add(out, self.apply_to_basis(head, st), c)
-        # [T, A_{-a}] = (a - w + 1) A_{-a-1} for a mode of a weight-w field
-        kappa = Fraction(-head.n2 - GENERATOR_WEIGHT2[head.kind] + 2, 2)
+        # [T, A(n)] = -n A(n-1) at the head's slot n
+        kappa = -slot_of_index2(GENERATOR_WEIGHT2[head.kind], head.n2)
         if kappa:
             shifted = Mode(head.kind, head.color, head.n2 - 2)
             _add(out, self.apply_to_basis(shifted, rest), kappa)

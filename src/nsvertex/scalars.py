@@ -476,6 +476,16 @@ def _add(out: dict, vec: dict, coeff):
             del out[key]
 
 
+def _acc(d: dict, key, coeff: Scalar):
+    """d[key] += coeff, dropping the entry if it vanishes."""
+    cur = d.get(key)
+    cur = coeff if cur is None else cur + coeff
+    if cur:
+        d[key] = cur
+    elif key in d:
+        del d[key]
+
+
 def _ratio(x) -> tuple[int, int]:
     """Numerator and denominator of a rational Scalar, int or Fraction."""
     if isinstance(x, Scalar) and x.is_rational():

@@ -126,7 +126,7 @@ def test_criterion_07_minimal_submodule_dimensions():
 def test_criterion_08_borcherds_associativity():
     t0 = time.time()
     cons = fermion_vosa(1)
-    rep = check_borcherds(cons.module, depth2=4, nwin=2, window=2)
+    rep = check_borcherds(cons.module, depth2=4, window=2)
     report(8, rep["valid"] and rep["checked"] > 0,
            f"product-state consistency on {rep['checked']} "
            "(a, b, n, m, v) tuples to grade 2", t0)

@@ -7,8 +7,9 @@ oracle is the same field rebuilt from its JSON tree, which belongs to
 no module and so expands its products at every slot.
 """
 
-from nsvertex.constructions import (boson_sugawara, fermion_vosa,
-                                    super_construction, susy_report)
+from nsvertex.constructions import (_current_state, boson_sugawara,
+                                    fermion_vosa, super_construction,
+                                    susy_report)
 from nsvertex.fields import (NthProduct, ScaledSum, field_from_tree,
                              field_to_tree, state_field)
 from nsvertex.liealg import sl2
@@ -47,9 +48,10 @@ def test_super_construction_fields_match_their_trees():
     cons = make()
     module = cons.module
     L = state_field(module, cons.omega)
-    # B^a = X^a + S^a
-    S = [B.terms[1][1] for B in cons.currents]
-    assert all(isinstance(f, ScaledSum) for f in S)
+    # B^a = X^a + S^a, each the field of its state
+    S = [state_field(module, _current_state(module, cons.lie, a))
+         for a in range(cons.lie.dim)]
+    assert all(isinstance(f, ScaledSum) for f in S + cons.currents)
     named = [cons.fields["G"], L, *cons.currents, *S]
     basis_fields = _composites(module)
     assert _assert_matches_trees(named + basis_fields, module,

@@ -21,7 +21,8 @@ from nsvertex.fields import (GeneratorField, IdentityField, NotLocalError,
                              state_field)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
-                              VermaModule, module_from_descriptor)
+                              VermaModule, _slot_index2,
+                              module_from_descriptor)
 from nsvertex.scalars import ONE, ZERO, Scalar
 
 PSI = lambda n2, color=0: Mode("psi", color, n2)
@@ -56,6 +57,16 @@ def test_slot_convention():
     assert slot_of_index2(3, -1) == 0     # G(-1/2)
     with pytest.raises(ValueError):
         slot_of_index2(1, -2)
+
+
+def test_slot_and_index_rules_are_inverse():
+    for w2 in range(7):
+        for n in range(-6, 7):
+            assert slot_of_index2(w2, _slot_index2(w2, n)) == n
+        for m2 in range(-12 - w2 % 2, 13, 2):
+            assert _slot_index2(w2, slot_of_index2(w2, m2)) == m2
+    # slot -1 creates: its mode raises the grade by the weight
+    assert [_slot_index2(w2, -1) for w2 in (1, 2, 3, 4)] == [-1, -2, -3, -4]
 
 
 def test_generator_realize_and_annihilate():
@@ -219,7 +230,7 @@ def test_fermion_axiom_report():
 
 def test_borcherds_small_window():
     mod, _, _ = fermion_setup()
-    report = check_borcherds(mod, depth2=3, nwin=2, window=2)
+    report = check_borcherds(mod, depth2=3, window=2)
     assert report["valid"] is True
     assert report["checked"] > 100
     assert report["failures"] == []

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from nsvertex.cli import _adjoint_sweep, _json_ready, main
+from nsvertex.cli import _json_ready, main
 from nsvertex.constructions import (boson_sugawara, current_bracket_report,
                                     fermion_vosa, g_fermion_system,
                                     super_construction, susy_report,
@@ -23,7 +23,7 @@ from nsvertex.constructions import (boson_sugawara, current_bracket_report,
                                     _super_sweep)
 from nsvertex.fields import (Field, GeneratorField, IdentityField,
                              NotLocalError, NthProduct, ScaledSum,
-                             bracket_check, bracket_from_ope, bracket_sweep,
+                             adjoint_sweep, bracket_check, bracket_from_ope, bracket_sweep,
                              check_borcherds, check_vosa_axioms,
                              commutator_direct, field_from_tree,
                              locality_order, locality_table, state_field,
@@ -430,8 +430,8 @@ def test_adjoint_sweep_names_the_vectors_of_a_failing_field():
     # i psi is not its own adjoint: <i psi(s) u, v> = -<u, i psi(s') v>
     cons = fermion_vosa(1)
     module, psi = cons.module, cons.fields["psi1"]
-    good = _adjoint_sweep(module, [("psi", psi)], 2, 3)
-    bad = _adjoint_sweep(module, [("bad", ScaledSum([(I, psi)]))], 2, 3)
+    good = adjoint_sweep(module, [("psi", psi)], 2, 3)
+    bad = adjoint_sweep(module, [("bad", ScaledSum([(I, psi)]))], 2, 3)
     assert good["valid"] and good["failures"] == []
     # the same weight draws the same points
     assert bad["checked"] == good["checked"] > 0
