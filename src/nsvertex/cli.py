@@ -171,10 +171,10 @@ def _emit(args, report: dict, summary: str, code: int) -> int:
 def cmd_validate(args) -> int:
     lie = _algebra(args.algebra)
     report = lie.validate()
-    ok = report["valid"]
-    return _emit(args, report,
-                 f"algebra {lie.name}: {'valid' if ok else 'INVALID'}",
-                 0 if ok else 1)
+    failed = ", ".join(k for k, ok in report["checks"].items() if not ok)
+    return _emit(args, report, f"algebra {lie.name}: "
+                 + (f"INVALID: {failed}" if failed else "valid"),
+                 1 if failed else 0)
 
 
 def cmd_catalog(args) -> int:

@@ -2,9 +2,10 @@
 
 A field is expanded in unit slots, A(z) = sum_n A(n) z^(-n-1); a field
 of weight w has physical modes A_m = A(m + w - 1), so slot -1 always
-creates the corresponding state from the vacuum.  Slot actions on basis
-states are memoized per field.  With eps the parity product, the
-Borcherds identity reads
+creates the corresponding state from the vacuum.  A composite field
+memoizes its slot actions on basis states; a generator's slot action
+is one mode action, which the module memoizes.  With eps the parity
+product, the Borcherds identity reads
 
   sum_j C(p,j) (A_(r+j)B)(p+q-j)
     = sum_j (-1)^j C(r,j) [A(p+r-j)B(q+j) - (-1)^(r+eps) B(q+r-j)A(p+j)],
@@ -81,13 +82,10 @@ class Field:
             if _slot_index2(self.weight2, n) > state_grade2(state):
                 return {}
             if state.word and self in module._field_cache:
-                out = module._share(_commute(self, n, module, state))
+                out = _commute(self, n, module, state)
             else:
                 out = self._act(n, module, state)
-                # a generator's action is the module's apply memo, shared
-                if type(self) is not GeneratorField:
-                    module._share(out)
-            self._cache[key] = out
+            out = self._cache[key] = module._share(out)
         return out
 
     def _act(self, n: int, module: Module, state: BasisState) -> dict:
@@ -111,7 +109,7 @@ class IdentityField(Field):
     weight2 = 0
     parity = 0
 
-    def _act(self, n, module, state):
+    def act(self, n, module, state):
         return {state: ONE} if n == -1 else {}
 
     def __str__(self):
@@ -130,9 +128,11 @@ class GeneratorField(Field):
         self.weight2 = GENERATOR_WEIGHT2[kind]
         self.parity = mode_parity(kind)
 
-    def _act(self, n, module, state):
-        return module.apply_to_basis(
-            Mode(self.kind, self.color, _slot_index2(self.weight2, n)), state)
+    def act(self, n, module, state):
+        n2 = _slot_index2(self.weight2, n)
+        if n2 > state_grade2(state):
+            return {}
+        return module.apply_to_basis(Mode(self.kind, self.color, n2), state)
 
     def __str__(self):
         if self.kind in ("L", "G"):
@@ -258,8 +258,8 @@ def _head_products(F: Field, kind: str, color: int, module: Module) -> list:
 
 
 def _own(module: Module, field: Field, state: dict) -> Field:
-    """Record a composite field of the state-field map with its state,
-    on a vacuum module, where Field.act commutes it past head modes."""
+    """Record a field of the state-field map with its state, on a vacuum
+    module: the one record of the fields that are the module's own."""
     if module.is_vacuum_module():
         module._field_cache[field] = state
     return field
@@ -314,8 +314,8 @@ def _basis_field(module: Module, state: BasisState) -> Field:
         else:
             gf = _basis_field(module, creating_state(head.kind, head.color))
             rest = _basis_field(module, BasisState(word[1:], 0))
-            f = _own(module, gf.prod(rest, slot), {state: ONE})
-    module._field_cache[state] = f
+            f = gf.prod(rest, slot)
+    module._field_cache[state] = _own(module, f, {state: ONE})
     return f
 
 
@@ -401,9 +401,7 @@ def _product_field(A: Field, B: Field, j: int,
     P = module._field_cache.get((A, B, j), False)
     if P is False:
         P = A.prod(B, j)
-        if module.is_vacuum_module() and all(
-                (v := realize(f, module)) and state_field(module, v) is f
-                for f in (A, B)):
+        if A in module._field_cache and B in module._field_cache:
             v = realize(P, module)
             P = state_field(module, v) if v else None
         module._field_cache[A, B, j] = P

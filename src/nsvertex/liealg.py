@@ -73,8 +73,7 @@ class LieAlgebra:
         invariant form are contracted over the nonzero entries only.
         """
         tensor, brackets = self._tensor, self._brackets
-        checks = {}
-        checks["real"] = all(v.is_real() for v in self.gamma.values())
+        checks = {"real": all(v.is_real() for v in self.gamma.values())}
         # antisymmetry is structural for the stored triples; verify the
         # expanded tensor anyway
         checks["antisymmetric"] = all(
@@ -107,12 +106,8 @@ class LieAlgebra:
         norm_ok = all(v == g_value for v in diagonal) and not any(
             v for (b, d), v in form.items() if b != d)
         checks["normalized"] = norm_ok
-        report = {
-            "name": self.name,
-            "dim": self.dim,
-            "checks": checks,
-            "valid": all(checks.values()),
-        }
+        report = {"name": self.name, "dim": self.dim, "checks": checks,
+                  "valid": all(checks.values())}
         if norm_ok and g_value is not None:
             report["dual_coxeter"] = g_value
         return report
@@ -121,8 +116,10 @@ class LieAlgebra:
         """g = (1/2) sum_{a,c} (Gamma_ac^b)^2 for any fixed b."""
         if self._dual_coxeter is None:
             report = self.validate()
-            if not report["valid"]:
-                raise ValueError(f"invalid structure constants for {self.name}")
+            failed = [k for k, ok in report["checks"].items() if not ok]
+            if failed:
+                raise ValueError(f"invalid structure constants for "
+                                 f"{self.name}: {', '.join(failed)}")
             if "dual_coxeter" not in report:
                 raise ValueError(f"{self.name} has no dual Coxeter number: "
                                  f"its invariant form is empty (dim {self.dim})")

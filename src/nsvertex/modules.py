@@ -158,10 +158,10 @@ class Module:
         # exact key of a coefficient value -> the first Scalar stored with
         # it, so equal coefficients in the memos are one object
         self._values = {}
-        # the state-field memo of fields.py: a basis state or frozen vector
-        # -> its field, (A, B, j) -> the product field of bracket_from_ope,
-        # an own composite field -> its state, and (field, kind, color) ->
-        # the products that commute the field past a head mode
+        # the state-field memo of fields.py: a basis state or vector ->
+        # its field, (A, B, j) -> the product field of bracket_from_ope, a
+        # field of state_field on a vacuum module -> its state, and (field,
+        # kind, color) -> the products that commute it past a head mode
         self._field_cache = {}
 
     # -- floor defaults, overridden by concrete modules ------------------

@@ -368,18 +368,22 @@ class Scalar:
         if isinstance(data, bool) or not isinstance(data, (int, str, list)):
             raise ValueError(f"a scalar is a term list, an integer or a "
                              f"fraction string, not {data!r}")
-        if isinstance(data, (int, str)):
-            return Scalar.of(Fraction(data))
-        t = {}
-        for item in data:
-            if not isinstance(item, dict):
-                raise ValueError(f"a scalar term is an object with integer "
-                                 f"num, den and rad, not {item!r}")
-            num = _exact_int(_json_key(item, "num", "scalar term"),
-                             "scalar term num")
-            den, rad = (_exact_int(item.get(k, 1), f"scalar term {k}")
-                        for k in ("den", "rad"))
-            t[rad] = t.get(rad, 0) + Fraction(num, den)
+        try:
+            if isinstance(data, (int, str)):
+                return Scalar.of(Fraction(data))
+            t = {}
+            for item in data:
+                if not isinstance(item, dict):
+                    raise ValueError(f"a scalar term is an object with "
+                                     f"integer num, den and rad, not {item!r}")
+                num = _exact_int(_json_key(item, "num", "scalar term"),
+                                 "scalar term num")
+                den, rad = (_exact_int(item.get(k, 1), f"scalar term {k}")
+                            for k in ("den", "rad"))
+                t[rad] = t.get(rad, 0) + Fraction(num, den)
+        except ZeroDivisionError:
+            raise ValueError(f"a scalar needs nonzero denominators, got "
+                             f"{data!r}") from None
         return Scalar(t)
 
     def __str__(self):

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsvertex.constructions import super_construction, susy_report
-from nsvertex.fields import (Field, NthProduct, ScaledSum, field_from_tree,
+from nsvertex.fields import (Field, GeneratorField, IdentityField,
+                             NthProduct, ScaledSum, field_from_tree,
                              field_to_tree)
 from nsvertex.liealg import sl2
 from nsvertex.linalg import _add
@@ -118,11 +119,12 @@ def test_cached_actions_equal_a_fresh_recomputation():
     fresh = super_construction(sl2(), 1).module
 
     assert module._apply_cache
+    entries = 0
     for (mode, state), out in module._apply_cache.items():
         assert out == fresh.apply_to_basis(mode, state), (mode, state)
+        entries += 1
 
     rebuilt = {}
-    entries = 0
     for f in _reachable_fields(cons):
         tree = repr(field_to_tree(f))
         if tree not in rebuilt:
@@ -134,3 +136,14 @@ def test_cached_actions_equal_a_fresh_recomputation():
             entries += 1
     assert entries > 1000
     assert report["valid"]
+
+
+def test_generator_and_identity_fields_keep_no_slot_memo():
+    # a generator's slot action is the module's apply memo, and the
+    # identity's is the state itself: neither is stored a second time
+    cons = super_construction(sl2(), 1)
+    assert susy_report(cons, depth2=1, window=1)["valid"]
+    plain = [f for f in _reachable_fields(cons)
+             if isinstance(f, (GeneratorField, IdentityField))]
+    assert {type(f) for f in plain} == {GeneratorField, IdentityField}
+    assert not [str(f) for f in plain if f._cache]

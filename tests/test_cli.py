@@ -209,6 +209,26 @@ def test_validate_sl2(capsys):
     assert report["dim"] == 3
 
 
+# the triples (1,2,3) and (1,4,5) share X_1 and nothing closes them:
+# Jacobi and the normalization both fail
+NON_JACOBI = ('{"name":"x","dim":5,"gamma":[{"a":1,"b":2,"c":3,"val":1},'
+              '{"a":1,"b":4,"c":5,"val":1}]}')
+
+
+def test_validate_names_the_failing_checks(capsys):
+    code, out, err = run(capsys, ["validate", "--algebra", NON_JACOBI])
+    assert code == 1
+    assert json.loads(out)["checks"] == {
+        "real": True, "antisymmetric": True, "jacobi": False,
+        "normalized": False}
+    assert err == "algebra x: INVALID: jacobi, normalized\n"
+    code, out, err = run(capsys, ["sugawara", "--algebra", NON_JACOBI,
+                                  "--level", "1"])
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid structure constants for x: jacobi, "
+                   "normalized\n")
+
+
 def test_malformed_inputs_exit_two(capsys):
     cases = [
         ["gram", "--module", '{"type":"bogus"}', "--level", "1"],
@@ -336,6 +356,11 @@ def test_malformed_inputs_exit_two(capsys):
      "lincomb term must be a list of 2 items, got [1]"),
     (["ghosts", "--c", "1/0", "--h", "0"], "c must be a fraction, got '1/0'"),
     (["cocycle", "--c", "1/0"], "c must be a fraction, got '1/0'"),
+    (["gram", "--module", '{"type":"ns_verma","c":"1/0","h":0}', "--level",
+      "1"], "a scalar needs nonzero denominators, got '1/0'"),
+    (["gram", "--module", '{"type":"ns_verma","c":[{"num":1,"den":0}],'
+      '"h":0}', "--level", "1"],
+     "a scalar needs nonzero denominators, got [{'num': 1, 'den': 0}]"),
     (["ghosts", "--c", "1/2", "--h", "x"], "h must be a fraction, got 'x'"),
     (["gram", "--module", '{"type":"fermion"}', "--level", "-1/2"],
      "level must be nonnegative, got '-1/2'"),

@@ -4,14 +4,20 @@ On a vacuum module, a composite field that the state-field map built
 acts on a non-empty word h w through the commutator formula with the
 head mode h, and keeps its n-th product tree only on the floor.  The
 oracle is the same field rebuilt from its JSON tree, which belongs to
-no module and so expands its products at every slot.
+no module and so expands its products at every slot.  Which fields
+are the module's own is recorded once, in the module's memo; its oracle
+is the state-field map, which takes the state of such a field back to
+the field itself.
 """
+
+from test_accumulate import _reachable_fields
 
 from nsvertex.constructions import (_current_state, boson_sugawara,
                                     fermion_vosa, super_construction,
                                     susy_report)
-from nsvertex.fields import (NthProduct, ScaledSum, field_from_tree,
-                             field_to_tree, state_field)
+from nsvertex.fields import (Field, NthProduct, ScaledSum, bracket_check,
+                             creating_state, field_from_tree, field_to_tree,
+                             generate_closure, realize, state_field)
 from nsvertex.liealg import sl2
 from nsvertex.modules import FockModule, VermaModule
 
@@ -93,3 +99,40 @@ def test_only_vacuum_modules_commute():
     # L(-1) L(-1) vac
     f = state_field(verma, verma.level_basis(4)[1])
     assert isinstance(f, NthProduct) and f not in verma._field_cache
+
+
+def _assert_ownership_is_the_state_field_map(cons) -> int:
+    # a field is recorded as the module's own exactly when the
+    # state-field map takes its state back to it
+    module = cons.module
+    fields = _reachable_fields(cons)
+    for f in fields:
+        v = realize(f, module)
+        own = bool(v) and state_field(module, v) is f
+        assert (f in module._field_cache) == own, str(f)
+    return sum(f in module._field_cache for f in fields)
+
+
+def test_the_memo_records_exactly_the_state_field_maps_fields():
+    cons = super_construction(sl2(), 1)
+    assert susy_report(cons, depth2=1, window=1)["valid"]
+    assert _assert_ownership_is_the_state_field_map(cons) > 30
+    cons = fermion_vosa(2)
+    rep = generate_closure(cons.module, cons.fields, 4)
+    assert rep["valid"] and len(rep["fields"]) == 10
+    assert _assert_ownership_is_the_state_field_map(cons) >= 10
+
+
+def test_modules_that_are_not_vacuum_modules_own_no_field():
+    verma = VermaModule("ns", 1, 0)
+    spin = FockModule(sl2(), 1, spin2=1)
+    for module, gens in ((verma, (("G", 0), ("L", 0))),
+                         (spin, (("x", 0), ("x", 1)))):
+        A, B = (state_field(module, creating_state(*g)) for g in gens)
+        assert bracket_check(A, B, module, 2, 1)["valid"]
+        for state in module.basis_upto(2):
+            if state.floor == 0:
+                state_field(module, state)
+        assert module._field_cache
+        assert not [str(k) for k in module._field_cache
+                    if isinstance(k, Field)]

@@ -180,7 +180,7 @@ def test_invalid_algebra_raises_on_every_call():
     bad = LieAlgebra("bad", 4, {(0, 1, 2): Scalar.root(2)})
     assert not bad.validate()["valid"]
     for _ in range(2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="for bad: normalized$"):
             bad.dual_coxeter()
 
 
