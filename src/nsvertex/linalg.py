@@ -78,8 +78,9 @@ def kernel_basis(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
 
 def _integer_matrix(matrix) -> list[list[int]]:
     """The rational matrix times the least common multiple of its denominators."""
-    den = lcm(*(_ratio(x)[1] for row in matrix for x in row))
-    return [[n * (den // d) for n, d in map(_ratio, row)] for row in matrix]
+    ratios = [list(map(_ratio, row)) for row in matrix]
+    den = lcm(*(d for row in ratios for _, d in row))
+    return [[n * (den // d) for n, d in row] for row in ratios]
 
 
 def _swap(a: list[list[int]], idx: list[int], i: int, k: int):

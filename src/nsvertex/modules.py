@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .liealg import LieAlgebra, sl2, sl2_floor
 from .linalg import inertia_with_witness, kernel_basis
-from .scalars import (ONE, ZERO, I, Scalar, _acc, _add, _exact_int,
+from .scalars import (ONE, ZERO, I, Scalar, _acc, _add, _dot, _exact_int,
                       _interned, _json_key, _json_list)
 
 KIND_RANK = {"x": 0, "L": 1, "G": 2, "psi": 3}
@@ -153,8 +153,11 @@ class Module:
 
     def __init__(self):
         self._apply_cache = {}
-        self._inner_cache = {}
+        # grade n2 -> (index, block): each basis state's position and the
+        # Hermitian Gram matrix of the grade (see _block)
+        self._gram_cache = {}
         self._basis_cache = {}
+        self._bracket_cache = {}
         # exact key of a coefficient value -> the first Scalar stored with
         # it, so equal coefficients in the memos are one object
         self._values = {}
@@ -239,6 +242,14 @@ class Module:
             self._apply_cache[key] = out
         return out
 
+    def _bracket(self, m1: Mode, m2: Mode) -> list:
+        """self.bracket(m1, m2), memoized; callers must not change it."""
+        key = (m1, m2)
+        out = self._bracket_cache.get(key)
+        if out is None:
+            out = self._bracket_cache[key] = self.bracket(m1, m2)
+        return out
+
     def _share(self, out: dict) -> dict:
         """out, a new action dict, with each coefficient swapped in place
         for its shared Scalar."""
@@ -270,7 +281,7 @@ class Module:
                 # square of an odd mode: m^2 = (1/2)[m, m]_+
                 rest = BasisState(word[1:], state.floor)
                 out = {}
-                for coeff, bmode in self.bracket(mode, head):
+                for coeff, bmode in self._bracket(mode, head):
                     half = coeff * Fraction(1, 2)
                     if bmode is None:
                         _acc(out, rest, half)
@@ -282,7 +293,7 @@ class Module:
         out = {}
         for st, c in self.apply_to_basis(mode, rest).items():
             _add(out, self.apply_to_basis(head, st), -c if sign < 0 else c)
-        for coeff, bmode in self.bracket(mode, head):
+        for coeff, bmode in self._bracket(mode, head):
             if bmode is None:
                 _acc(out, rest, coeff)
             else:
@@ -297,52 +308,67 @@ class Module:
 
     # -- inner products --------------------------------------------------
 
-    def inner_basis(self, b1: BasisState, b2: BasisState) -> Scalar:
-        if state_grade2(b1) != state_grade2(b2):
-            return ZERO
-        return self._inner_same_grade(b1, b2)
-
-    def _inner_same_grade(self, b1: BasisState, b2: BasisState) -> Scalar:
-        # moving the head of b1 across keeps the grades equal: rest and
-        # every t have grade grade(b1) + head.n2
-        key = (b1, b2)
-        out = self._inner_cache.get(key)
-        if out is None:
-            if not b1.word:
-                if not b2.word:
-                    out = self.floor_pairing(b1.floor, b2.floor)
-                else:
-                    out = self._inner_same_grade(b2, b1).conjugate()
+    def _block(self, n2: int) -> tuple:
+        """(index, block) of grade n2, built once: each basis state's
+        position, and the Hermitian Gram matrix.  Grade 0 is the floor
+        pairing.  Above it, the row of b_i = h w (h the head of its word)
+        holds <w, h^dag b_j> for j >= i: the row of w in the block of the
+        grade below, paired by _dot with the cached action of h^dag on
+        b_j.  The lower triangle is the conjugate."""
+        memo = self._gram_cache.get(n2)
+        if memo is not None:
+            return memo
+        basis = self.level_basis(n2)
+        index = {b: i for i, b in enumerate(basis)}
+        block = [[None] * len(basis) for _ in basis]
+        values = self._values
+        for i, b in enumerate(basis):
+            if b.word:
+                head = b.word[0]
+                # moving the head across keeps the grades equal
+                low_index, low = self._block(n2 + head.n2)
+                w = low[low_index[BasisState(b.word[1:], b.floor)]]
+                adj = adjoint_mode(head)
+                row = (_dot((c, w[low_index[t]]) for t, c in
+                            self.apply_to_basis(adj, basis[j]).items())
+                       for j in range(i, len(basis)))
             else:
-                head, rest = b1.word[0], BasisState(b1.word[1:], b1.floor)
-                out = ZERO
-                moved = self.apply_to_basis(adjoint_mode(head), b2)
-                for t, c in moved.items():
-                    out = out + c.conjugate() * self._inner_same_grade(rest, t)
-            out = _interned(self._values, out)
-            self._inner_cache[key] = out
-        return out
+                row = (self.floor_pairing(b.floor, basis[j].floor)
+                       for j in range(i, len(basis)))
+            for j, x in enumerate(row, i):
+                block[i][j] = x = _interned(values, x)
+                y = x.conjugate()
+                block[j][i] = y if y is x else _interned(values, y)
+        memo = self._gram_cache[n2] = index, block
+        return memo
+
+    def inner_basis(self, b1: BasisState, b2: BasisState) -> Scalar:
+        n2 = state_grade2(b1)
+        if n2 != state_grade2(b2):
+            return ZERO
+        index, block = self._block(n2)
+        return block[index[b1]][index[b2]]
 
     def inner(self, u: StateVector, v: StateVector) -> Scalar:
-        out = ZERO
-        for b1, c1 in u.items():
-            for b2, c2 in v.items():
-                val = self.inner_basis(b1, b2)
-                if val:
-                    out = out + c1 * c2.conjugate() * val
-        return out
+        # <u, v> = sum over b of v of conj(c_b) conj(<b, u>), and <b, u>
+        # pairs the states of u at b's grade with b's Gram row
+        by_grade = {}
+        for b, c in u.items():
+            by_grade.setdefault(state_grade2(b), []).append((c, b))
+        terms = []
+        for b, c in v.items():
+            n2 = state_grade2(b)
+            if n2 in by_grade:
+                index, block = self._block(n2)
+                row = block[index[b]]
+                terms.append((c, _dot((c1, row[index[b1]])
+                                      for c1, b1 in by_grade[n2]).conjugate()))
+        return _dot(terms)
 
     def gram(self, n2: int) -> tuple:
-        basis = self.level_basis(n2)
-        # the pairing is Hermitian: compute the upper triangle only
-        n = len(basis)
-        matrix = [[None] * n for _ in range(n)]
-        for i, b1 in enumerate(basis):
-            for j in range(i, n):
-                x = self._inner_same_grade(b1, basis[j])
-                matrix[i][j] = x
-                matrix[j][i] = x if i == j else x.conjugate()
-        return basis, matrix
+        """The basis of grade n2 and its Gram matrix, which is the memo
+        itself: callers must not change it."""
+        return self.level_basis(n2), self._block(n2)[1]
 
     def kernel_vectors(self, n2: int) -> list:
         basis, matrix = self.gram(n2)

@@ -17,7 +17,8 @@ an operation is integer arithmetic followed by one gcd.
 
 _add, the one sparse accumulate out += coeff * vec on dicts of scalars
 keyed by basis states or columns, lives here with the representation it
-reads; modules, fields and the row reduction share it.
+reads; modules, fields and the row reduction share it.  So does _dot,
+the kernel of every Gram entry, sum conj(a) * b.
 """
 
 from __future__ import annotations
@@ -365,12 +366,16 @@ class Scalar:
 
     @staticmethod
     def from_json(data) -> "Scalar":
+        form = (f"a scalar is a term list, an integer or a fraction "
+                f"string, not {data!r}")
         if isinstance(data, bool) or not isinstance(data, (int, str, list)):
-            raise ValueError(f"a scalar is a term list, an integer or a "
-                             f"fraction string, not {data!r}")
+            raise ValueError(form)
         try:
             if isinstance(data, (int, str)):
-                return Scalar.of(Fraction(data))
+                try:
+                    return Scalar.of(Fraction(data))
+                except ValueError:
+                    raise ValueError(form) from None
             t = {}
             for item in data:
                 if not isinstance(item, dict):
@@ -478,6 +483,41 @@ def _add(out: dict, vec: dict, coeff):
             out[key] = cur
         elif key in out:
             del out[key]
+
+
+def _dot(pairs) -> Scalar:
+    """sum conj(a) * b over the (a, b) pairs of Scalars.
+
+    The products' integer numerators are summed per radicand over one
+    running denominator, the lcm of the products' denominators, and one
+    Scalar is made at the end."""
+    t = {}
+    d = 1
+    for a, b in pairs:
+        e = a._d * b._d
+        f = 1
+        if e != d:
+            up = e // gcd(d, e)
+            if up != 1:
+                d *= up
+                for r in t:
+                    t[r] *= up
+            f = d // e
+        for r, x in a._t.items():
+            x = -x * f if r < 0 else x * f
+            if r == 1:
+                for s, y in b._t.items():
+                    t[s] = t.get(s, 0) + x * y
+                continue
+            for s, y in b._t.items():
+                if s == 1:
+                    rad, n = r, x * y
+                else:
+                    k, rad = _mul_rad(r, s)
+                    n = x * y * k
+                t[rad] = t.get(rad, 0) + n
+    t = {r: n for r, n in t.items() if n}
+    return _reduce(d, t) if t else _ZERO
 
 
 def _acc(d: dict, key, coeff: Scalar):

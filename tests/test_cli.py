@@ -361,6 +361,9 @@ def test_malformed_inputs_exit_two(capsys):
     (["gram", "--module", '{"type":"ns_verma","c":[{"num":1,"den":0}],'
       '"h":0}', "--level", "1"],
      "a scalar needs nonzero denominators, got [{'num': 1, 'den': 0}]"),
+    (["gram", "--module", '{"type":"ns_verma","c":"x","h":0}', "--level",
+      "1"], "a scalar is a term list, an integer or a fraction string, "
+     "not 'x'"),
     (["ghosts", "--c", "1/2", "--h", "x"], "h must be a fraction, got 'x'"),
     (["gram", "--module", '{"type":"fermion"}', "--level", "-1/2"],
      "level must be nonnegative, got '-1/2'"),

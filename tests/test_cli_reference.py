@@ -1,5 +1,6 @@
-"""Byte-identity guard: every CLI call of the benchmark's session pool
-gives the exit code and stdout recorded in perfbench/reference.json.
+"""Byte-identity guard: every CLI call of the benchmark's session pool,
+and the full- and smoke-size jobs of its ghosts and susy workloads, give
+the exit code and stdout recorded in perfbench/reference.json.
 
 The calls run through `cli.main` in one process, as the session
 workload runs them.  A change that is meant to alter an output must
@@ -31,8 +32,7 @@ jobs = _load_jobs()
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
 
-@pytest.mark.parametrize("argv", jobs.all_session_calls(), ids=" ".join)
-def test_session_call_matches_reference(argv):
+def assert_matches_reference(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -40,3 +40,23 @@ def test_session_call_matches_reference(argv):
     want = REFERENCE[" ".join(argv)]
     assert code == want["exit"]
     assert jobs.digest(out.getvalue()) == want["sha256"]
+
+
+@pytest.mark.parametrize("argv", jobs.all_session_calls(), ids=" ".join)
+def test_session_call_matches_reference(argv):
+    assert_matches_reference(argv)
+
+
+# the ghosts and susy workloads' jobs, full size and smoke size; each
+# reference key is the job's CLI argv joined by spaces
+WORKLOAD_CALLS = [
+    "ghosts --sector ns --c 7/10 --h 1/10 --depth 8",
+    "ghosts --sector ns --c 7/10 --h 1/10 --depth 4",
+    "susy-check --algebra sl2 --level 1 --depth 1",
+    "susy-check --algebra sl2 --level 1 --depth 1/2 --window 1",
+]
+
+
+@pytest.mark.parametrize("key", WORKLOAD_CALLS)
+def test_workload_call_matches_reference(key):
+    assert_matches_reference(key.split())

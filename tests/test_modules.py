@@ -558,8 +558,10 @@ def test_memos_hold_one_scalar_per_coefficient_value():
     susy_report(cons, depth2=1, window=1)
     module = cons.module
     coeffs = [c for out in module._apply_cache.values() for c in out.values()]
-    coeffs += module._inner_cache.values()
+    # both triangles of each Gram block: the mirrored conjugates too
+    coeffs += [x for _, block in module._gram_cache.values()
+               for row in block for x in row]
     coeffs += [c for f in _reachable_fields(cons)
                for out in f._cache.values() for c in out.values()]
-    assert len(coeffs) > 2000 and module._inner_cache
+    assert len(coeffs) > 2000 and module._gram_cache
     assert len({id(c) for c in coeffs}) == len(set(coeffs))
