@@ -10,14 +10,17 @@ product, the Borcherds identity reads
   sum_j C(p,j) (A_(r+j)B)(p+q-j)
     = sum_j (-1)^j C(r,j) [A(p+r-j)B(q+j) - (-1)^(r+eps) B(q+r-j)A(p+j)],
 
-and one kernel evaluates its right side on a basis state, each order of
-composition cut off at the grading bound of its first factor.  Its three
-special cases are the n-th product (A_r B)(q) at p = 0, through which
-composite fields evaluate; the bracket [A(p), B(q)]_eps at r = 0; and at
-r = N the coefficient of z^(-p-1) w^(-q-1) in (z-w)^N [A(z), B(w)]_eps,
-whose vanishing is locality.  On a vacuum module, a composite field F
-that the module's state-field map built keeps the product expansion for
-the floor only; on a word h w whose head is the mode h = a(p) of a
+and one kernel evaluates its right side on a basis state.  It cuts
+each order of composition at the grading bound of its first factor,
+is zero at once at a point of negative output grade, and composes each
+term once with its summed coefficient.  Its three special cases are the
+n-th product (A_r B)(q) at p = 0, through which composite fields
+evaluate; the bracket [A(p), B(q)]_eps at r = 0; and at r = N the
+coefficient of z^(-p-1) w^(-q-1) in (z-w)^N [A(z), B(w)]_eps, whose
+vanishing is locality, where one search keeps one memo of
+compositions.  On a vacuum module, a composite field F that the
+module's state-field map built keeps the product expansion for the
+floor only; on a word h w whose head is the mode h = a(p) of a
 generator a, it commutes past the head,
 
   F(n) h w = s h F(n) w - s sum_j C(p,j) (a_j F)(p+n-j) w,
@@ -40,7 +43,7 @@ from fractions import Fraction
 from .linalg import Echelon
 from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
                       StateVector, _slot_index2, grade_str, mode_parity,
-                      slot_of_index2, state_grade2, state_parity)
+                      slot_of_index2, state_parity)
 from .scalars import ONE, Scalar, _add, _exact_int, _json_list
 
 
@@ -79,7 +82,7 @@ class Field:
         key = (module, n, state)
         out = self._cache.get(key)
         if out is None:
-            if _slot_index2(self.weight2, n) > state_grade2(state):
+            if _slot_index2(self.weight2, n) > state.grade2:
                 return {}
             if state.word and self in module._field_cache:
                 out = _commute(self, n, module, state)
@@ -119,7 +122,8 @@ class IdentityField(Field):
 class GeneratorField(Field):
     """The field of a single generator kind/color of the module.  Each
     call builds a new field; inside a module, state_field of the creating
-    state gives the one that the module's composite fields share."""
+    state gives the one that the module's composite fields share.  The
+    field keeps the mode of each slot it has acted with."""
 
     def __init__(self, kind: str, color: int = 0):
         super().__init__()
@@ -127,12 +131,16 @@ class GeneratorField(Field):
         self.color = color
         self.weight2 = GENERATOR_WEIGHT2[kind]
         self.parity = mode_parity(kind)
+        self._modes = {}
 
     def act(self, n, module, state):
-        n2 = _slot_index2(self.weight2, n)
-        if n2 > state_grade2(state):
+        mode = self._modes.get(n)
+        if mode is None:
+            mode = self._modes[n] = Mode(self.kind, self.color,
+                                         _slot_index2(self.weight2, n))
+        if mode.n2 > state.grade2:
             return {}
-        return module.apply_to_basis(Mode(self.kind, self.color, n2), state)
+        return module.apply_to_basis(mode, state)
 
     def __str__(self):
         if self.kind in ("L", "G"):
@@ -173,24 +181,51 @@ def _compose(out: dict, coeff: int, A, na, B, nb, module, state):
             _add(out, vec, c if coeff == 1 else c * coeff)
 
 
-def _borcherds(A, p, r, B, q, eps, module, state) -> dict:
+def _borcherds(A, p, r, B, q, eps, module, state, memo=None) -> dict:
     """The right side of the Borcherds identity on one basis state; j
-    runs to r for r >= 0 and to the grading bound otherwise."""
+    runs to r for r >= 0 and to the grading bound otherwise.
+
+    Every term lowers the doubled grade by 2(p+q+r) - wA - wB + 4, so a
+    point whose output grade is negative is zero at once.  The integer
+    coefficients are summed per composition X(nx)Y(ny) before anything
+    is composed, and each composition with a nonzero sum is composed
+    once: when A is B, the B·A term at j + q - p is the A·B term at j,
+    and on the diagonal p = q the two cancel whenever r + eps is even.
+    A memo dict, kept by the caller across points of one A and B on one
+    module, holds each composition on each state for reuse."""
+    g2 = state.grade2
+    if g2 < 2 * (p + q + r) - A.weight2 - B.weight2 + 4:
+        return {}
     swap = 1 if (r + eps) % 2 else -1
-    g2 = state_grade2(state)
     # each composition order dies once its first factor's slot,
     # B(q + j) or A(p + j), exceeds its grading bound
     jab = (g2 - _slot_index2(B.weight2, q)) // 2
     jba = (g2 - _slot_index2(A.weight2, p)) // 2
     if r >= 0:
         jab, jba = min(jab, r), min(jba, r)
-    out = {}
+    terms = {}
     for j in range(max(jab, jba, -1) + 1):
         c = -gbinom(r, j) if j % 2 else gbinom(r, j)
         if j <= jab:
-            _compose(out, c, A, p + r - j, B, q + j, module, state)
+            key = (A, p + r - j, B, q + j)
+            terms[key] = terms.get(key, 0) + c
         if j <= jba:
-            _compose(out, c * swap, B, q + r - j, A, p + j, module, state)
+            key = (B, q + r - j, A, p + j)
+            terms[key] = terms.get(key, 0) + c * swap
+    if memo is not None:
+        memo = memo.setdefault(state, {})
+    out = {}
+    for key, c in terms.items():
+        if not c:
+            continue
+        if memo is None:
+            _compose(out, c, *key, module, state)
+        else:
+            vec = memo.get(key)
+            if vec is None:
+                vec = memo[key] = {}
+                _compose(vec, 1, *key, module, state)
+            _add(out, vec, c)
     return out
 
 
@@ -224,7 +259,7 @@ def _commute(F: Field, n: int, module: Module, state: BasisState) -> dict:
     [a(p), F(n)] = sum_j C(p, j) (a_(j) F)(p + n - j).  Words are stored
     in normal order, so u is exactly h applied to w."""
     head = state.word[0]
-    rest = BasisState(state.word[1:], state.floor)
+    rest = state._rest()
     p = slot_of_index2(GENERATOR_WEIGHT2[head.kind], head.n2)
     s = -1 if F.parity and mode_parity(head.kind) else 1
     out = {}
@@ -313,7 +348,7 @@ def _basis_field(module: Module, state: BasisState) -> Field:
             f = GeneratorField(head.kind, head.color)
         else:
             gf = _basis_field(module, creating_state(head.kind, head.color))
-            rest = _basis_field(module, BasisState(word[1:], 0))
+            rest = _basis_field(module, state._rest())
             f = gf.prod(rest, slot)
     module._field_cache[state] = _own(module, f, {state: ONE})
     return f
@@ -345,6 +380,9 @@ def locality_order(A: Field, B: Field, module: Module, depth2: int = 4,
     states = module.basis_upto(depth2)
     slots = range(-window, window + 1)
     witness = {0: None, 1: None}
+    # one memo of compositions for the whole search: trial orders, both
+    # parities and neighbouring points reach the same mode pairs
+    memo = {}
     for N in range(max_order + 1):
         for eps in (predicted, 1 - predicted):
             # the coefficient of z^(-p-1) w^(-q-1) is the Borcherds sum
@@ -352,7 +390,8 @@ def locality_order(A: Field, B: Field, module: Module, depth2: int = 4,
             # the witness
             found = next(((N, p, q, state) for state in states
                           for p in slots for q in slots
-                          if _borcherds(A, p, N, B, q, eps, module, state)),
+                          if _borcherds(A, p, N, B, q, eps, module, state,
+                                        memo)),
                          None)
             if found is None:
                 return {"order": N,
@@ -551,7 +590,7 @@ def grading_sweep(module: Module, L: Field, depth2: int) -> dict:
     return sweep(({"state": s} for s in module.basis_upto(depth2)),
                  lambda state: (L.apply(1, module, u(state)),
                                 L.apply(0, module, u(state))),
-                 lambda state: (u(state).scaled(Fraction(state_grade2(state), 2)),
+                 lambda state: (u(state).scaled(Fraction(state.grade2, 2)),
                                 module.operator_T(u(state))))
 
 
@@ -580,7 +619,7 @@ def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
         # slots n >= 0 kill the vacuum; slot -1 keeps weight and parity
         f = fields[field]
         return [st for st in f.act(n, module, vac) if n >= 0 or (
-            state_grade2(st), state_parity(st)) != (f.weight2, f.parity)]
+            st.grade2, state_parity(st)) != (f.weight2, f.parity)]
 
     def translated(field, n, state):
         # [T, A(n)] u, to match -n A(n-1) u

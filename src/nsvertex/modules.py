@@ -70,9 +70,41 @@ def slot_of_index2(weight2: int, m2: int) -> int:
     return n2 // 2
 
 
-class BasisState(NamedTuple):
+_new_state = tuple.__new__
+
+
+class _StateFields(NamedTuple):
     word: tuple
     floor: int
+    grade2: int
+
+
+class BasisState(_StateFields):
+    """A word of creation modes on a floor state.  BasisState(word,
+    floor) stores the doubled grade -sum n2 of the word as its third
+    field, computed once; _rest and _prepend derive a state from this
+    one's grade without summing the word again.  The field is a function
+    of the word, so states compare and sort as (word, floor) does."""
+
+    __slots__ = ()
+
+    def __new__(cls, word: tuple, floor: int):
+        return _new_state(cls, (word, floor, -sum(m.n2 for m in word)))
+
+    def __getnewargs__(self):
+        return self.word, self.floor
+
+    def _rest(self) -> "BasisState":
+        """The state without the head mode of its word."""
+        word = self.word
+        return _new_state(BasisState, (word[1:], self.floor,
+                                       self.grade2 + word[0].n2))
+
+    def _prepend(self, mode: Mode) -> "BasisState":
+        """The state with mode put in front of its word; the caller
+        keeps the word in normal order."""
+        return _new_state(BasisState, ((mode,) + self.word, self.floor,
+                                       self.grade2 - mode.n2))
 
     def __str__(self):
         if not self.word:
@@ -83,7 +115,8 @@ class BasisState(NamedTuple):
 
 
 def state_grade2(state: BasisState) -> int:
-    return sum(-m.n2 for m in state.word)
+    """The doubled grade of a basis state, which it stores."""
+    return state.grade2
 
 
 def state_parity(state: BasisState) -> int:
@@ -131,7 +164,7 @@ class StateVector(dict):
         return StateVector()._plus(self, Scalar.of(coeff))
 
     def sorted_items(self):
-        return sorted(self.items(), key=lambda sc: (state_grade2(sc[0]), sc[0]))
+        return sorted(self.items(), key=lambda sc: (sc[0].grade2, sc[0]))
 
     def __str__(self):
         if not self:
@@ -260,7 +293,7 @@ class Module:
 
     def _apply_uncached(self, mode: Mode, state: BasisState) -> dict:
         self.check_mode(mode)
-        if mode.n2 > state_grade2(state):
+        if mode.n2 > state.grade2:
             return {}
         word = state.word
         if not word:
@@ -271,15 +304,15 @@ class Module:
                 for coeff, fl in self.floor_action0(mode, state.floor):
                     _acc(out, BasisState((), fl), coeff)
                 return out
-            return {BasisState((mode,), state.floor): ONE}
+            return {state._prepend(mode): ONE}
         head = word[0]
         if mode.n2 < 0:
             k, k1 = mode_key(mode), mode_key(head)
             if k > k1 or (k == k1 and not mode_parity(mode.kind)):
-                return {BasisState((mode,) + word, state.floor): ONE}
+                return {state._prepend(mode): ONE}
             if k == k1:
                 # square of an odd mode: m^2 = (1/2)[m, m]_+
-                rest = BasisState(word[1:], state.floor)
+                rest = state._rest()
                 out = {}
                 for coeff, bmode in self._bracket(mode, head):
                     half = coeff * Fraction(1, 2)
@@ -288,7 +321,7 @@ class Module:
                     else:
                         _add(out, self.apply_to_basis(bmode, rest), half)
                 return out
-        rest = BasisState(word[1:], state.floor)
+        rest = state._rest()
         sign = -1 if mode_parity(mode.kind) and mode_parity(head.kind) else 1
         out = {}
         for st, c in self.apply_to_basis(mode, rest).items():
@@ -327,7 +360,7 @@ class Module:
                 head = b.word[0]
                 # moving the head across keeps the grades equal
                 low_index, low = self._block(n2 + head.n2)
-                w = low[low_index[BasisState(b.word[1:], b.floor)]]
+                w = low[low_index[b._rest()]]
                 adj = adjoint_mode(head)
                 row = (_dot((c, w[low_index[t]]) for t, c in
                             self.apply_to_basis(adj, basis[j]).items())
@@ -343,8 +376,8 @@ class Module:
         return memo
 
     def inner_basis(self, b1: BasisState, b2: BasisState) -> Scalar:
-        n2 = state_grade2(b1)
-        if n2 != state_grade2(b2):
+        n2 = b1.grade2
+        if n2 != b2.grade2:
             return ZERO
         index, block = self._block(n2)
         return block[index[b1]][index[b2]]
@@ -354,10 +387,10 @@ class Module:
         # pairs the states of u at b's grade with b's Gram row
         by_grade = {}
         for b, c in u.items():
-            by_grade.setdefault(state_grade2(b), []).append((c, b))
+            by_grade.setdefault(b.grade2, []).append((c, b))
         terms = []
         for b, c in v.items():
-            n2 = state_grade2(b)
+            n2 = b.grade2
             if n2 in by_grade:
                 index, block = self._block(n2)
                 row = block[index[b]]
@@ -410,7 +443,7 @@ class Module:
     def _translate_basis(self, state: BasisState) -> dict:
         if not state.word:
             return self.translation_floor(state.floor)
-        head, rest = state.word[0], BasisState(state.word[1:], state.floor)
+        head, rest = state.word[0], state._rest()
         out = {}
         for st, c in self._translate_basis(rest).items():
             _add(out, self.apply_to_basis(head, st), c)

@@ -16,9 +16,9 @@ from fractions import Fraction
 from itertools import product
 
 from nsvertex.constructions import fermion_vosa, super_construction
-from nsvertex.fields import (_borcherds, _order_bound, creating_state,
-                             gbinom, generate_closure, locality_order,
-                             realize, state_field)
+from nsvertex.fields import (_borcherds, _order_bound, commutator_direct,
+                             creating_state, gbinom, generate_closure,
+                             locality_order, realize, state_field)
 from nsvertex.liealg import sl2
 from nsvertex.modules import VermaModule
 from nsvertex.scalars import _add
@@ -51,16 +51,22 @@ def uncut(A, p, r, B, q, module, state, memo) -> tuple:
 
 
 def _assert_kernel_matches(fields, module):
+    # the kernel alone, and with one memo of compositions shared across
+    # every point of each pair, as a locality search shares it
     memo = {}
-    for A, B, p, q, r, state in product(fields, fields, range(-2, 3),
-                                        range(-2, 3), range(-2, 4),
-                                        module.basis_upto(2)):
-        ab, ba = uncut(A, p, r, B, q, module, state, memo)
-        for eps in (0, 1):
-            want = dict(ab)
-            _add(want, ba, 1 if (r + eps) % 2 else -1)
-            assert _borcherds(A, p, r, B, q, eps, module, state) == want, \
-                (str(A), p, r, str(B), q, eps, str(state))
+    for A, B in product(fields, fields):
+        shared = {}
+        for p, q, r, state in product(range(-2, 3), range(-2, 3),
+                                      range(-2, 4), module.basis_upto(2)):
+            ab, ba = uncut(A, p, r, B, q, module, state, memo)
+            for eps in (0, 1):
+                want = dict(ab)
+                _add(want, ba, 1 if (r + eps) % 2 else -1)
+                point = (str(A), p, r, str(B), q, eps, str(state))
+                assert _borcherds(A, p, r, B, q, eps, module,
+                                  state) == want, point
+                assert _borcherds(A, p, r, B, q, eps, module, state,
+                                  shared) == want, point
 
 
 def test_kernel_matches_uncut_sum_on_ns_verma():
@@ -79,6 +85,37 @@ def test_kernel_matches_uncut_sum_on_super_construction():
     _assert_kernel_matches([cons.fields["G"], psi,
                             state_field(module, cons.omega), negative],
                            module)
+
+
+def test_a_field_commutes_with_its_own_mode_at_no_cost():
+    # [L(m), L(m)] sums its A·B and B·A terms to 0 before composing, so
+    # the kernel asks no field and no module for an action
+    cons = super_construction(sl2(), 1)
+    module = cons.module
+    L = state_field(module, cons.omega)
+    states = module.basis_upto(2)
+    cached = len(L._cache), len(module._apply_cache)
+    for m, state in product(range(-3, 4), states):
+        assert commutator_direct(L, m, L, m, module, state) == {}
+    assert (len(L._cache), len(module._apply_cache)) == cached
+
+
+def test_the_anticommutator_of_a_mode_with_itself_is_twice_its_square():
+    # {G(m), G(m)} u = 2 G(m) G(m) u, the A·B and B·A terms merged
+    cons = super_construction(sl2(), 1)
+    module = cons.module
+    G = cons.fields["G"]
+    nonzero = 0
+    for m, state in product(range(-3, 4), module.basis_upto(2)):
+        square = {}
+        for st, c in G.act(m, module, state).items():
+            _add(square, G.act(m, module, st), c)
+        want = {}
+        _add(want, square, 2)
+        assert commutator_direct(G, m, G, m, module, state) == want, \
+            (m, str(state))
+        nonzero += bool(want)
+    assert nonzero
 
 
 def test_closures_are_pairwise_local():
