@@ -8,7 +8,6 @@ for identical arguments and seed.
 """
 
 import argparse
-import gc
 import json
 import re
 import sys
@@ -490,23 +489,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # A call frees the cycles it made (a module's field memo holds fields
-    # whose caches are keyed by the module) before it returns.  What the
-    # caller holds is frozen first, so the collection walks only the
-    # call's objects and leaves the caller's garbage to its collector; a
-    # caller that froze objects itself keeps them frozen.
-    freeze = not gc.get_freeze_count()
-    if freeze:
-        gc.freeze()
-    try:
-        return _run(argv)
-    finally:
-        gc.collect()
-        if freeze:
-            gc.unfreeze()
-
-
-def _run(argv) -> int:
     args, extra = _parser().parse_known_args(argv)
     if extra:
         # refused by the chosen subcommand, whose usage lists what it takes

@@ -2,10 +2,11 @@
 
 A field is expanded in unit slots, A(z) = sum_n A(n) z^(-n-1); a field
 of weight w has physical modes A_m = A(m + w - 1), so slot -1 always
-creates the corresponding state from the vacuum.  A composite field
-memoizes its slot actions on basis states; a generator's slot action
-is one mode action, which the module memoizes.  With eps the parity
-product, the Borcherds identity reads
+creates the corresponding state from the vacuum.  A field is a
+description and keeps no module state: the module it acts on memoizes
+a composite field's slot actions on basis states, and a generator's
+slot action is one mode action, which the module memoizes too.  With
+eps the parity product, the Borcherds identity reads
 
   sum_j C(p,j) (A_(r+j)B)(p+q-j)
     = sum_j (-1)^j C(r,j) [A(p+r-j)B(q+j) - (-1)^(r+eps) B(q+r-j)A(p+j)],
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 from .linalg import Echelon
 from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
@@ -65,22 +67,27 @@ def _order_bound(weight2_a: int, weight2_b: int) -> int:
 
 
 class Field:
-    """Base field: memoized slot action on module basis states."""
+    """Base field: a description of a slot action on module basis states.
+    A field keeps no module state: the module memoizes its composite
+    slot actions, so a field never keeps a module alive."""
 
     weight2: int
     parity: int
+    # always empty: the slot memo is the module's; the benchmark tracer
+    # (perfbench/tracer.py) still reads a field's _cache
+    _cache = MappingProxyType({})
 
     def __init__(self):
-        self._cache = {}
         self._prods = {}
 
     def act(self, n: int, module: Module, state: BasisState) -> dict:
-        """A(n) applied to a basis state; the result dict is frozen.  A
-        composite field that the module's state-field map built acts on
-        a non-empty word by commuting past the word's head; every other
-        action, and every action on the floor, is the field's own."""
-        key = (module, n, state)
-        out = self._cache.get(key)
+        """A(n) applied to a basis state; the result dict is frozen and
+        kept in the module's slot memo.  A composite field that the
+        module's state-field map built acts on a non-empty word by
+        commuting past the word's head; every other action, and every
+        action on the floor, is the field's own."""
+        key = (self, n, state)
+        out = module._slot_cache.get(key)
         if out is None:
             if _slot_index2(self.weight2, n) > state.grade2:
                 return {}
@@ -88,7 +95,7 @@ class Field:
                 out = _commute(self, n, module, state)
             else:
                 out = self._act(n, module, state)
-            out = self._cache[key] = module._share(out)
+            out = module._slot_cache[key] = module._share(out)
         return out
 
     def _act(self, n: int, module: Module, state: BasisState) -> dict:

@@ -114,11 +114,6 @@ class BasisState(_StateFields):
         return core if self.floor == 0 else f"{core}[{self.floor}]"
 
 
-def state_grade2(state: BasisState) -> int:
-    """The doubled grade of a basis state, which it stores."""
-    return state.grade2
-
-
 def state_parity(state: BasisState) -> int:
     return sum(mode_parity(m.kind) for m in state.word) & 1
 
@@ -199,6 +194,10 @@ class Module:
         # field of state_field on a vacuum module -> its state, and (field,
         # kind, color) -> the products that commute it past a head mode
         self._field_cache = {}
+        # (field, n, state) -> a composite field's slot action here: the
+        # module holds its fields' memos and no field holds a module, so
+        # a module is freed by reference counting alone
+        self._slot_cache = {}
 
     # -- floor defaults, overridden by concrete modules ------------------
 

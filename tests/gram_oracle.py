@@ -11,7 +11,7 @@ triangles included, is computed by the recursion.
 
 from __future__ import annotations
 
-from nsvertex.modules import BasisState, adjoint_mode, state_grade2
+from nsvertex.modules import BasisState, adjoint_mode
 from nsvertex.scalars import ZERO
 
 
@@ -23,7 +23,7 @@ class GramOracle:
         self._cache = {}
 
     def inner_basis(self, b1: BasisState, b2: BasisState):
-        if state_grade2(b1) != state_grade2(b2):
+        if b1.grade2 != b2.grade2:
             return ZERO
         return self._inner_same_grade(b1, b2)
 

@@ -125,15 +125,13 @@ def test_cached_actions_equal_a_fresh_recomputation():
         entries += 1
 
     rebuilt = {}
-    for f in _reachable_fields(cons):
+    for (f, n, state), out in module._slot_cache.items():
         tree = repr(field_to_tree(f))
         if tree not in rebuilt:
             rebuilt[tree] = field_from_tree(field_to_tree(f))
         g = rebuilt[tree]
-        for (mod, n, state), out in f._cache.items():
-            assert mod is module
-            assert out == g.act(n, fresh, state), (str(f), n, str(state))
-            entries += 1
+        assert out == g.act(n, fresh, state), (str(f), n, str(state))
+        entries += 1
     assert entries > 1000
     assert report["valid"]
 
@@ -146,4 +144,5 @@ def test_generator_and_identity_fields_keep_no_slot_memo():
     plain = [f for f in _reachable_fields(cons)
              if isinstance(f, (GeneratorField, IdentityField))]
     assert {type(f) for f in plain} == {GeneratorField, IdentityField}
-    assert not [str(f) for f in plain if f._cache]
+    assert not [str(f) for f, _, _ in cons.module._slot_cache
+                if isinstance(f, (GeneratorField, IdentityField))]

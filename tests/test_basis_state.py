@@ -18,8 +18,7 @@ import pytest
 
 from nsvertex.constructions import super_construction
 from nsvertex.liealg import sl2
-from nsvertex.modules import (BasisState, FockModule, StateVector,
-                              VermaModule, state_grade2)
+from nsvertex.modules import BasisState, FockModule, StateVector, VermaModule
 
 MODULES = {
     "super_construction": lambda: super_construction(sl2(), 1).module,
@@ -35,7 +34,7 @@ def states(request):
 
 def test_grade_is_minus_the_index_sum(states):
     for s in states:
-        assert s.grade2 == state_grade2(s) == -sum(m.n2 for m in s.word)
+        assert s.grade2 == -sum(m.n2 for m in s.word)
 
 
 def test_derived_states_equal_fresh_ones(states):

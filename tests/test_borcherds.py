@@ -94,10 +94,10 @@ def test_a_field_commutes_with_its_own_mode_at_no_cost():
     module = cons.module
     L = state_field(module, cons.omega)
     states = module.basis_upto(2)
-    cached = len(L._cache), len(module._apply_cache)
+    cached = len(module._slot_cache), len(module._apply_cache)
     for m, state in product(range(-3, 4), states):
         assert commutator_direct(L, m, L, m, module, state) == {}
-    assert (len(L._cache), len(module._apply_cache)) == cached
+    assert (len(module._slot_cache), len(module._apply_cache)) == cached
 
 
 def test_the_anticommutator_of_a_mode_with_itself_is_twice_its_square():

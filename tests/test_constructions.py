@@ -25,7 +25,7 @@ from nsvertex.fields import (GeneratorField, check_vosa_axioms,
                              commutator_direct, realize, state_field)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
-                              VermaModule, state_grade2)
+                              VermaModule)
 from nsvertex.scalars import ZERO, I, Scalar
 
 
@@ -55,7 +55,7 @@ def test_current_state_normalization():
     st = BasisState((Mode("psi", 1, -1), Mode("psi", 0, -1)), 0)
     assert s3.get(st, ZERO) == Scalar.root(-2)
     assert len(list(s3.items())) == 1
-    assert state_grade2(st) == 2
+    assert st.grade2 == 2
 
 
 def test_current_brackets_close_at_dual_coxeter_level():

@@ -391,11 +391,12 @@ def super_setup():
 
 
 def tree_expanded(A, B, j, mod) -> bool:
-    """Whether A_j B was evaluated on mod through its product tree: its
-    slot cache holds a point other than the vacuum at slot -1."""
-    vac = BasisState((), 0)
-    return any(key[0] is mod and key[1:] != (-1, vac)
-               for key in A.prod(B, j)._cache)
+    """Whether A_j B was evaluated on mod through its product tree: the
+    module's slot memo holds a point of it other than the vacuum at
+    slot -1."""
+    P, vac = A.prod(B, j), BasisState((), 0)
+    return any(key[0] is P and key[1:] != (-1, vac)
+               for key in mod._slot_cache)
 
 
 def test_bracket_through_state_fields_matches_product_trees():

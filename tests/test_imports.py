@@ -1,10 +1,12 @@
-"""No source file imports a name that it never reads.
+"""No source file imports a name that it never reads, or the collector.
 
 A name moved from one module to another leaves its old import behind
 unless something notices; this test reads every file of the package
 with the stdlib ast module and lists each imported name that the file
 never loads.  Names in the package's __all__ are its public surface and
-are exempt, as are __future__ imports.
+are exempt, as are __future__ imports.  No file imports gc either: the
+library frees its memory by reference counting and never drives the
+cyclic collector, whose state belongs to the caller.
 """
 
 import ast
@@ -45,3 +47,26 @@ def test_every_source_file_reads_what_it_imports():
     unread = {path.name: names for path in files
               if (names := unread_imports(path.read_text()))}
     assert unread == {}
+
+
+def imports_gc(source: str) -> bool:
+    """Whether the source imports the gc module, in either form."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name == "gc" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            return True
+    return False
+
+
+def test_gc_imports_are_found():
+    assert imports_gc("import os, gc\n")
+    assert imports_gc("def f():\n    from gc import collect\n")
+    assert not imports_gc("from math import gcd\nimport gcx\n")
+
+
+def test_no_source_file_imports_gc():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 5
+    assert [path.name for path in files if imports_gc(path.read_text())] == []

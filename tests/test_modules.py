@@ -10,15 +10,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_accumulate import _reachable_fields
 
 from nsvertex.constructions import super_construction, susy_report
 from nsvertex.liealg import sl2
 from nsvertex.linalg import row_reduce
 from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
                               VermaModule, adjoint_mode,
-                              module_from_descriptor, state_grade2,
-                              state_parity)
+                              module_from_descriptor, state_parity)
 from nsvertex.scalars import ONE, ZERO, I, Scalar
 
 
@@ -105,7 +103,7 @@ def test_state_vector_arithmetic():
     assert isinstance(pairs, dict) and pairs == {a: Scalar.of(Fraction(3, 2))}
     assert StateVector({a: 0, b: ZERO}) == {}
     assert StateVector({a: 3, b: 0}) == {a: Scalar.of(3)}
-    assert state_grade2(b) == 3
+    assert b.grade2 == 3
     assert state_parity(b) == 1
 
 
@@ -561,7 +559,6 @@ def test_memos_hold_one_scalar_per_coefficient_value():
     # both triangles of each Gram block: the mirrored conjugates too
     coeffs += [x for _, block in module._gram_cache.values()
                for row in block for x in row]
-    coeffs += [c for f in _reachable_fields(cons)
-               for out in f._cache.values() for c in out.values()]
+    coeffs += [c for out in module._slot_cache.values() for c in out.values()]
     assert len(coeffs) > 2000 and module._gram_cache
     assert len({id(c) for c in coeffs}) == len(set(coeffs))

@@ -30,7 +30,7 @@ from nsvertex.fields import (Field, GeneratorField, IdentityField,
                              sweep, window_points)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
-                              VermaModule, state_grade2)
+                              VermaModule)
 from nsvertex.scalars import I, Scalar
 
 NS = '{"type":"ns_verma","c":"1/2","h":"0"}'
@@ -442,7 +442,7 @@ def test_adjoint_sweep_names_the_vectors_of_a_failing_field():
         u, v = failure["u"], failure["v"]
         assert isinstance(u, StateVector) and u and v
         assert module.inner(psi.apply(failure["slot"], module, u), v)
-        assert {Fraction(state_grade2(s), 2) for s, _ in u.items()} == {
+        assert {Fraction(s.grade2, 2) for s, _ in u.items()} == {
             Fraction(failure["grade"])}
         assert _json_ready(failure)["u"] == _json_ready(u)
 
