@@ -95,7 +95,7 @@ class Field:
                 out = _commute(self, n, module, state)
             else:
                 out = self._act(n, module, state)
-            out = module._slot_cache[key] = module._share(out)
+            module._slot_cache[key] = out
         return out
 
     def _act(self, n: int, module: Module, state: BasisState) -> dict:
@@ -104,7 +104,7 @@ class Field:
     def apply(self, n: int, module: Module, vec: dict) -> StateVector:
         out = StateVector()
         for state, coeff in vec.items():
-            _add(out, self.act(n, module, state), coeff)
+            _add(out, self.act(n, module, state), coeff, module._table)
         return out
 
     def prod(self, other: "Field", k: int) -> "Field":
@@ -173,7 +173,7 @@ class ScaledSum(Field):
     def _act(self, n, module, state):
         out = {}
         for coeff, f in self.terms:
-            _add(out, f.act(n, module, state), coeff)
+            _add(out, f.act(n, module, state), coeff, module._table)
         return out
 
     def __str__(self):
@@ -182,10 +182,11 @@ class ScaledSum(Field):
 
 def _compose(out: dict, coeff: int, A, na, B, nb, module, state):
     """out += coeff * A(na) B(nb) state, for an integer coeff."""
+    table = module._table
     for st, c in B.act(nb, module, state).items():
         vec = A.act(na, module, st)
         if vec:
-            _add(out, vec, c if coeff == 1 else c * coeff)
+            _add(out, vec, c if coeff == 1 else table.times(c, coeff), table)
 
 
 def _borcherds(A, p, r, B, q, eps, module, state, memo=None) -> dict:
@@ -232,7 +233,7 @@ def _borcherds(A, p, r, B, q, eps, module, state, memo=None) -> dict:
             if vec is None:
                 vec = memo[key] = {}
                 _compose(vec, 1, *key, module, state)
-            _add(out, vec, c)
+            _add(out, vec, c, module._table)
     return out
 
 
@@ -267,34 +268,43 @@ def _commute(F: Field, n: int, module: Module, state: BasisState) -> dict:
     in normal order, so u is exactly h applied to w."""
     head = state.word[0]
     rest = state._rest()
-    p = slot_of_index2(GENERATOR_WEIGHT2[head.kind], head.n2)
+    table = module._table
     s = -1 if F.parity and mode_parity(head.kind) else 1
     out = {}
     for st, c in F.act(n, module, rest).items():
-        _add(out, module.apply_to_basis(head, st), c if s == 1 else -c)
-    for j, c, E in _head_products(F, head.kind, head.color, module):
-        vec = E.act(p + n - j, module, rest)
+        _add(out, module.apply_to_basis(head, st),
+             c if s == 1 else table.times(c, -1), table)
+    for E, shift, c in _head_terms(F, head, s, module):
+        vec = E.act(n + shift, module, rest)
         if vec:
-            _add(out, vec, c * (-s * gbinom(p, j)))
+            _add(out, vec, c, table)
     return out
 
 
-def _head_products(F: Field, kind: str, color: int, module: Module) -> list:
-    """(j, coeff, E) for each term coeff |E> of a(j)|F>, with a the
-    generator of the kind and color and E the module's field of the
-    term's basis state; a(j)|F> = 0 from the order bound on.  Kept in
-    the module's field memo under (F, kind, color)."""
-    key = (F, kind, color)
+def _head_terms(F: Field, head: Mode, s: int, module: Module) -> list:
+    """(E, p - j, -s C(p, j) coeff) for each term coeff |E> of a(j)|F>
+    with C(p, j) != 0, for the head mode h = a(p) of a generator a and
+    the sign s of _commute: E is the module's field of the term's basis
+    state, and a(j)|F> = 0 from the order bound on.  Built once per
+    (F, head), kept in the module's field memo, its coefficients made
+    through the module's table."""
+    key = (F, head)
     out = module._field_cache.get(key)
     if out is None:
-        w2 = GENERATOR_WEIGHT2[kind]
+        w2 = GENERATOR_WEIGHT2[head.kind]
+        p = slot_of_index2(w2, head.n2)
+        table = module._table
         out = []
         for j in range(_order_bound(F.weight2, w2)):
-            mode = Mode(kind, color, _slot_index2(w2, j))
+            b = gbinom(p, j)
+            if not b:
+                continue
+            mode = Mode(head.kind, head.color, _slot_index2(w2, j))
             vec = {}
             for st, c in module._field_cache[F].items():
-                _add(vec, module.apply_to_basis(mode, st), c)
-            out += [(j, c, _basis_field(module, st)) for st, c in vec.items()]
+                _add(vec, module.apply_to_basis(mode, st), c, table)
+            out += [(_basis_field(module, st), p - j,
+                     table.times(c, -s * b)) for st, c in vec.items()]
         module._field_cache[key] = out
     return out
 
@@ -436,7 +446,7 @@ def bracket_from_ope(A: Field, m: int, B: Field, n: int, order: int,
         c = gbinom(m, j)
         P = _product_field(A, B, j, module) if c else None
         if P is not None:
-            _add(out, P.act(m + n - j, module, state), c)
+            _add(out, P.act(m + n - j, module, state), c, module._table)
     return out
 
 
@@ -564,7 +574,8 @@ def bracket_sweep(module: Module, depth2: int, window: int, cases) -> dict:
             out = {}
             for coeff, C, slot in terms(m, n):
                 if coeff:
-                    _add(out, C.act(slot, module, state), coeff)
+                    _add(out, C.act(slot, module, state), coeff,
+                         module._table)
             return out
 
         swept = sweep(({**label, **p}

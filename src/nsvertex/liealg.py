@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .scalars import ZERO, Scalar, _add, _exact_int, _json_key, _json_list
+from .scalars import (ZERO, Coefficients, Scalar, _add, _exact_int, _json_key,
+                      _json_list)
 
 
 # signs of itertools.permutations of a triple, in the order it yields them
@@ -191,11 +192,12 @@ def sl2_floor(j2: int):
         if j2 - 2 * k:
             h[(k, k)] = Scalar.of(j2 - 2 * k)
 
+    table = Coefficients()
+
     def combine(coeff_e, coeff_f, coeff_h):
         out = {}
         for mat, coeff in ((e, coeff_e), (f, coeff_f), (h, coeff_h)):
-            if coeff:
-                _add(out, mat, coeff)
+            _add(out, mat, coeff, table)
         return out
 
     half_i_root2 = Scalar({-2: Fraction(1, 2)})   # i*sqrt(2)/2

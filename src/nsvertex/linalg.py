@@ -14,15 +14,17 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import ONE, ZERO, Scalar, _add, _ratio
+from .scalars import ONE, ZERO, Coefficients, Scalar, _add, _ratio
 
 
 class Echelon:
     """Incremental row reduction: sparse rows {key: Scalar}, each scaled
-    to lead with 1 and kept under its leading (least) key."""
+    to lead with 1 and kept under its leading (least) key.  The rows'
+    coefficients are made through the echelon's own table."""
 
     def __init__(self):
         self.rows = {}
+        self._table = Coefficients()
 
     def add(self, vec: dict) -> bool:
         """Reduce vec against the rows; keep it and return True when it
@@ -32,10 +34,10 @@ class Echelon:
             pivot = min(v)
             row = self.rows.get(pivot)
             if row is None:
-                inv = v[pivot].inverse()
-                self.rows[pivot] = {s: c * inv for s, c in v.items()}
+                row = self.rows[pivot] = {}
+                _add(row, v, v[pivot].inverse(), self._table)
                 return True
-            _add(v, row, -v[pivot])
+            _add(v, row, -v[pivot], self._table)
         return False
 
     def __len__(self):
@@ -53,7 +55,7 @@ def row_reduce(matrix: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int
         row = ech.rows[pivots[i]]
         for p in pivots[i + 1:]:
             if p in row:
-                _add(row, ech.rows[p], -row[p])
+                _add(row, ech.rows[p], -row[p], ech._table)
     ncols = len(matrix[0]) if matrix else 0
     return [[ech.rows[p].get(j, ZERO) for j in range(ncols)]
             for p in pivots], pivots

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 from .liealg import LieAlgebra, sl2, sl2_floor
 from .linalg import inertia_with_witness, kernel_basis
-from .scalars import (ONE, ZERO, I, Scalar, _acc, _add, _dot, _exact_int,
-                      _interned, _json_key, _json_list)
+from .scalars import (ONE, ZERO, I, Coefficients, Scalar, _acc, _add, _dot,
+                      _exact_int, _json_key, _json_list)
 
 KIND_RANK = {"x": 0, "L": 1, "G": 2, "psi": 3}
 ODD_KINDS = frozenset({"psi", "G"})
@@ -141,9 +141,9 @@ class StateVector(dict):
         return StateVector({state: ONE})
 
     def _plus(self, other: dict, coeff) -> "StateVector":
-        out = StateVector()
-        _add(out, self, ONE)
-        _add(out, other, coeff)
+        out, table = StateVector(), Coefficients()
+        _add(out, self, ONE, table)
+        _add(out, other, coeff, table)
         return out
 
     def __add__(self, other):
@@ -186,13 +186,15 @@ class Module:
         self._gram_cache = {}
         self._basis_cache = {}
         self._bracket_cache = {}
-        # exact key of a coefficient value -> the first Scalar stored with
-        # it, so equal coefficients in the memos are one object
-        self._values = {}
+        # every coefficient that the memos hold is made through this one
+        # table, so equal coefficients are one object
+        self._table = Coefficients()
+        # the modes that have passed check_mode
+        self._checked_modes = set()
         # the state-field memo of fields.py: a basis state or vector ->
         # its field, (A, B, j) -> the product field of bracket_from_ope, a
         # field of state_field on a vacuum module -> its state, and (field,
-        # kind, color) -> the products that commute it past a head mode
+        # head mode) -> the terms that commute it past that mode
         self._field_cache = {}
         # (field, n, state) -> a composite field's slot action here: the
         # module holds its fields' memos and no field holds a module, so
@@ -266,32 +268,30 @@ class Module:
     # -- mode application ------------------------------------------------
 
     def apply_to_basis(self, mode: Mode, state: BasisState) -> dict:
-        """mode . state as a frozen dict; callers must not mutate the result."""
+        """mode . state as a frozen dict; callers must not mutate the
+        result.  A mode is checked against the module the first time it
+        acts here."""
         key = (mode, state)
         out = self._apply_cache.get(key)
         if out is None:
-            out = self._share(self._apply_uncached(mode, state))
-            self._apply_cache[key] = out
+            if mode not in self._checked_modes:
+                self.check_mode(mode)
+                self._checked_modes.add(mode)
+            out = self._apply_cache[key] = self._apply_uncached(mode, state)
         return out
 
     def _bracket(self, m1: Mode, m2: Mode) -> list:
-        """self.bracket(m1, m2), memoized; callers must not change it."""
+        """self.bracket(m1, m2), memoized with each coefficient interned;
+        callers must not change it."""
         key = (m1, m2)
         out = self._bracket_cache.get(key)
         if out is None:
-            out = self._bracket_cache[key] = self.bracket(m1, m2)
-        return out
-
-    def _share(self, out: dict) -> dict:
-        """out, a new action dict, with each coefficient swapped in place
-        for its shared Scalar."""
-        values = self._values
-        for state, c in out.items():
-            out[state] = _interned(values, c)
+            intern = self._table.intern
+            out = self._bracket_cache[key] = [
+                (intern(c), m) for c, m in self.bracket(m1, m2)]
         return out
 
     def _apply_uncached(self, mode: Mode, state: BasisState) -> dict:
-        self.check_mode(mode)
         if mode.n2 > state.grade2:
             return {}
         word = state.word
@@ -301,7 +301,7 @@ class Module:
             if mode.n2 == 0:
                 out = {}
                 for coeff, fl in self.floor_action0(mode, state.floor):
-                    _acc(out, BasisState((), fl), coeff)
+                    _add(out, {BasisState((), fl): ONE}, coeff, self._table)
                 return out
             return {state._prepend(mode): ONE}
         head = word[0]
@@ -314,28 +314,26 @@ class Module:
                 rest = state._rest()
                 out = {}
                 for coeff, bmode in self._bracket(mode, head):
-                    half = coeff * Fraction(1, 2)
-                    if bmode is None:
-                        _acc(out, rest, half)
-                    else:
-                        _add(out, self.apply_to_basis(bmode, rest), half)
+                    _add(out, {rest: ONE} if bmode is None
+                         else self.apply_to_basis(bmode, rest),
+                         coeff * Fraction(1, 2), self._table)
                 return out
         rest = state._rest()
         sign = -1 if mode_parity(mode.kind) and mode_parity(head.kind) else 1
+        table = self._table
         out = {}
         for st, c in self.apply_to_basis(mode, rest).items():
-            _add(out, self.apply_to_basis(head, st), -c if sign < 0 else c)
+            _add(out, self.apply_to_basis(head, st),
+                 table.times(c, -1) if sign < 0 else c, table)
         for coeff, bmode in self._bracket(mode, head):
-            if bmode is None:
-                _acc(out, rest, coeff)
-            else:
-                _add(out, self.apply_to_basis(bmode, rest), coeff)
+            _add(out, {rest: ONE} if bmode is None
+                 else self.apply_to_basis(bmode, rest), coeff, table)
         return out
 
     def apply(self, mode: Mode, vec: dict) -> StateVector:
         out = StateVector()
         for state, coeff in vec.items():
-            _add(out, self.apply_to_basis(mode, state), coeff)
+            _add(out, self.apply_to_basis(mode, state), coeff, self._table)
         return out
 
     # -- inner products --------------------------------------------------
@@ -353,7 +351,7 @@ class Module:
         basis = self.level_basis(n2)
         index = {b: i for i, b in enumerate(basis)}
         block = [[None] * len(basis) for _ in basis]
-        values = self._values
+        intern = self._table.intern
         for i, b in enumerate(basis):
             if b.word:
                 head = b.word[0]
@@ -368,9 +366,9 @@ class Module:
                 row = (self.floor_pairing(b.floor, basis[j].floor)
                        for j in range(i, len(basis)))
             for j, x in enumerate(row, i):
-                block[i][j] = x = _interned(values, x)
+                block[i][j] = x = intern(x)
                 y = x.conjugate()
-                block[j][i] = y if y is x else _interned(values, y)
+                block[j][i] = y if y is x else intern(y)
         memo = self._gram_cache[n2] = index, block
         return memo
 
@@ -436,21 +434,22 @@ class Module:
     def operator_T(self, vec: dict) -> StateVector:
         out = StateVector()
         for state, coeff in vec.items():
-            _add(out, self._translate_basis(state), coeff)
+            _add(out, self._translate_basis(state), coeff, self._table)
         return out
 
     def _translate_basis(self, state: BasisState) -> dict:
         if not state.word:
             return self.translation_floor(state.floor)
         head, rest = state.word[0], state._rest()
+        table = self._table
         out = {}
         for st, c in self._translate_basis(rest).items():
-            _add(out, self.apply_to_basis(head, st), c)
+            _add(out, self.apply_to_basis(head, st), c, table)
         # [T, A(n)] = -n A(n-1) at the head's slot n
         kappa = -slot_of_index2(GENERATOR_WEIGHT2[head.kind], head.n2)
         if kappa:
             shifted = Mode(head.kind, head.color, head.n2 - 2)
-            _add(out, self.apply_to_basis(shifted, rest), kappa)
+            _add(out, self.apply_to_basis(shifted, rest), kappa, table)
         return out
 
 

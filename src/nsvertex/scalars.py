@@ -19,6 +19,12 @@ _add, the one sparse accumulate out += coeff * vec on dicts of scalars
 keyed by basis states or columns, lives here with the representation it
 reads; modules, fields and the row reduction share it.  So does _dot,
 the kernel of every Gram entry, sum conj(a) * b.
+
+Every scalar that _add makes goes through a Coefficients table, which
+holds one Scalar per exact value and memoizes arithmetic keyed by the
+id()s of the Scalars that it holds and so keeps alive.  A module owns
+one table, and a caller with no module one for its lifetime; no table
+is process-wide.
 """
 
 from __future__ import annotations
@@ -106,18 +112,6 @@ def _reduce(d: int, t: dict) -> "Scalar":
             d //= g
             t = {r: n // g for r, n in t.items()}
     return _new(d, t)
-
-
-def _monomial(d: int, rad: int, n: int) -> "Scalar":
-    """The scalar n sqrt(rad) / d in lowest terms; n != 0 and d > 0."""
-    if d != 1:
-        g = gcd(n, d)
-        if g != 1:
-            n //= g
-            d //= g
-    if n == 1 and d == 1 and rad == 1:
-        return _ONE
-    return _new(d, {rad: n})
 
 
 class Scalar:
@@ -256,7 +250,7 @@ class Scalar:
             else:
                 f, rad = _mul_rad(r, s)
                 n = x * y * f
-            # _monomial(d, rad, n), inlined: a call costs ~5 % of a multiply
+            # n sqrt(rad) / d in lowest terms
             if d != 1:
                 g = gcd(n, d)
                 if g != 1:
@@ -421,68 +415,100 @@ class Scalar:
     __repr__ = __str__
 
 
-def _add(out: dict, vec: dict, coeff):
+class Coefficients:
+    """One table of coefficient values, and the memo of their arithmetic.
+
+    `values` maps the exact key of a value (the common denominator and
+    the sorted (radicand, numerator) pairs) to the one Scalar of that
+    value that the table owns, and `owned` holds the id() of each.
+    `products` maps id(k) to {id(c): c * k}, `sums` maps (id(a), id(b))
+    to a + b, and `multiples` maps (id(c), n) to c * n for an integer n.
+    The identity rule: an entry is stored only when its Scalar operands
+    are the table's own, which the table keeps alive, so an id in a key
+    always names the object that it was stored for.  Every memo value
+    is interned when it is made, so it is the table's own too."""
+
+    __slots__ = ("values", "owned", "products", "sums", "multiples",
+                 "__weakref__")
+
+    def __init__(self):
+        self.values = {}
+        self.owned = set()
+        self.products = {}
+        self.sums = {}
+        self.multiples = {}
+        self.intern(_ZERO)
+        self.intern(_ONE)
+
+    def intern(self, c: Scalar) -> Scalar:
+        """The table's Scalar equal to c: c itself if the table holds no
+        equal value yet, which it then stores."""
+        if id(c) in self.owned:
+            return c
+        t = c._t
+        key = (c._d, *t.items()) if len(t) < 2 else (c._d, *sorted(t.items()))
+        own = self.values.setdefault(key, c)
+        if own is c:
+            self.owned.add(id(c))
+        return own
+
+    def times(self, c: Scalar, n: int) -> Scalar:
+        """c * n for an integer n, interned; memoized when c is the
+        table's own."""
+        key = (id(c), n)
+        out = self.multiples.get(key)
+        if out is None:
+            out = self.intern(c * n)
+            if id(c) in self.owned:
+                self.multiples[key] = out
+        return out
+
+
+def _add(out: dict, vec: dict, coeff, table: Coefficients):
     """out += coeff * vec on dicts of Scalars, dropping the entries that
     vanish.  vec is only read, so it may be a cached action; coeff is a
     Scalar or a number.  A unit coeff, or an entry that is ONE, passes
     the other factor through as the same object.
 
-    When the entry and coeff are both single terms, the product and the
-    running sum are taken on their integer numerators and denominators,
-    and a Scalar is made only for a nonzero result."""
+    Every Scalar that _add makes goes through the table: coeff is
+    interned first, and each product and running sum is read from the
+    table's memo, or computed, interned and, when both operands are the
+    table's own, stored there."""
     if not vec:
         return
+    owned, sums, intern = table.owned, table.sums, table.intern
     k = coeff if type(coeff) is Scalar else _coerce(coeff)
-    kt = k._t
-    if not kt:
+    if id(k) not in owned:
+        k = intern(k)
+    if k is _ZERO:
         return
-    unit = k._d == 1 and kt == _ONE._t
-    if len(kt) == 1:
-        (s, y), = kt.items()
-        e = k._d
-    else:
-        s = None
+    unit = k is _ONE
+    products = table.products.setdefault(id(k), {})
     for key, c in vec.items():
-        ct = c._t
-        cur = out.get(key)
-        if s is None or len(ct) != 1:
-            p = c if unit else k if c is _ONE else c * k
-            cur = p if cur is None else cur + p
+        if unit:
+            p = c
+        elif c is _ONE:
+            p = k
         else:
-            (r, x), = ct.items()
-            if r == 1:
-                rad, n = s, x * y
-            elif s == 1:
-                rad, n = r, x * y
-            else:
-                f, rad = _mul_rad(r, s)
-                n = x * y * f
-            d = c._d * e
-            if cur is None:
-                out[key] = c if unit else k if c is _ONE \
-                    else _monomial(d, rad, n)
-                continue
-            t = cur._t
-            if len(t) == 1 and rad in t:
-                # both terms sit at rad: one integer sum over a common d
-                dc = cur._d
-                if dc == d:
-                    n += t[rad]
-                else:
-                    g = gcd(dc, d)
-                    n = n * (dc // g) + t[rad] * (d // g)
-                    d = d // g * dc
-                if n:
-                    out[key] = _monomial(d, rad, n)
-                else:
-                    del out[key]
-                continue
-            cur = cur + (c if unit else k if c is _ONE
-                         else _monomial(d, rad, n))
-        if cur:
-            out[key] = cur
-        elif key in out:
+            p = products.get(id(c))
+            if p is None:
+                p = intern(c * k)
+                if id(c) in owned:
+                    products[id(c)] = p
+        cur = out.get(key)
+        if cur is None:
+            out[key] = p
+            continue
+        pair = (id(cur), id(p))
+        s = sums.get(pair)
+        if s is None:
+            s = intern(cur + p)
+            if id(cur) in owned and id(p) in owned:
+                sums[pair] = s
+        if s is _ZERO:
             del out[key]
+        else:
+            out[key] = s
 
 
 def _dot(pairs) -> Scalar:
@@ -536,15 +562,6 @@ def _ratio(x) -> tuple[int, int]:
         return x._t.get(1, 0), x._d
     x = x.as_fraction() if isinstance(x, Scalar) else Fraction(x)
     return x.numerator, x.denominator
-
-
-def _interned(values: dict, c: Scalar) -> Scalar:
-    """The first Scalar equal to c that the table values holds, stored
-    there if it is the first; the key is exact: the common denominator
-    and the sorted (radicand, numerator) pairs."""
-    t = c._t
-    items = t.items() if len(t) < 2 else sorted(t.items())
-    return values.setdefault((c._d, *items), c)
 
 
 def _coerce(value):

@@ -16,19 +16,20 @@ from __future__ import annotations
 import math
 
 from nsvertex.fields import NotLocalError
-from nsvertex.scalars import _add
+from nsvertex.scalars import Coefficients, _add
 
 
 def coefficient(A, p, N, B, q, eps, module, state) -> dict:
     """The locality coefficient T_N(p, q) on one basis state."""
     swap = 1 if (N + eps) % 2 else -1
+    table = Coefficients()
     out = {}
     for j in range(N + 1):
         c = (-1) ** j * math.comb(N, j)
         for X, nx, Y, ny, k in ((A, p + N - j, B, q + j, c),
                                 (B, q + N - j, A, p + j, c * swap)):
             for st, d in Y.act(ny, module, state).items():
-                _add(out, X.act(nx, module, st), d * k)
+                _add(out, X.act(nx, module, st), d * k, table)
     return out
 
 

@@ -1,13 +1,16 @@
 """The one sparse accumulate, scalars._add, and the caches it feeds.
 
-_add(out, vec, coeff) adds coeff * vec into out and drops the entries
-that vanish; vec is often a cached action (Field.act, apply_to_basis),
-so it must come back unchanged.  Single-term entries and coefficients
-take an integer fast path, checked against the naive Scalar loop on
-values drawn so that sums often cancel.  The cache test runs a
-supersymmetry sweep and then recomputes every cached slot and mode
-action on a freshly built construction: a kernel that wrote into a
-cached dict would leave an entry that no longer equals its action.
+_add(out, vec, coeff, table) adds coeff * vec into out and drops the
+entries that vanish; vec is often a cached action (Field.act,
+apply_to_basis), so it must come back unchanged.  Every product and
+running sum is read from the table's memo or made and interned there;
+each is checked against the naive Scalar loop on values drawn so that
+sums often cancel, with a fresh table, with one table whose memo the
+operands hit again, and with operands dropped and re-made so that a new
+object takes a freed one's id().  The cache test runs a supersymmetry
+sweep and then recomputes every cached slot and mode action on a
+freshly built construction: a kernel that wrote into a cached dict
+would leave an entry that no longer equals its action.
 """
 
 from fractions import Fraction
@@ -22,7 +25,7 @@ from nsvertex.fields import (Field, GeneratorField, IdentityField,
                              field_to_tree)
 from nsvertex.liealg import sl2
 from nsvertex.linalg import _add
-from nsvertex.scalars import I, ONE, ZERO, Scalar
+from nsvertex.scalars import I, ONE, ZERO, Coefficients, Scalar
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=400)
@@ -57,7 +60,7 @@ def naive_add(out: dict, vec: dict, coeff) -> dict:
 def test_add_equals_the_naive_scalar_loop(out, vec, coeff):
     want = naive_add(out, vec, coeff)
     before, frozen = dict(out), list(vec.items())
-    _add(out, vec, coeff)
+    _add(out, vec, coeff, Coefficients())
     assert out == want
     assert list(out) == list(want)
     assert list(vec.items()) == frozen
@@ -74,25 +77,93 @@ def test_add_equals_the_naive_scalar_loop(out, vec, coeff):
 
 def test_add_deletes_an_entry_that_cancels_exactly():
     half_root2 = Scalar({2: Fraction(1, 2)})
-    out = {"a": Scalar.of(Fraction(1, 3)), "b": ONE}
+    out, table = {"a": Scalar.of(Fraction(1, 3)), "b": ONE}, Coefficients()
     _add(out, {"a": Scalar.root(2), "b": Scalar.root(2)},
-         Scalar({2: Fraction(-1, 6)}))
+         Scalar({2: Fraction(-1, 6)}), table)
     assert out == {"b": Scalar.of(Fraction(2, 3))}
-    _add(out, {"b": half_root2}, Scalar({2: Fraction(-2, 3)}))
+    _add(out, {"b": half_root2}, Scalar({2: Fraction(-2, 3)}), table)
     assert out == {}
 
 
 def test_add_scales_accumulates_and_drops_vanishing_entries():
     out = {"a": Scalar.of(1), "b": Scalar.of(2)}
     vec = {"a": Scalar.of(-1), "b": Scalar.root(2), "c": I}
-    frozen = dict(vec)
-    _add(out, vec, 1)
+    frozen, table = dict(vec), Coefficients()
+    _add(out, vec, 1, table)
     assert out == {"b": Scalar.of(2) + Scalar.root(2), "c": I}
     assert list(out) == ["b", "c"]
-    _add(out, vec, Scalar.root(2))
+    _add(out, vec, Scalar.root(2), table)
     assert out == {"a": -Scalar.root(2), "b": Scalar.of(4) + Scalar.root(2),
                    "c": I + I * Scalar.root(2)}
     assert vec == frozen
+
+
+@SETTINGS
+@given(st.lists(st.tuples(vectors, coefficients), min_size=1, max_size=6))
+def test_add_through_one_table_equals_the_naive_loop(steps):
+    # one table for the whole run: each step adds into the last result,
+    # and runs twice, so that the second run reads every product and sum
+    # from the memo and makes no new value
+    table = Coefficients()
+    out = {}
+    for vec, coeff in steps:
+        vec = {key: table.intern(c) for key, c in vec.items()}
+        want = naive_add(out, vec, coeff)
+        for run in range(2):
+            sizes = (len(table.values), len(table.sums),
+                     sum(map(len, table.products.values())))
+            got = dict(out)
+            _add(got, vec, coeff, table)
+            assert got == want
+            assert list(got) == list(want)
+            assert all(id(value) in table.owned for value in got.values())
+            if run:
+                assert sizes == (len(table.values), len(table.sums),
+                                 sum(map(len, table.products.values())))
+        out = got
+
+
+def test_add_reads_no_memo_entry_through_a_reused_id():
+    # operands made afresh and dropped after each call: a new Scalar
+    # often takes the id() of one just freed, with another value, and a
+    # memo keyed by that id must not answer for it
+    table = Coefficients()
+    k = table.intern(Scalar.root(2))
+    values = [Fraction(n, d) for n in (-3, -1, 1, 2, 5) for d in (1, 2, 3)]
+    seen, reused = {}, 0
+    for step in range(4 * len(values)):
+        q = values[step * 7 % len(values)]
+        r = (1, 2, 3, -1)[step % 4]
+        c, total = Scalar({r: q}), Scalar({r: q + 1})
+        reused += seen.get(id(c), (c._d, c._t)) != (c._d, c._t)
+        seen[id(c)] = (c._d, c._t)
+        out = {"a": total, "b": ONE}
+        vec = {"a": c, "b": c, "c": ONE}
+        want = naive_add(out, vec, k)
+        _add(out, vec, k, table)
+        assert out == want
+        del c, total, out, vec
+    assert reused
+
+
+def test_memos_equal_plain_arithmetic_after_a_sweep():
+    cons = super_construction(sl2(), 1)
+    assert susy_report(cons, depth2=1, window=1)["valid"]
+    table = cons.module._table
+    by_id = {id(c): c for c in table.values.values()}
+    assert set(by_id) == table.owned
+    products = [(by_id[ic], by_id[ik], p)
+                for ik, memo in table.products.items()
+                for ic, p in memo.items()]
+    sums = [(by_id[ia], by_id[ib], s) for (ia, ib), s in table.sums.items()]
+    multiples = [(by_id[ic], n, p) for (ic, n), p in table.multiples.items()]
+    assert len(products) > 50 and len(sums) > 50 and len(multiples) > 20
+    for c, k, p in products:
+        assert p == c * k and id(p) in table.owned
+    for a, b, s in sums:
+        assert s == a + b and id(s) in table.owned
+    for c, n, p in multiples:
+        assert type(n) is int and p == c * n and id(p) in table.owned
 
 
 def _reachable_fields(cons):

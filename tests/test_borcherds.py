@@ -21,7 +21,7 @@ from nsvertex.fields import (_borcherds, _order_bound, commutator_direct,
                              locality_order, realize, state_field)
 from nsvertex.liealg import sl2
 from nsvertex.modules import VermaModule
-from nsvertex.scalars import _add
+from nsvertex.scalars import Coefficients, _add
 
 # on states of grade <= 1 a field of weight <= 2 vanishes at slots above
 # 2, so with p, q >= -2 every term past j = 4 is zero; J leaves room
@@ -34,19 +34,22 @@ def compose(X, nx, Y, ny, module, state, memo) -> dict:
     out = memo.get(key)
     if out is None:
         out = memo[key] = {}
+        table = Coefficients()
         for st, c in Y.act(ny, module, state).items():
-            _add(out, X.act(nx, module, st), c)
+            _add(out, X.act(nx, module, st), c, table)
     return out
 
 
 def uncut(A, p, r, B, q, module, state, memo) -> tuple:
     """The two orders of the sum, sum_j (-1)^j C(r,j) A(p+r-j)B(q+j) and
     sum_j (-1)^j C(r,j) B(q+r-j)A(p+j), each term taken in full."""
-    ab, ba = {}, {}
+    ab, ba, table = {}, {}, Coefficients()
     for j in range(r + 1 if r >= 0 else J):
         c = (-1) ** j * gbinom(r, j)
-        _add(ab, compose(A, p + r - j, B, q + j, module, state, memo), c)
-        _add(ba, compose(B, q + r - j, A, p + j, module, state, memo), c)
+        _add(ab, compose(A, p + r - j, B, q + j, module, state, memo), c,
+             table)
+        _add(ba, compose(B, q + r - j, A, p + j, module, state, memo), c,
+             table)
     return ab, ba
 
 
@@ -61,7 +64,7 @@ def _assert_kernel_matches(fields, module):
             ab, ba = uncut(A, p, r, B, q, module, state, memo)
             for eps in (0, 1):
                 want = dict(ab)
-                _add(want, ba, 1 if (r + eps) % 2 else -1)
+                _add(want, ba, 1 if (r + eps) % 2 else -1, Coefficients())
                 point = (str(A), p, r, str(B), q, eps, str(state))
                 assert _borcherds(A, p, r, B, q, eps, module,
                                   state) == want, point
@@ -107,11 +110,10 @@ def test_the_anticommutator_of_a_mode_with_itself_is_twice_its_square():
     G = cons.fields["G"]
     nonzero = 0
     for m, state in product(range(-3, 4), module.basis_upto(2)):
-        square = {}
+        square, want, table = {}, {}, Coefficients()
         for st, c in G.act(m, module, state).items():
-            _add(square, G.act(m, module, st), c)
-        want = {}
-        _add(want, square, 2)
+            _add(square, G.act(m, module, st), c, table)
+        _add(want, square, 2, table)
         assert commutator_direct(G, m, G, m, module, state) == want, \
             (m, str(state))
         nonzero += bool(want)

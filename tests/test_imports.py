@@ -1,4 +1,5 @@
-"""No source file imports a name that it never reads, or the collector.
+"""No source file imports a name that it never reads, or the collector,
+or keeps a process-global memo.
 
 A name moved from one module to another leaves its old import behind
 unless something notices; this test reads every file of the package
@@ -6,7 +7,12 @@ with the stdlib ast module and lists each imported name that the file
 never loads.  Names in the package's __all__ are its public surface and
 are exempt, as are __future__ imports.  No file imports gc either: the
 library frees its memory by reference counting and never drives the
-cyclic collector, whose state belongs to the caller.
+cyclic collector, whose state belongs to the caller.  And no function
+writes into a module-level dict, list or set, or is memoized by
+functools: every memo lives with the module or the call that it serves,
+so it is freed with them.  Two functools caches are the exceptions:
+scalars._mul_rad, which holds integer pairs of radicands, and
+cli._parser, which holds the one argument parser.
 """
 
 import ast
@@ -70,3 +76,106 @@ def test_no_source_file_imports_gc():
     files = sorted(SRC.glob("*.py"))
     assert len(files) > 5
     assert [path.name for path in files if imports_gc(path.read_text())] == []
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+              ast.SetComp)
+FACTORIES = frozenset({"dict", "list", "set", "defaultdict", "OrderedDict",
+                       "Counter", "deque"})
+MUTATORS = frozenset({"append", "extend", "insert", "add", "update",
+                      "setdefault", "pop", "popitem", "remove", "discard",
+                      "clear"})
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _called_name(node):
+    """The last name of a call's function, or of a bare decorator."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, those of nested functions left out."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS):
+            todo += ast.iter_child_nodes(node)
+
+
+def global_memos(source: str) -> list:
+    """Each function of the source that keeps process-global state, as
+    "name: writes X" for a write into the module-level dict, list or set
+    X (an item store or delete, a mutating method call, or a global
+    rebinding), and as "name: functools cache" for a function that
+    functools.cache or lru_cache memoizes; in source order.  A local
+    name that shadows X counts as X: the package gives its module-level
+    containers names that no function reuses."""
+    tree = ast.parse(source)
+    containers = set()
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) \
+            else None
+        if isinstance(value, CONTAINERS) or (
+                isinstance(value, ast.Call)
+                and _called_name(value) in FACTORIES):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+    functions = sorted((node for node in ast.walk(tree)
+                        if isinstance(node, FUNCTIONS)),
+                       key=lambda fn: (fn.lineno, fn.col_offset))
+    found = []
+    for fn in functions:
+        name = getattr(fn, "name", "<lambda>")
+        if any(_called_name(d) in ("cache", "lru_cache")
+               for d in getattr(fn, "decorator_list", ())):
+            found.append(f"{name}: functools cache")
+        written = set()
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Global):
+                written.update(set(node.names) & containers)
+                continue
+            if isinstance(node, ast.Subscript) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in containers:
+                written.add(target.id)
+        found += [f"{name}: writes {x}" for x in sorted(written)]
+    return found
+
+
+def test_global_memos_are_found():
+    source = ("import functools\n"
+              "TABLE = {}\nSEEN = set()\nNAMES: list = []\nLIMIT = 3\n"
+              "def put(k, v):\n    TABLE[k] = v\n    del TABLE[v]\n"
+              "def mark(x):\n    SEEN.add(x)\n"
+              "def read(k):\n    return TABLE.get(k), LIMIT\n"
+              "def reset():\n    global SEEN\n    SEEN = set()\n"
+              "class C:\n    def m(self):\n"
+              "        f = lambda: NAMES.extend([1])\n        return f\n"
+              "@functools.cache\ndef f(n):\n    return {n: 1}\n"
+              "@functools.lru_cache(maxsize=8)\ndef g(n):\n    return n\n")
+    assert global_memos(source) == [
+        "put: writes TABLE", "mark: writes SEEN", "reset: writes SEEN",
+        "<lambda>: writes NAMES", "f: functools cache",
+        "g: functools cache"]
+
+
+def test_no_function_keeps_a_process_global_memo():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 5
+    found = {path.name: memos for path in files
+             if (memos := global_memos(path.read_text()))}
+    assert found == {"scalars.py": ["_mul_rad: functools cache"],
+                     "cli.py": ["_parser: functools cache"]}

@@ -4,7 +4,7 @@ import pytest
 
 from nsvertex.linalg import (_add, _integer_matrix, inertia_with_witness,
                              kernel_basis, row_reduce)
-from nsvertex.scalars import ONE, Scalar
+from nsvertex.scalars import ONE, Coefficients, Scalar
 
 
 def s(x):
@@ -13,13 +13,13 @@ def s(x):
 
 def test_add_passes_unit_factors_through_unchanged():
     c = Scalar.root(3)
-    out = {}
-    _add(out, {"a": ONE, "b": c}, c)
+    out, table = {}, Coefficients()
+    _add(out, {"a": ONE, "b": c}, c, table)
     assert out["a"] is c and out == {"a": c, "b": Scalar.of(3)}
-    _add(out, {"b": c}, ONE)
-    _add(out, {"c": c}, 1)
+    _add(out, {"b": c}, ONE, table)
+    _add(out, {"c": c}, 1, table)
     assert out["c"] is c and out["b"] == Scalar.of(3) + c
-    _add(out, {"d": ONE}, 2)
+    _add(out, {"d": ONE}, 2, table)
     assert out["d"] == Scalar.of(2)
 
 

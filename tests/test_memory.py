@@ -6,13 +6,17 @@ module is freed by reference counting alone once nothing outside holds
 it, with the cyclic collector switched off, and `cli.main` neither
 collects nor freezes: what the caller holds, garbage included, is left
 to the caller's collector.  The generator fields of a construction are
-the module's own state fields."""
+the module's own state fields.  A module's coefficient table, with its
+product and sum memos, is held by the module alone and dies with it, and
+no call grows a container that the package keeps at module level."""
 
 import contextlib
 import gc
 import io
+import sys
 import weakref
 from fractions import Fraction
+from types import MappingProxyType
 
 from nsvertex.cli import main
 from nsvertex.constructions import (super_construction, susy_report,
@@ -98,6 +102,52 @@ def test_a_dropped_construction_frees_its_module():
         ref = weakref.ref(cons.module)
         del cons
         assert ref() is None
+
+
+def test_a_dropped_construction_frees_its_table_and_memos():
+    with _no_collector():
+        cons = super_construction(sl2(), 1)
+        assert susy_report(cons, depth2=1, window=1)["valid"]
+        table = cons.module._table
+        memos = ("values", "owned", "products", "sums", "multiples")
+        assert all(getattr(table, memo) for memo in memos)
+        # the table alone holds each memo: its one reference, and the
+        # argument of getrefcount
+        assert [sys.getrefcount(getattr(table, memo))
+                for memo in memos] == [2] * len(memos)
+        ref = weakref.ref(table)
+        del cons, table
+        assert ref() is None
+
+
+def _container_sizes() -> dict:
+    """The size of every dict, list, set or mapping proxy that a module
+    of the package, or a class defined there, keeps as an attribute."""
+    sizes = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "nsvertex" and not name.startswith("nsvertex."):
+            continue
+        for attr, obj in vars(mod).items():
+            found = [(attr, obj)]
+            if isinstance(obj, type) and obj.__module__ == name:
+                found += [(f"{attr}.{key}", value)
+                          for key, value in vars(obj).items()]
+            sizes.update((f"{name}.{key}", len(value)) for key, value in found
+                         if not key.split(".")[-1].startswith("__")
+                         and isinstance(value, (dict, list, set,
+                                                MappingProxyType)))
+    return sizes
+
+
+def test_repeated_cli_calls_leave_module_level_containers_unchanged():
+    with _no_collector():
+        before = _container_sizes()
+        assert "nsvertex.modules.KIND_RANK" in before
+        assert "nsvertex.fields.Field._cache" in before
+        for _ in range(2):
+            for argv in CALLS:
+                _run_quietly(argv)
+        assert _container_sizes() == before
 
 
 def test_a_dropped_spin_floor_frees_its_module():
