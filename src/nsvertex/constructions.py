@@ -107,8 +107,12 @@ def g_fermion_system(lie: LieAlgebra) -> Construction:
     """dim-many fermions with the currents S^a induced by the bracket."""
     module = FockModule(colors=lie.dim)
     fields = _generators(module, "psi", lie.dim)
-    currents = [state_field(module, _current_state(module, lie, c))
-                for c in range(lie.dim)]
+    states = [_current_state(module, lie, c) for c in range(lie.dim)]
+    if not all(states):
+        raise ValueError(f"{'an' if any(states) else 'every'} internal "
+                         f"current S^a of {lie.name} vanishes, and a zero "
+                         "current has no field")
+    currents = [state_field(module, s) for s in states]
     return Construction("g_fermion", module, fields, fermion_omega(module),
                         lie=lie, currents=currents)
 
@@ -276,13 +280,14 @@ def susy_report(cons: Construction, depth2: int = 2, window: int = 2) -> dict:
         [{"c": c}], lambda c: c,
         lambda c: Scalar.of(susy_central_charge(dim, g, level)))["failures"]
 
-    # G = d^(-1/2) (sum_a X^a_{-1} psi^a + (1/3) sum_a psi^a_{-1} S^a)
-    S = [state_field(module, _current_state(module, lie, a)) for a in gens]
+    # G = d^(-1/2) (sum_a X^a_{-1} psi^a + (1/3) sum_a psi^a_{-1} S^a),
+    # with no term for an S^a that vanishes (a central direction)
+    S = {a: state_field(module, s) for a in gens
+         if (s := _current_state(module, lie, a))}
     explicit = ScaledSum(
         [(inv_root_d, cons.fields[f"x{a + 1}"].prod(psi[a], -1))
          for a in gens if level > 0]
-        + [(inv_root_d * Fraction(1, 3), psi[a].prod(S[a], -1))
-           for a in gens])
+        + [(inv_root_d * Fraction(1, 3), psi[a].prod(S[a], -1)) for a in S])
     failures["explicit_formula"] = sweep(
         ({"n": n, "state": state} for n in range(-window, window + 1)
          for state in states),

@@ -1,8 +1,9 @@
 """Exact linear algebra over the scalar field.
 
-Echelon is the one row reduction: it reduces sparse rows
-incrementally, and the reduced row echelon form and kernels are built
-on it.  They work over the full field (radicals allowed).
+Echelon is the one elimination over Scalars: it reduces sparse rows
+incrementally, and back-substitutes them once for the right kernel,
+which answers every rank, kernel and linear solve.  It works over the
+full field (radicals allowed).
 The inertia of a symmetric form is restricted to rational entries, where
 signs are decidable: its congruence elimination runs fraction-free on
 the integer matrix left after clearing denominators once, and a
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import ONE, ZERO, Coefficients, Scalar, _add, _ratio
+from .scalars import ONE, Coefficients, Scalar, _add, _ratio
 
 
 class Echelon:
@@ -43,39 +44,18 @@ class Echelon:
     def __len__(self):
         return len(self.rows)
 
-
-def row_reduce(matrix: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    ech = Echelon()
-    for row in matrix:
-        ech.add({j: x for j, x in enumerate(row) if x})
-    pivots = sorted(ech.rows)
-    # back-substitute, last pivot first: clear every later pivot column
-    for i in reversed(range(len(pivots))):
-        row = ech.rows[pivots[i]]
-        for p in pivots[i + 1:]:
-            if p in row:
-                _add(row, ech.rows[p], -row[p], ech._table)
-    ncols = len(matrix[0]) if matrix else 0
-    return [[ech.rows[p].get(j, ZERO) for j in range(ncols)]
-            for p in pivots], pivots
-
-
-def kernel_basis(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Basis of the right kernel {x : M x = 0}, one vector per free column."""
-    if not matrix:
-        return []
-    rows, pivots = row_reduce(matrix)
-    ncols = len(matrix[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis
+    def kernel(self, ncols: int) -> list[dict]:
+        """The right kernel over columns 0..ncols-1: for each free column f
+        the x with x_f = 1 and x_p = -(reduced row p)_f at each pivot p.
+        The rows are left reduced: zero at every pivot but their own."""
+        # last pivot first, so the rows subtracted are reduced already
+        for q in sorted(self.rows, reverse=True):
+            row = self.rows[q]
+            for p in [p for p in row if p != q and p in self.rows]:
+                _add(row, self.rows[p], -row[p], self._table)
+        return [{f: ONE} | {p: -row[f] for p, row in self.rows.items()
+                            if f in row}
+                for f in range(ncols) if f not in self.rows]
 
 
 def _integer_matrix(matrix) -> list[list[int]]:
@@ -109,17 +89,22 @@ def _orthogonal_witness(a0: list[list[int]], done: list[int],
     on done, and a0-orthogonal to the basis vector of every index in done.
 
     The a0-block on done is nonsingular (congruent to the pivots
-    eliminated there), so w is unique.
-    """
-    rhs = [-sum(v * a0[p][t] for t, v in target.items()) for p in done]
-    system = [[Scalar.of(a0[p][q]) for q in done] + [Scalar.of(b)]
-              for p, b in zip(done, rhs)]
-    solved, _ = row_reduce(system)
+    eliminated there), so w is unique: on done it is the one kernel
+    vector of that block with the column sum_t target[t] a0[p][t] added."""
+    k = len(done)
+    ech = Echelon()
+    for p in done:
+        row = {j: Scalar.of(a0[p][q]) for j, q in enumerate(done) if a0[p][q]}
+        if (b := sum(v * a0[p][t] for t, v in target.items())):
+            row[k] = Scalar.of(b)
+        ech.add(row)
     w = [Fraction(0)] * len(a0)
     for t, v in target.items():
         w[t] = Fraction(v)
-    for p, row in zip(done, solved):
-        w[p] = row[-1].as_fraction()
+    [solved] = ech.kernel(k + 1)
+    for j, p in enumerate(done):
+        if j in solved:
+            w[p] = solved[j].as_fraction()
     return w
 
 

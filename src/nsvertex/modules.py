@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .liealg import LieAlgebra, sl2, sl2_floor
-from .linalg import inertia_with_witness, kernel_basis
+from .linalg import Echelon, inertia_with_witness
 from .scalars import (ONE, ZERO, I, Coefficients, Scalar, _acc, _add, _dot,
                       _exact_int, _json_key, _json_list)
 
@@ -400,17 +400,23 @@ class Module:
         itself: callers must not change it."""
         return self.level_basis(n2), self._block(n2)[1]
 
+    def _conjugate_echelon(self, n2: int) -> Echelon:
+        """The conjugated Gram rows of grade n2 (the Hermitian block's
+        columns), reduced: their kernel is the v with <w, v> = 0 for all w,
+        as <w, v> is conjugate-linear in v."""
+        block = self._block(n2)[1]
+        ech = Echelon()
+        for i in range(len(block)):
+            ech.add({j: row[i] for j, row in enumerate(block) if row[i]})
+        return ech
+
     def kernel_vectors(self, n2: int) -> list:
-        basis, matrix = self.gram(n2)
-        # null vectors of the pairing: v with <w, v> = 0 for all w; the
-        # Gram columns are conjugate-linear in v, so solve with the
-        # conjugated matrix (real Grams are unaffected)
-        conj = [[x.conjugate() for x in row] for row in matrix]
-        return [StateVector(zip(basis, coeffs)) for coeffs in kernel_basis(conj)]
+        basis = self.level_basis(n2)
+        return [StateVector((basis[j], x) for j, x in vec.items())
+                for vec in self._conjugate_echelon(n2).kernel(len(basis))]
 
     def irreducible_dims(self, depth2: int) -> list:
-        return [len(self.level_basis(n2)) - len(self.kernel_vectors(n2))
-                for n2 in range(depth2 + 1)]
+        return [len(self._conjugate_echelon(n2)) for n2 in range(depth2 + 1)]
 
     def ghost_report(self, depth2: int) -> dict:
         levels = []

@@ -1,12 +1,12 @@
 """Reference signature of a rational symmetric form, in Fractions, and
-reference dense row reduction.
+reference dense row reduction and kernel.
 
-The earlier implementations of ``nsvertex.linalg.inertia_with_witness``
-and ``nsvertex.linalg.row_reduce``, kept unchanged as independent
-oracles for tests/test_inertia_oracle.py.  The first is congruence
+Earlier implementations from ``nsvertex.linalg``, kept as independent
+oracles for the tests.  ``inertia_with_witness`` is congruence
 elimination in ``fractions.Fraction`` that carries the congruence rows
-``u`` through every pivot and copies the witness from them; the second
-is Gauss-Jordan elimination on dense rows, column by column.
+``u`` through every pivot and copies the witness from them;
+``row_reduce`` is Gauss-Jordan elimination on dense rows, column by
+column, and ``kernel_basis`` reads the right kernel off its reduced form.
 """
 
 from __future__ import annotations
@@ -39,6 +39,20 @@ def row_reduce(matrix: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int
         pivots.append(col)
         r += 1
     return rows[:r], pivots
+
+
+def kernel_basis(matrix: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
+    """Basis of the right kernel {x : M x = 0}, one vector per free column."""
+    rows, pivots = row_reduce(matrix)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [Scalar.of(0)] * ncols
+            vec[fc] = Scalar.of(1)
+            for r, pc in enumerate(pivots):
+                vec[pc] = -rows[r][fc]
+            basis.append(vec)
+    return basis
 
 
 def _as_fraction_matrix(matrix: list[list[Scalar]]) -> list[list[Fraction]]:

@@ -195,6 +195,18 @@ def test_axioms_pass_for_each_construction(capsys, construction):
     assert report["adjoint"]["failures"] == []
 
 
+def test_susy_check_on_u1(capsys):
+    # the internal current of an abelian algebra vanishes, so G is the
+    # boson-fermion term alone
+    code, report, err = run_json(capsys, [
+        "susy-check", "--algebra", '{"name":"u1","dim":1,"gamma":[]}',
+        "--level", "1", "--depth", "1"])
+    assert code == 0
+    assert report["c_total"] == [{"num": 3, "den": 2, "rad": 1}]
+    assert report["match"] is True
+    assert all(check["status"] == "pass" for check in report["checks"])
+
+
 def test_reports_are_byte_identical(capsys):
     argv = ["susy-check", "--algebra", "sl2", "--level", "1", "--depth", "1"]
     _, first, _ = run(capsys, argv)
@@ -371,6 +383,9 @@ def test_malformed_inputs_exit_two(capsys):
      "level must be nonnegative, got '-1/2'"),
     (["module", "--algebra", "sl2", "--level", "-1"],
      "level must be nonnegative, got -1"),
+    (["axioms", "--construction", "g-fermion", "--algebra",
+      '{"name":"u1","dim":1,"gamma":[]}'],
+     "every internal current S^a of u1 vanishes"),
 ])
 def test_malformed_inputs_name_their_fault(capsys, argv, message):
     code, out, err = run(capsys, argv)

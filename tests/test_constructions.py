@@ -23,7 +23,7 @@ from nsvertex.constructions import (Construction, boson_sugawara,
                                     weight_report, _current_state, _word)
 from nsvertex.fields import (GeneratorField, check_vosa_axioms,
                              commutator_direct, realize, state_field)
-from nsvertex.liealg import sl2
+from nsvertex.liealg import LieAlgebra, sl2
 from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
                               VermaModule)
 from nsvertex.scalars import ZERO, I, Scalar
@@ -322,6 +322,26 @@ def test_super_level_zero_susy_report():
     assert rep["valid"], rep["checks"]
     assert rep["central_charge"] == Scalar.of(half(3, 2))
     assert rep["degree"] == 2
+
+
+@pytest.mark.parametrize("dim,level", [(1, 1), (2, 2)])
+def test_susy_report_on_abelian_algebras(dim, level):
+    # every S^a of u(1)^dim vanishes, and G keeps only its X^a_{-1} psi^a terms
+    cons = super_construction(LieAlgebra("u1", dim, {}), level)
+    rep = susy_report(cons, depth2=2, window=1)
+    assert rep["valid"], rep["checks"]
+    assert rep["central_charge"] == Scalar.of(half(3 * dim, 2))
+
+
+def test_g_fermion_system_names_vanishing_currents():
+    with pytest.raises(ValueError, match=r"every internal current S\^a of "
+                       "u1 vanishes"):
+        g_fermion_system(LieAlgebra("u1", 2, {}))
+    # sl2 + u(1): the central direction alone has no current
+    gamma = {(0, 1, 2): Scalar.root(2)}
+    with pytest.raises(ValueError, match=r"an internal current S\^a of "
+                       "gl2 vanishes"):
+        g_fermion_system(LieAlgebra("gl2", 4, gamma))
 
 
 def test_tau_coefficient_sweep():

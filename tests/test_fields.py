@@ -6,7 +6,6 @@ charge 1/2, the singular products of psi against it are {1: psi/2,
 0: -psi'/2}, and the normal square of psi vanishes identically.
 """
 
-import math
 from fractions import Fraction
 
 import pytest

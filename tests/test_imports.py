@@ -2,12 +2,13 @@
 or keeps a process-global memo.
 
 A name moved from one module to another leaves its old import behind
-unless something notices; this test reads every file of the package
-with the stdlib ast module and lists each imported name that the file
-never loads.  Names in the package's __all__ are its public surface and
-are exempt, as are __future__ imports.  No file imports gc either: the
-library frees its memory by reference counting and never drives the
-cyclic collector, whose state belongs to the caller.  And no function
+unless something notices; this test reads every file of the package,
+of the tests and of the demos with the stdlib ast module and lists each
+imported name that the file never loads.  Names in the package's
+__all__ are its public surface and are exempt, as are __future__
+imports.  No file of the package imports gc either: the library frees
+its memory by reference counting and never drives the cyclic
+collector, whose state belongs to the caller.  And no function
 writes into a module-level dict, list or set, or is memoized by
 functools: every memo lives with the module or the call that it serves,
 so it is freed with them.  Two functools caches are the exceptions:
@@ -21,6 +22,8 @@ from pathlib import Path
 import nsvertex
 
 SRC = Path(nsvertex.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+DEMOS = TESTS.parent / "demos"
 
 
 def unread_imports(source: str) -> list:
@@ -48,9 +51,10 @@ def test_unread_imports_are_found():
 
 
 def test_every_source_file_reads_what_it_imports():
-    files = sorted(SRC.glob("*.py"))
-    assert len(files) > 5
-    unread = {path.name: names for path in files
+    files = [path for folder in (SRC, TESTS, DEMOS)
+             for path in sorted(folder.glob("*.py"))]
+    assert len(files) > 40
+    unread = {f"{path.parent.name}/{path.name}": names for path in files
               if (names := unread_imports(path.read_text()))}
     assert unread == {}
 

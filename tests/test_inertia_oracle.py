@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import inertia_oracle as oracle
 from nsvertex import linalg
-from nsvertex.linalg import inertia_with_witness, row_reduce
+from nsvertex.linalg import Echelon, inertia_with_witness
 from nsvertex.modules import StateVector, VermaModule
 from nsvertex.scalars import Scalar
 
@@ -200,28 +200,62 @@ def row_matrices(draw):
     return m
 
 
+def _echelon(matrix):
+    ech = Echelon()
+    for row in matrix:
+        ech.add({j: x for j, x in enumerate(row) if x})
+    return ech
+
+
 @SETTINGS
 @given(row_matrices())
-def test_row_reduce_matches_dense_oracle(m):
-    assert row_reduce(m) == oracle.row_reduce(m)
+def test_echelon_kernel_matches_dense_oracle(m):
+    ncols = len(m[0]) if m else 0
+    ech = _echelon(m)
+    kernel = ech.kernel(ncols)
+    assert [[vec.get(j, Scalar.of(0)) for j in range(ncols)]
+            for vec in kernel] == oracle.kernel_basis(m, ncols)
+    # the rows are left in the reduced row echelon form
+    rows, pivots = oracle.row_reduce(m)
+    assert sorted(ech.rows) == pivots
+    assert [ech.rows[p] for p in pivots] == [
+        {j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _dense_witness(a0, done, target):
+    """The witness solve as a dense system [a0 on done | rhs] reduced by
+    the oracle, with the solution read off the last column."""
+    rhs = [-sum(v * a0[p][t] for t, v in target.items()) for p in done]
+    system = [[Scalar.of(a0[p][q]) for q in done] + [Scalar.of(b)]
+              for p, b in zip(done, rhs)]
+    solved, _ = oracle.row_reduce(system)
+    w = [Fraction(0)] * len(a0)
+    for t, v in target.items():
+        w[t] = Fraction(v)
+    for p, row in zip(done, solved):
+        w[p] = row[-1].as_fraction()
+    return w
 
 
 def _assert_witness_solves_match(matrices):
-    """Every system that the witness solve hands to row_reduce reduces
-    as the dense oracle reduces it."""
-    systems = []
+    """Every witness solve of the inertia solves as the dense oracle
+    solves it."""
+    solves = []
+    solve = linalg._orthogonal_witness
 
-    def recording(system):
-        systems.append(system)
-        return row_reduce(system)
+    def recording(a0, done, target):
+        solves.append((a0, list(done), dict(target)))
+        return solve(a0, done, target)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "row_reduce", recording)
+        mp.setattr(linalg, "_orthogonal_witness", recording)
         for m in matrices:
             inertia_with_witness(m)
-    for system in systems:
-        assert row_reduce(system) == oracle.row_reduce(system)
-    return systems
+    for a0, done, target in solves:
+        w = solve(a0, done, target)
+        assert w == _dense_witness(a0, done, target)
+        assert all(type(x) is Fraction for x in w)
+    return solves
 
 
 @SETTINGS
@@ -233,6 +267,6 @@ def test_witness_solves_match_dense_oracle(m):
 def test_ghost_witness_solves_match_dense_oracle():
     module = VermaModule("ns", Scalar.of(Fraction(7, 10)),
                          Scalar.of(Fraction(-1, 10)))
-    systems = _assert_witness_solves_match(
+    solves = _assert_witness_solves_match(
         [module.gram(n2)[1] for n2 in range(13)])
-    assert any(systems)
+    assert any(done for _, done, _ in solves)

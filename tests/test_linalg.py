@@ -2,13 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from nsvertex.linalg import (_add, _integer_matrix, inertia_with_witness,
-                             kernel_basis, row_reduce)
+from nsvertex.linalg import (Echelon, _add, _integer_matrix,
+                             inertia_with_witness)
 from nsvertex.scalars import ONE, Coefficients, Scalar
 
 
 def s(x):
     return Scalar.of(x)
+
+
+def echelon(matrix):
+    """An Echelon holding the rows of a dense matrix."""
+    ech = Echelon()
+    for row in matrix:
+        ech.add({j: x for j, x in enumerate(row) if x})
+    return ech
 
 
 def test_add_passes_unit_factors_through_unchanged():
@@ -25,25 +33,40 @@ def test_add_passes_unit_factors_through_unchanged():
 
 def test_kernel_of_rank_one_matrix_with_radicals():
     m = [[s(1), Scalar.root(2)], [Scalar.root(2), s(2)]]
-    assert len(row_reduce(m)[1]) == 1
-    ker = kernel_basis(m)
+    ech = echelon(m)
+    assert len(ech) == 1
+    ker = ech.kernel(2)
     assert len(ker) == 1
     v = ker[0]
     for row in m:
-        assert sum((row[j] * v[j] for j in range(2)), s(0)) == s(0)
+        assert sum((row[j] * x for j, x in v.items()), s(0)) == s(0)
 
 
 def test_kernel_of_invertible_matrix_is_trivial():
     m = [[s(2), s(1)], [s(1), s(1)]]
-    assert kernel_basis(m) == []
-    assert len(row_reduce(m)[1]) == 2
+    ech = echelon(m)
+    assert ech.kernel(2) == []
+    assert len(ech) == 2
 
 
-def test_row_reduce_pivots():
+def test_echelon_pivots():
     m = [[s(0), s(1), s(2)], [s(0), s(2), s(4)]]
-    rows, pivots = row_reduce(m)
-    assert pivots == [1]
-    assert rows[0] == [s(0), s(1), s(2)]
+    ech = echelon(m)
+    assert sorted(ech.rows) == [1]
+    assert ech.kernel(3) == [{0: s(1)}, {1: s(-2), 2: s(1)}]
+    assert ech.rows[1] == {1: s(1), 2: s(2)}
+
+
+def test_kernel_back_substitutes_last_pivot_first():
+    # row 0 is added before the rows whose pivots it still holds
+    m = [[s(1), s(1), s(1), s(1)], [s(0), s(1), s(2), s(0)],
+         [s(0), s(0), s(1), s(3)]]
+    ech = echelon(m)
+    assert sorted(ech.rows) == [0, 1, 2]
+    [v] = ech.kernel(4)
+    assert v == {0: s(-4), 1: s(6), 2: s(-3), 3: s(1)}
+    assert ech.rows == {0: {0: s(1), 3: s(4)}, 1: {1: s(1), 3: s(-6)},
+                        2: {2: s(1), 3: s(3)}}
 
 
 def test_inertia_diagonal():
@@ -122,7 +145,7 @@ def test_inertia_matches_elimination_on_random_symmetric():
         m = [[s(raw[i][j] + raw[j][i]) for j in range(n)] for i in range(n)]
         pos, zero, neg, w = inertia_with_witness(m)
         assert pos + zero + neg == n
-        assert pos + neg == len(row_reduce(m)[1])
+        assert pos + neg == len(echelon(m))
         if w is not None:
             val = sum(w[i] * w[j] * m[i][j].as_fraction()
                       for i in range(n) for j in range(n))

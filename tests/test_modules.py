@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+import inertia_oracle as oracle
 from nsvertex.constructions import super_construction, susy_report
 from nsvertex.liealg import sl2
-from nsvertex.linalg import row_reduce
 from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
                               VermaModule, adjoint_mode,
                               module_from_descriptor, state_parity)
@@ -433,7 +433,31 @@ def test_gram_rank_is_irreducible_dim():
     mod = FockModule(sl2(), 1)
     for n2 in (0, 2, 4):
         _, matrix = mod.gram(n2)
-        assert len(row_reduce(matrix)[1]) == mod.irreducible_dims(n2)[n2]
+        assert len(oracle.row_reduce(matrix)[1]) == \
+            mod.irreducible_dims(n2)[n2]
+
+
+@pytest.mark.parametrize("spin2", [0, 1])
+def test_kernel_vectors_with_radicals_match_dense_oracle(spin2):
+    # the sl2 Grams hold i and sqrt2; the oracle reduces the conjugated
+    # rows densely and reads one kernel vector off each free column
+    mod = FockModule(sl2(), 1, spin2=spin2)
+    basis, matrix = mod.gram(4)
+    conj = [[x.conjugate() for x in row] for row in matrix]
+    want = [StateVector(zip(basis, coeffs))
+            for coeffs in oracle.kernel_basis(conj, len(basis))]
+    assert want and mod.kernel_vectors(4) == want
+
+
+@pytest.mark.parametrize("mod,depth2", [
+    (VermaModule("virasoro", Scalar.of(Fraction(1, 2)), Scalar.of(0)), 14),
+    (FockModule(sl2(), 1), 6),
+], ids=["virasoro", "sl2"])
+def test_irreducible_dims_count_the_kernel(mod, depth2):
+    dims = mod.irreducible_dims(depth2)
+    assert dims == [len(mod.level_basis(n2)) - len(mod.kernel_vectors(n2))
+                    for n2 in range(depth2 + 1)]
+    assert dims != [len(mod.level_basis(n2)) for n2 in range(depth2 + 1)]
 
 
 def test_affine_kernel_vectors_are_orthogonal_to_their_grade():
