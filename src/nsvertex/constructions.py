@@ -19,7 +19,7 @@ from .fields import (Field, IdentityField, ScaledSum, bracket_sweep,
                      closure_spans, commutator_direct, creating_state,
                      grading_sweep, realize, state_field, sweep,
                      virasoro_bracket_check)
-from .liealg import LieAlgebra, casimir_constant_sl2
+from .liealg import LieAlgebra, casimir_constant_sl2, check_sl2_floor
 from .linalg import _integer_matrix
 from .modules import BasisState, FockModule, Mode, Module, StateVector
 from .scalars import ZERO, I, Scalar
@@ -311,12 +311,11 @@ def _floor_weight(lie: LieAlgebra, level: int, spin2: int) -> Fraction:
     if spin2 > level:
         raise ValueError(f"floor spin {Fraction(spin2, 2)} exceeds "
                          f"level/2 = {Fraction(level, 2)}")
-    if lie.name == "sl2":
-        casimir = casimir_constant_sl2(Fraction(spin2, 2)).as_fraction()
-    elif spin2 == 0:
+    if spin2 == 0:
         casimir = Fraction(0)
     else:
-        raise ValueError("spin floors are available for sl2 only")
+        check_sl2_floor(lie)
+        casimir = casimir_constant_sl2(Fraction(spin2, 2)).as_fraction()
     return casimir / (2 * (Fraction(level) + lie.dual_coxeter().as_fraction()))
 
 
@@ -334,14 +333,16 @@ def central_charges(lie: LieAlgebra, level: int, spin2: int = 0) -> dict:
 
 
 def vertex_module(lie: LieAlgebra, level: int, spin2: int) -> dict:
-    """The module of the super construction with a spin floor: same field
-    trees, grading shifted by h = casimir / (2(level + g))."""
+    """The module of the super construction with a spin floor, grading
+    shifted by h = casimir / (2(level + g)).  Its home is the vacuum
+    module of the construction, so the construction's own fields commute
+    past the head of every word there too."""
     h = _floor_weight(lie, level, spin2)
     cons = super_construction(lie, level)
     if spin2 == 0:
         module = cons.module
     else:
-        module = FockModule(lie, level, lie.dim, spin2)
+        module = FockModule(lie, level, lie.dim, spin2, home=cons.module)
     return {"construction": cons, "module": module, "h": h, "spin2": spin2}
 
 

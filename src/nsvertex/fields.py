@@ -19,20 +19,23 @@ n-th product (A_r B)(q) at p = 0, through which composite fields
 evaluate; the bracket [A(p), B(q)]_eps at r = 0; and at r = N the
 coefficient of z^(-p-1) w^(-q-1) in (z-w)^N [A(z), B(w)]_eps, whose
 vanishing is locality, where one search keeps one memo of
-compositions.  On a vacuum module, a composite field F that the
-module's state-field map built keeps the product expansion for the
-floor only; on a word h w whose head is the mode h = a(p) of a
-generator a, it commutes past the head,
+compositions.  Every module reads one rule for which fields are a
+construction's own: those that the state-field map of its home built,
+the home being the construction's vacuum module (a module without one
+is its own home).  On the home and on each spin floor of it, an own
+composite field F keeps the product expansion for floor states only;
+on a word h w whose head is the mode h = a(p) of a generator a, it
+commutes past the head,
 
   F(n) h w = s h F(n) w - s sum_j C(p,j) (a_j F)(p+n-j) w,
 
-with s the sign of the parity product and a_j F the module's field of
+with s the sign of the parity product and a_j F the home's field of
 the state a(j)|F>, which vanishes past the grading bound.  Every action
 is cut off exactly by the grading bound: a slot whose output grade
 would be negative gives zero.
-On the vacuum module of its fields, bracket_from_ope instead takes each
-product A_j B as the field of its state, Y(A_j B vac, z), an identity
-that check_borcherds certifies.
+For fields A and B that the home owns, bracket_from_ope instead takes
+each product A_j B as the field of its state, Y(A_j B vac, z), an
+identity that check_borcherds certifies.
 """
 
 from __future__ import annotations
@@ -82,16 +85,16 @@ class Field:
 
     def act(self, n: int, module: Module, state: BasisState) -> dict:
         """A(n) applied to a basis state; the result dict is frozen and
-        kept in the module's slot memo.  A composite field that the
-        module's state-field map built acts on a non-empty word by
-        commuting past the word's head; every other action, and every
-        action on the floor, is the field's own."""
+        kept in the module's slot memo.  A field that the module's home
+        owns acts on a non-empty word by commuting past the word's head;
+        every other action, and every action on a floor state, is the
+        field's own."""
         key = (self, n, state)
         out = module._slot_cache.get(key)
         if out is None:
             if _slot_index2(self.weight2, n) > state.grade2:
                 return {}
-            if state.word and self in module._field_cache:
+            if state.word and self in (module._home or module)._own_states:
                 out = _commute(self, n, module, state)
             else:
                 out = self._act(n, module, state)
@@ -258,14 +261,16 @@ class NthProduct(Field):
 # -- commuting past the head mode ------------------------------------------
 
 def _commute(F: Field, n: int, module: Module, state: BasisState) -> dict:
-    """F(n) u for a composite field F of the module's own state-field map
-    and a word u = h w whose head is the mode h = a(p) of a generator a:
+    """F(n) u for a field F that the module's home owns and a word
+    u = h w whose head is the mode h = a(p) of a generator a:
 
       F(n) h w = s h F(n) w - s sum_j C(p, j) (a_(j) F)(p + n - j) w,
 
     s = (-1)^(parity F * parity a), by the commutator formula
-    [a(p), F(n)] = sum_j C(p, j) (a_(j) F)(p + n - j).  Words are stored
-    in normal order, so u is exactly h applied to w."""
+    [a(p), F(n)] = sum_j C(p, j) (a_(j) F)(p + n - j), which holds on
+    every module of the vertex algebra; the fields a_(j) F are the
+    home's.  Words are stored in normal order, so u is exactly h applied
+    to w."""
     head = state.word[0]
     rest = state._rest()
     table = module._table
@@ -274,26 +279,27 @@ def _commute(F: Field, n: int, module: Module, state: BasisState) -> dict:
     for st, c in F.act(n, module, rest).items():
         _add(out, module.apply_to_basis(head, st),
              c if s == 1 else table.times(c, -1), table)
-    for E, shift, c in _head_terms(F, head, s, module):
+    for E, shift, c in _head_terms(F, head, s, module._home or module):
         vec = E.act(n + shift, module, rest)
         if vec:
             _add(out, vec, c, table)
     return out
 
 
-def _head_terms(F: Field, head: Mode, s: int, module: Module) -> list:
+def _head_terms(F: Field, head: Mode, s: int, home: Module) -> list:
     """(E, p - j, -s C(p, j) coeff) for each term coeff |E> of a(j)|F>
-    with C(p, j) != 0, for the head mode h = a(p) of a generator a and
-    the sign s of _commute: E is the module's field of the term's basis
-    state, and a(j)|F> = 0 from the order bound on.  Built once per
-    (F, head), kept in the module's field memo, its coefficients made
-    through the module's table."""
+    with C(p, j) != 0, for the head mode h = a(p) of a generator a, the
+    sign s of _commute and a field F that the vacuum module home owns:
+    E is the home's field of the term's basis state, and a(j)|F> = 0
+    from the order bound on.  Built once per (F, head) and kept on the
+    home, its coefficients made through the home's table, which the
+    home's floors share."""
     key = (F, head)
-    out = module._field_cache.get(key)
+    out = home._head_terms.get(key)
     if out is None:
         w2 = GENERATOR_WEIGHT2[head.kind]
         p = slot_of_index2(w2, head.n2)
-        table = module._table
+        table = home._table
         out = []
         for j in range(_order_bound(F.weight2, w2)):
             b = gbinom(p, j)
@@ -301,19 +307,20 @@ def _head_terms(F: Field, head: Mode, s: int, module: Module) -> list:
                 continue
             mode = Mode(head.kind, head.color, _slot_index2(w2, j))
             vec = {}
-            for st, c in module._field_cache[F].items():
-                _add(vec, module.apply_to_basis(mode, st), c, table)
-            out += [(_basis_field(module, st), p - j,
+            for st, c in home._own_states[F].items():
+                _add(vec, home.apply_to_basis(mode, st), c, table)
+            out += [(_basis_field(home, st), p - j,
                      table.times(c, -s * b)) for st, c in vec.items()]
-        module._field_cache[key] = out
+        home._head_terms[key] = out
     return out
 
 
 def _own(module: Module, field: Field, state: dict) -> Field:
     """Record a field of the state-field map with its state, on a vacuum
-    module: the one record of the fields that are the module's own."""
+    module: the one record of the fields that are the module's own, which
+    every module with that home reads."""
     if module.is_vacuum_module():
-        module._field_cache[field] = state
+        module._own_states[field] = state
     return field
 
 
@@ -338,21 +345,21 @@ def state_field(module: Module, arg) -> Field:
     if isinstance(arg, BasisState):
         return _basis_field(module, arg)
     key = frozenset(arg.items())
-    f = module._field_cache.get(key)
+    f = module._state_fields.get(key)
     if f is None:
         terms = [(c, _basis_field(module, st)) for st, c in arg.items()]
         if not terms:
             raise ValueError("the zero vector has no field")
         f = terms[0][1] if len(terms) == 1 and terms[0][0] == ONE \
             else _own(module, ScaledSum(terms), dict(arg))
-        module._field_cache[key] = f
+        module._state_fields[key] = f
     return f
 
 
 def _basis_field(module: Module, state: BasisState) -> Field:
     if state.floor != 0:
         raise ValueError("state-field correspondence needs the vacuum floor")
-    f = module._field_cache.get(state)
+    f = module._state_fields.get(state)
     if f is not None:
         return f
     word = state.word
@@ -367,7 +374,7 @@ def _basis_field(module: Module, state: BasisState) -> Field:
             gf = _basis_field(module, creating_state(head.kind, head.color))
             rest = _basis_field(module, state._rest())
             f = gf.prod(rest, slot)
-    module._field_cache[state] = _own(module, f, {state: ONE})
+    module._state_fields[state] = _own(module, f, {state: ONE})
     return f
 
 
@@ -437,10 +444,10 @@ def bracket_from_ope(A: Field, m: int, B: Field, n: int, order: int,
                      module: Module, state: BasisState) -> dict:
     """[A(m), B(n)]_eps = sum_j C(m, j) (A_j B)(m + n - j), j < order.
 
-    On the vacuum module of A and B (one floor state, T vac = 0, and A
-    and B the module's own state fields) A_j B is the memoized field of
+    When the module's home owns A and B, A_j B is the home's field of
     its state, Y(A_j B vac, z), which check_borcherds certifies against
-    the expansion; everywhere else it is the NthProduct expansion."""
+    the expansion, on the home and on every module of it; everywhere
+    else it is the NthProduct expansion."""
     out = {}
     for j in range(order):
         c = gbinom(m, j)
@@ -452,15 +459,18 @@ def bracket_from_ope(A: Field, m: int, B: Field, n: int, order: int,
 
 def _product_field(A: Field, B: Field, j: int,
                    module: Module) -> Field | None:
-    """A_j B as bracket_from_ope evaluates it, decided once per (A, B, j)
-    and kept in the module's field memo; None for a zero state."""
-    P = module._field_cache.get((A, B, j), False)
+    """A_j B as bracket_from_ope evaluates it.  For fields A and B that
+    the module's home owns: the home's field of the state, realized once
+    per (A, B, j) and kept in the home's memo, None for a zero state.
+    Otherwise the NthProduct, which A's product memo keeps."""
+    home = module._home or module
+    if A not in home._own_states or B not in home._own_states:
+        return A.prod(B, j)
+    P = home._product_fields.get((A, B, j), False)
     if P is False:
-        P = A.prod(B, j)
-        if A in module._field_cache and B in module._field_cache:
-            v = realize(P, module)
-            P = state_field(module, v) if v else None
-        module._field_cache[A, B, j] = P
+        v = realize(A.prod(B, j), home)
+        P = home._product_fields[A, B, j] = state_field(home, v) if v \
+            else None
     return P
 
 

@@ -171,6 +171,19 @@ def casimir_constant_sl2(j) -> Scalar:
     return Scalar.of(2 * j * j + 2 * j)
 
 
+def check_sl2_floor(lie: LieAlgebra | None) -> None:
+    """Raise unless lie has the structure constants that sl2_floor's
+    matrices represent, those of sl2(): a table with another sign, under
+    whatever name, builds a floor whose zero modes do not represent its
+    bracket."""
+    if lie is None or lie.dim != 3 or lie.gamma != sl2().gamma:
+        raise ValueError(
+            "spin floors are available for sl2 only: the floor matrices "
+            "represent Gamma_12^3 = sqrt(2)"
+            + ("" if lie is None else
+               f", and the table {lie.name!r} has other structure constants"))
+
+
 def sl2_floor(j2: int):
     """Spin j = j2/2 representation data on the basis v_k = F^k v_0.
 

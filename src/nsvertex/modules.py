@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .liealg import LieAlgebra, sl2, sl2_floor
+from .liealg import LieAlgebra, check_sl2_floor, sl2, sl2_floor
 from .linalg import Echelon, inertia_with_witness
 from .scalars import (ONE, ZERO, I, Coefficients, Scalar, _acc, _add, _dot,
                       _exact_int, _json_key, _json_list)
@@ -175,11 +175,20 @@ class Module:
     concrete module supplies `kinds`, `bracket(m1, m2)` (the graded
     bracket as [(coeff, Mode | None)], None the identity),
     `creation_modes(max_n2)` and `floor_action0(mode, floor)` (an
-    index-zero mode on a floor vector, as [(coeff, floor')])."""
+    index-zero mode on a floor vector, as [(coeff, floor')]).
+
+    The spin floor that `vertex_module` builds has the construction's
+    vacuum module as its home: it reads the home's record of which
+    fields are the construction's own, and shares its coefficient table.
+    A module without a home is its own home, read as
+    `module._home or module`."""
 
     kinds: dict     # generator kind -> number of colors
 
-    def __init__(self):
+    def __init__(self, home: Module | None = None):
+        # None for the module itself: a module that held itself would
+        # not be freed by reference counting
+        self._home = home
         self._apply_cache = {}
         # grade n2 -> (index, block): each basis state's position and the
         # Hermitian Gram matrix of the grade (see _block)
@@ -187,15 +196,20 @@ class Module:
         self._basis_cache = {}
         self._bracket_cache = {}
         # every coefficient that the memos hold is made through this one
-        # table, so equal coefficients are one object
-        self._table = Coefficients()
+        # table, the home's, so equal coefficients are one object
+        self._table = home._table if home else Coefficients()
         # the modes that have passed check_mode
         self._checked_modes = set()
-        # the state-field memo of fields.py: a basis state or vector ->
-        # its field, (A, B, j) -> the product field of bracket_from_ope, a
-        # field of state_field on a vacuum module -> its state, and (field,
-        # head mode) -> the terms that commute it past that mode
-        self._field_cache = {}
+        # the state-field map of fields.py: a basis state or frozen
+        # vector -> its field
+        self._state_fields = {}
+        # on a vacuum module, each field of that map -> its state: the
+        # one record of the fields that the module owns
+        self._own_states = {}
+        # (A, B, j) -> the own field of the state A_j B, or None for 0
+        self._product_fields = {}
+        # (F, head mode) -> the terms that commute F past that mode
+        self._head_terms = {}
         # (field, n, state) -> a composite field's slot action here: the
         # module holds its fields' memos and no field holds a module, so
         # a module is freed by reference counting alone
@@ -529,8 +543,8 @@ class FockModule(Module):
     """
 
     def __init__(self, lie: LieAlgebra | None = None, level: int = 0,
-                 colors: int = 0, spin2: int = 0):
-        super().__init__()
+                 colors: int = 0, spin2: int = 0, home: Module | None = None):
+        super().__init__(home)
         self.lie = lie
         self.level = _exact_int(level, "level")
         self.colors = _exact_int(colors, "colors")
@@ -543,8 +557,7 @@ class FockModule(Module):
             self.kinds["psi"] = self.colors
         self.spin2 = spin2
         if spin2:
-            if lie is None or lie.name != "sl2":
-                raise ValueError("spin floors are available for sl2 only")
+            check_sl2_floor(lie)
             self._floor_dim, self._floor_mats, self._floor_gram = sl2_floor(spin2)
         else:
             self._floor_dim, self._floor_gram = 1, [ONE]

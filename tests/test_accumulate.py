@@ -20,9 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsvertex.constructions import super_construction, susy_report
-from nsvertex.fields import (Field, GeneratorField, IdentityField,
-                             NthProduct, ScaledSum, field_from_tree,
-                             field_to_tree)
+from nsvertex.fields import (GeneratorField, IdentityField, NthProduct,
+                             ScaledSum, field_from_tree, field_to_tree)
 from nsvertex.liealg import sl2
 from nsvertex.linalg import _add
 from nsvertex.scalars import I, ONE, ZERO, Coefficients, Scalar
@@ -167,8 +166,7 @@ def test_memos_equal_plain_arithmetic_after_a_sweep():
 
 
 def _reachable_fields(cons):
-    todo = list(cons.fields.values()) + [
-        f for f in cons.module._field_cache.values() if isinstance(f, Field)]
+    todo = list(cons.fields.values()) + list(cons.module._state_fields.values())
     seen = {}
     while todo:
         f = todo.pop()

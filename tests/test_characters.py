@@ -69,9 +69,33 @@ def test_ising_character_by_hand():
         [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
 
 
+def ns_kac_points(depth2: int) -> list:
+    """Every NS Kac point of the unitary series m = 3, 4, 5: (p, p') =
+    (m, m + 2), 1 <= r < p, 1 <= s < p' and r = s mod 2, with
+    c = (3/2)(1 - 2(p' - p)^2 / (pp')) and h = h_{r,s}."""
+    points = []
+    for m in (3, 4, 5):
+        p, pp = m, m + 2
+        c = Fraction(3, 2) * (1 - Fraction(2 * (pp - p) ** 2, p * pp))
+        points += [("ns", c, Fraction((pp * r - p * s) ** 2 - (pp - p) ** 2,
+                                      8 * p * pp), p, pp, r, s, depth2)
+                   for r in range(1, p) for s in range(1, pp)
+                   if (r - s) % 2 == 0]
+    return points
+
+
+def test_ns_kac_points_of_the_first_three_models():
+    points = ns_kac_points(8)
+    assert len(points) == 24
+    assert {pt[1] for pt in points} == \
+        {Fraction(7, 10), Fraction(1), Fraction(81, 70)}
+    assert ("ns", Fraction(7, 10), Fraction(1, 10), 3, 5, 1, 3, 8) in points
+
+
 @pytest.mark.parametrize("sector,c,h,p,pp,r,s,depth2", [
     ("ns", Fraction(7, 10), Fraction(1, 10), 3, 5, 1, 3, 16),
     ("virasoro", Fraction(1, 2), Fraction(1, 16), 3, 4, 1, 2, 20),
+    *ns_kac_points(8),
 ])
 def test_unitary_ghost_table_is_the_character(sector, c, h, p, pp, r, s, depth2):
     module = VermaModule(sector, Scalar.of(c), Scalar.of(h))

@@ -257,6 +257,27 @@ def test_malformed_inputs_exit_two(capsys):
         assert "error" in err
 
 
+FLIPPED_SL2 = ('{"name":"sl2","dim":3,"gamma":[{"a":1,"b":2,"c":3,'
+               '"val":[{"num":-1,"den":1,"rad":2}]}]}')
+
+
+@pytest.mark.parametrize("argv", [
+    ["module", "--algebra", FLIPPED_SL2, "--level", "1", "--spin", "1/2",
+     "--depth", "1"],
+    ["nullvec", "--module", '{"type":"affine","algebra":' + FLIPPED_SL2
+     + ',"level":1,"spin":"1/2"}', "--level", "1"],
+])
+def test_spin_floor_of_a_flipped_sl2_table_exits_two(capsys, argv):
+    # a valid table named sl2 whose sign the floor matrices do not
+    # represent
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: spin floors are available for sl2 only: "
+                          "the floor matrices represent Gamma_12^3 = "
+                          "sqrt(2), and the table 'sl2' has other "
+                          "structure constants")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["gram", "--module", "[1]", "--level", "1"],
      "module descriptor must be an object"),

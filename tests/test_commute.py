@@ -1,21 +1,24 @@
-"""A module's own composite fields, commuted past the head of a word.
+"""A construction's own composite fields, commuted past the head of a word.
 
-On a vacuum module, a composite field that the state-field map built
-acts on a non-empty word h w through the commutator formula with the
-head mode h, and keeps its n-th product tree only on the floor.  The
-oracle is the same field rebuilt from its JSON tree, which belongs to
-no module and so expands its products at every slot.  Which fields
-are the module's own is recorded once, in the module's memo; its oracle
-is the state-field map, which takes the state of such a field back to
-the field itself.
+On a vacuum module, and on each spin floor whose home it is, a
+composite field that the vacuum module's state-field map built acts on
+a non-empty word h w through the commutator formula with the head mode
+h, and keeps its n-th product tree only on floor states.  The oracle is
+the same field rebuilt from its JSON tree, which belongs to no module
+and so expands its products at every slot, acting on a module without
+a home.  Which fields are the module's own is recorded once, in the
+home's memo; its oracle is the state-field map, which takes the state
+of such a field back to the field itself.
 """
+
+import pytest
 
 from test_accumulate import _reachable_fields
 
 from nsvertex.constructions import (_current_state, boson_sugawara,
                                     fermion_vosa, super_construction,
-                                    susy_report)
-from nsvertex.fields import (Field, NthProduct, ScaledSum, bracket_check,
+                                    susy_report, vertex_module, weight_report)
+from nsvertex.fields import (NthProduct, ScaledSum, bracket_check,
                              creating_state, field_from_tree, field_to_tree,
                              generate_closure, realize, state_field)
 from nsvertex.liealg import sl2
@@ -25,15 +28,15 @@ SLOTS = range(-3, 4)
 
 
 def _composites(module) -> list:
-    """The composite fields in the module's state-field memo."""
-    return [f for f in module._field_cache.values()
+    """The composite fields in the state-field memo of the module's home."""
+    return [f for f in (module._home or module)._state_fields.values()
             if isinstance(f, (NthProduct, ScaledSum))]
 
 
 def _assert_matches_trees(fields, module, fresh) -> int:
-    """Each field, then each composite that the memo gains meanwhile,
-    against its rebuilt tree on fresh, at every slot and basis state of
-    grade <= 1; returns the number of fields checked."""
+    """Each field, then each composite that the home's memo gains
+    meanwhile, against its rebuilt tree on fresh, at every slot and basis
+    state of grade <= 1; returns the number of fields checked."""
     states = module.basis_upto(2)
     checked = set()
     todo = list(fields)
@@ -74,20 +77,57 @@ def test_fermion_and_sugawara_fields_match_their_trees():
                               make().module)
 
 
-def test_susy_report_commutes_own_products_past_every_head(monkeypatch):
-    # an n-th product that the module's state-field map built is
-    # expanded as a tree only on the floor of that module
+def _expand_on_floor_states_only(monkeypatch, home):
+    # an n-th product that the home's state-field map built is expanded
+    # as a tree only on floor states
     tree_act = NthProduct._act
 
     def floor_only(self, m, module, state):
-        if state.word and any(f is self
-                              for f in module._field_cache.values()):
+        if state.word and any(f is self for f in home._state_fields.values()):
             raise AssertionError(f"{self} expanded on {state}")
         return tree_act(self, m, module, state)
 
     monkeypatch.setattr(NthProduct, "_act", floor_only)
-    assert susy_report(super_construction(sl2(), 1), depth2=1,
-                       window=1)["valid"]
+
+
+def test_susy_report_commutes_own_products_past_every_head(monkeypatch):
+    cons = super_construction(sl2(), 1)
+    _expand_on_floor_states_only(monkeypatch, cons.module)
+    assert susy_report(cons, depth2=1, window=1)["valid"]
+
+
+# H_{1,1/2} (x) F and H_{2,1} (x) F
+FLOORS = pytest.mark.parametrize("level, spin2", [(1, 1), (2, 2)])
+
+
+@FLOORS
+def test_spin_floors_commute_their_homes_products_past_every_head(
+        monkeypatch, level, spin2):
+    vm = vertex_module(sl2(), level, spin2)
+    cons, floor = vm["construction"], vm["module"]
+    home = cons.module
+    _expand_on_floor_states_only(monkeypatch, home)
+    G, L = cons.fields["G"], state_field(home, cons.omega)
+    assert weight_report(vm, depth2=2)["valid"]
+    for A, B in ((G, G), (G, L), (L, L)):
+        assert bracket_check(A, B, floor, 2, 1)["valid"]
+    # the floor fills its home's memos and keeps none of its own, and
+    # shares the home's coefficient table
+    assert home._product_fields and home._head_terms
+    assert not (floor._own_states or floor._product_fields
+                or floor._head_terms)
+    assert floor._table is home._table
+
+
+@FLOORS
+def test_spin_floor_fields_match_their_trees(level, spin2):
+    vm = vertex_module(sl2(), level, spin2)
+    cons, floor = vm["construction"], vm["module"]
+    named = [cons.fields["G"], state_field(cons.module, cons.omega),
+             *cons.currents]
+    fresh = FockModule(sl2(), level, 3, spin2)
+    assert fresh._home is None
+    assert _assert_matches_trees(named, floor, fresh) > 30
 
 
 def test_only_vacuum_modules_commute():
@@ -98,7 +138,7 @@ def test_only_vacuum_modules_commute():
     verma = VermaModule("virasoro", 1, 0)
     # L(-1) L(-1) vac
     f = state_field(verma, verma.level_basis(4)[1])
-    assert isinstance(f, NthProduct) and f not in verma._field_cache
+    assert isinstance(f, NthProduct) and f not in verma._own_states
 
 
 def _assert_ownership_is_the_state_field_map(cons) -> int:
@@ -109,8 +149,8 @@ def _assert_ownership_is_the_state_field_map(cons) -> int:
     for f in fields:
         v = realize(f, module)
         own = bool(v) and state_field(module, v) is f
-        assert (f in module._field_cache) == own, str(f)
-    return sum(f in module._field_cache for f in fields)
+        assert (f in module._own_states) == own, str(f)
+    return sum(f in module._own_states for f in fields)
 
 
 def test_the_memo_records_exactly_the_state_field_maps_fields():
@@ -133,6 +173,7 @@ def test_modules_that_are_not_vacuum_modules_own_no_field():
         for state in module.basis_upto(2):
             if state.floor == 0:
                 state_field(module, state)
-        assert module._field_cache
-        assert not [str(k) for k in module._field_cache
-                    if isinstance(k, Field)]
+        assert module._state_fields
+        assert not [str(k) for k in module._own_states]
+        # a product of fields that no home owns is A's own product memo
+        assert not module._product_fields

@@ -6,9 +6,12 @@ module is freed by reference counting alone once nothing outside holds
 it, with the cyclic collector switched off, and `cli.main` neither
 collects nor freezes: what the caller holds, garbage included, is left
 to the caller's collector.  The generator fields of a construction are
-the module's own state fields.  A module's coefficient table, with its
-product and sum memos, is held by the module alone and dies with it, and
-no call grows a container that the package keeps at module level."""
+the module's own state fields.  A spin floor holds its home, the
+construction's vacuum module, whose memos and coefficient table it
+shares, and the home holds no floor.  A coefficient table, with its
+product and sum memos, is held by its module and that module's floors
+alone and dies with them, and no call grows a container that the
+package keeps at module level."""
 
 import contextlib
 import gc
@@ -33,6 +36,9 @@ CALLS = [
     AXIOMS,
     ["module", "--algebra", "sl2", "--level", "1", "--spin", "1/2",
      "--depth", "1"],
+    # a spin floor that holds its home and has filled the home's memos
+    ["module", "--algebra", "sl2", "--level", "2", "--spin", "1",
+     "--depth", "2"],
     ["brackets", "--module", '{"type":"ns_verma","c":"7/10","h":"1/10"}',
      "--field-a", '{"nprod":[{"gen":"G"},{"gen":"G"},0]}',
      "--field-b", '{"gen":"G"}', "--depth", "1"],

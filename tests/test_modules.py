@@ -13,7 +13,7 @@ import pytest
 
 import inertia_oracle as oracle
 from nsvertex.constructions import super_construction, susy_report
-from nsvertex.liealg import sl2
+from nsvertex.liealg import LieAlgebra, sl2
 from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
                               VermaModule, adjoint_mode,
                               module_from_descriptor, state_parity)
@@ -266,6 +266,20 @@ def test_affine_quotient_characters_spin_half():
     dims = mod.irreducible_dims(4)
     assert [dims[2 * k] for k in range(3)] == su2_level1_character(2, True)
     assert su2_level1_character(5, True) == [2, 2, 6, 8, 14, 20]
+
+
+def test_spin_floors_are_decided_by_the_structure_constants():
+    # sl2's constants under another name give sl2's floor; the flipped
+    # sign under sl2's name has no floor whose zero modes represent it
+    renamed = LieAlgebra("su2", 3, sl2().gamma)
+    assert FockModule(renamed, 1, spin2=1).irreducible_dims(2) == \
+        FockModule(sl2(), 1, spin2=1).irreducible_dims(2) == [2, 0, 2]
+    flipped = LieAlgebra("sl2", 3, {(0, 1, 2): -Scalar.root(2)})
+    assert flipped.validate()["valid"]
+    with pytest.raises(ValueError, match="'sl2' has other structure"):
+        FockModule(flipped, 1, spin2=1)
+    assert FockModule(flipped, 1).irreducible_dims(2) == \
+        FockModule(sl2(), 1).irreducible_dims(2)
 
 
 def test_affine_floor_action():
