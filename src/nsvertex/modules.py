@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple
+from weakref import WeakValueDictionary
 
 from .liealg import LieAlgebra, check_sl2_floor, sl2, sl2_floor
 from .linalg import Echelon, inertia_with_witness
@@ -70,41 +71,76 @@ def slot_of_index2(weight2: int, m2: int) -> int:
     return n2 // 2
 
 
-_new_state = tuple.__new__
+# (word, floor) -> the one live BasisState of that word and floor.  The
+# map holds its states weakly, so it keeps none alive: a state lives as
+# long as a module memo, a vector or a caller holds it.
+_STATES = WeakValueDictionary()
 
 
-class _StateFields(NamedTuple):
-    word: tuple
-    floor: int
-    grade2: int
+def _state(word: tuple, floor: int, grade2: int) -> "BasisState":
+    """The state of the word and floor, whose doubled grade the caller
+    knows: the live one if there is one, else a new one, stored."""
+    key = word, floor
+    s = _STATES.get(key)
+    if s is None:
+        s = object.__new__(BasisState)
+        s.word, s.floor, s.grade2, s._rest_state = word, floor, grade2, None
+        _STATES[key] = s
+    return s
 
 
-class BasisState(_StateFields):
-    """A word of creation modes on a floor state.  BasisState(word,
-    floor) stores the doubled grade -sum n2 of the word as its third
-    field, computed once; _rest and _prepend derive a state from this
-    one's grade without summing the word again.  The field is a function
-    of the word, so states compare and sort as (word, floor) does."""
+class BasisState:
+    """A word of creation modes on a floor state.
 
-    __slots__ = ()
+    States are interned: BasisState(word, floor) returns the one live
+    state of that word and floor, so equal states are one object and
+    hash and compare equal by identity, which dict probes do in C.  A
+    state stores the doubled grade -sum n2 of its word, computed once,
+    and the state without its head mode once _rest has made it; _rest
+    and _prepend derive a state from this one's grade without summing
+    the word again.  States are immutable, and order as (word, floor)
+    does, so every sorted output keeps its order.  Pickle and copy
+    return the interned state."""
+
+    __slots__ = ("word", "floor", "grade2", "_rest_state", "__weakref__")
 
     def __new__(cls, word: tuple, floor: int):
-        return _new_state(cls, (word, floor, -sum(m.n2 for m in word)))
+        return _state(word, floor, -sum(m.n2 for m in word))
 
-    def __getnewargs__(self):
-        return self.word, self.floor
+    def __reduce__(self):
+        return BasisState, (self.word, self.floor)
+
+    def __lt__(self, other):
+        if type(other) is not BasisState:
+            return NotImplemented
+        return (self.word, self.floor) < (other.word, other.floor)
+
+    def __gt__(self, other):
+        if type(other) is not BasisState:
+            return NotImplemented
+        return (self.word, self.floor) > (other.word, other.floor)
 
     def _rest(self) -> "BasisState":
-        """The state without the head mode of its word."""
-        word = self.word
-        return _new_state(BasisState, (word[1:], self.floor,
-                                       self.grade2 + word[0].n2))
+        """The state without the head mode of its word.  It is kept on
+        this state: a shorter state holds no reference back, so no
+        cycle forms."""
+        rest = self._rest_state
+        if rest is None:
+            word = self.word
+            rest = self._rest_state = _state(word[1:], self.floor,
+                                             self.grade2 + word[0].n2)
+        return rest
 
     def _prepend(self, mode: Mode) -> "BasisState":
         """The state with mode put in front of its word; the caller
-        keeps the word in normal order."""
-        return _new_state(BasisState, ((mode,) + self.word, self.floor,
-                                       self.grade2 - mode.n2))
+        keeps the word in normal order.  Not kept on this state: a
+        longer state holds this one as its rest, and the two would
+        form a cycle that reference counting cannot free."""
+        return _state((mode,) + self.word, self.floor,
+                      self.grade2 - mode.n2)
+
+    def __repr__(self):
+        return f"BasisState(word={self.word!r}, floor={self.floor!r})"
 
     def __str__(self):
         if not self.word:
