@@ -36,8 +36,8 @@ for j, vec in ope_singular_part(L, psi, module, 2).items():
 
 # the bracket of two modes, computed two independent ways
 state = module.level_basis(3)[0]
-direct = commutator_direct(L, 1, psi, 0, module, state)
-expanded = bracket_from_ope(L, 1, psi, 0, 2, module, state)
+direct = module.vector(commutator_direct(L, 1, psi, 0, module, state))
+expanded = module.vector(bracket_from_ope(L, 1, psi, 0, 2, module, state))
 print()
 print(f"[L(1), psi(0)] on {state}:")
 print("  direct   :", {str(s): str(c) for s, c in direct.items()})

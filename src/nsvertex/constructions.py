@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .certify import sweep
 from .fields import (Field, IdentityField, ScaledSum, bracket_sweep,
                      closure_spans, commutator_direct, creating_state,
-                     grading_sweep, realize, state_field, sweep,
+                     grading_sweep, realize, state_field,
                      virasoro_bracket_check)
 from .liealg import LieAlgebra, casimir_constant_sl2, check_sl2_floor
 from .linalg import _integer_matrix
@@ -141,7 +142,8 @@ def current_bracket_report(cons: Construction, depth2: int = 2,
     swept = _current_algebra_sweep(module, cons.lie, S, g, depth2, window)
     # central term of [S^1_1, S^1_{-1}] on the vacuum
     vac = BasisState((), 0)
-    measured = commutator_direct(S[0], 1, S[0], -1, module, vac).get(vac, ZERO)
+    measured = module.vector(commutator_direct(S[0], 1, S[0], -1, module,
+                                               vac)).get(vac, ZERO)
     return {**swept, "measured_level": measured, "expected_level": g,
             "valid": not swept["failures"] and measured == g}
 

@@ -45,6 +45,7 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
+from .certify import sweep
 from .linalg import Echelon
 from .modules import (GENERATOR_WEIGHT2, BasisState, Mode, Module,
                       StateVector, _slot_index2, grade_str, mode_parity,
@@ -84,11 +85,11 @@ class Field:
         self._prods = {}
 
     def act(self, n: int, module: Module, state: BasisState) -> dict:
-        """A(n) applied to a basis state; the result dict is frozen and
-        kept in the module's slot memo.  A field that the module's home
-        owns acts on a non-empty word by commuting past the word's head;
-        every other action, and every action on a floor state, is the
-        field's own."""
+        """A(n) applied to a basis state, as handles of the module's
+        table; the result dict is frozen and kept in the module's slot
+        memo.  A field that the module's home owns acts on a non-empty
+        word by commuting past the word's head; every other action, and
+        every action on a floor state, is the field's own."""
         key = (self, n, state)
         out = module._slot_cache.get(key)
         if out is None:
@@ -105,10 +106,11 @@ class Field:
         raise NotImplementedError
 
     def apply(self, n: int, module: Module, vec: dict) -> StateVector:
-        out = StateVector()
+        table = module._table
+        out = {}
         for state, coeff in vec.items():
-            _add(out, self.act(n, module, state), coeff, module._table)
-        return out
+            _add(out, self.act(n, module, state), table.handle(coeff), table)
+        return module.vector(out)
 
     def prod(self, other: "Field", k: int) -> "Field":
         cached = self._prods.get((other, k))
@@ -123,7 +125,7 @@ class IdentityField(Field):
     parity = 0
 
     def act(self, n, module, state):
-        return {state: ONE} if n == -1 else {}
+        return {state: 1} if n == -1 else {}
 
     def __str__(self):
         return "1"
@@ -174,9 +176,10 @@ class ScaledSum(Field):
         self.parity = par.pop()
 
     def _act(self, n, module, state):
+        table = module._table
         out = {}
         for coeff, f in self.terms:
-            _add(out, f.act(n, module, state), coeff, module._table)
+            _add(out, f.act(n, module, state), table.handle(coeff), table)
         return out
 
     def __str__(self):
@@ -186,10 +189,11 @@ class ScaledSum(Field):
 def _compose(out: dict, coeff: int, A, na, B, nb, module, state):
     """out += coeff * A(na) B(nb) state, for an integer coeff."""
     table = module._table
+    k = 1 if coeff == 1 else table.handle(coeff)
     for st, c in B.act(nb, module, state).items():
         vec = A.act(na, module, st)
         if vec:
-            _add(out, vec, c if coeff == 1 else table.times(c, coeff), table)
+            _add(out, vec, c if k == 1 else table.product(c, k), table)
 
 
 def _borcherds(A, p, r, B, q, eps, module, state, memo=None) -> dict:
@@ -225,6 +229,7 @@ def _borcherds(A, p, r, B, q, eps, module, state, memo=None) -> dict:
             terms[key] = terms.get(key, 0) + c * swap
     if memo is not None:
         memo = memo.setdefault(state, {})
+    table = module._table
     out = {}
     for key, c in terms.items():
         if not c:
@@ -236,7 +241,7 @@ def _borcherds(A, p, r, B, q, eps, module, state, memo=None) -> dict:
             if vec is None:
                 vec = memo[key] = {}
                 _compose(vec, 1, *key, module, state)
-            _add(out, vec, c, module._table)
+            _add(out, vec, table.handle(c), table)
     return out
 
 
@@ -275,10 +280,11 @@ def _commute(F: Field, n: int, module: Module, state: BasisState) -> dict:
     rest = state._rest()
     table = module._table
     s = -1 if F.parity and mode_parity(head.kind) else 1
+    sign = table.handle(s)
     out = {}
     for st, c in F.act(n, module, rest).items():
-        _add(out, module.apply_to_basis(head, st),
-             c if s == 1 else table.times(c, -1), table)
+        _add(out, module.apply_to_basis(head, st), table.product(c, sign),
+             table)
     for E, shift, c in _head_terms(F, head, s, module._home or module):
         vec = E.act(n + shift, module, rest)
         if vec:
@@ -309,16 +315,17 @@ def _head_terms(F: Field, head: Mode, s: int, home: Module) -> list:
             vec = {}
             for st, c in home._own_states[F].items():
                 _add(vec, home.apply_to_basis(mode, st), c, table)
-            out += [(_basis_field(home, st), p - j,
-                     table.times(c, -s * b)) for st, c in vec.items()]
+            k = table.handle(-s * b)
+            out += [(_basis_field(home, st), p - j, table.product(c, k))
+                    for st, c in vec.items()]
         home._head_terms[key] = out
     return out
 
 
 def _own(module: Module, field: Field, state: dict) -> Field:
-    """Record a field of the state-field map with its state, on a vacuum
-    module: the one record of the fields that are the module's own, which
-    every module with that home reads."""
+    """Record a field of the state-field map with its state, a dict of
+    handles, on a vacuum module: the one record of the fields that are
+    the module's own, which every module with that home reads."""
     if module.is_vacuum_module():
         module._own_states[field] = state
     return field
@@ -328,7 +335,7 @@ def _own(module: Module, field: Field, state: dict) -> Field:
 
 def realize(field: Field, module: Module) -> StateVector:
     """The state of a field: A(-1) applied to the vacuum."""
-    return StateVector(field.act(-1, module, BasisState((), 0)))
+    return module.vector(field.act(-1, module, BasisState((), 0)))
 
 
 def creating_state(kind: str, color: int = 0) -> BasisState:
@@ -344,14 +351,15 @@ def state_field(module: Module, arg) -> Field:
     one field and every field lives as long as the module does."""
     if isinstance(arg, BasisState):
         return _basis_field(module, arg)
-    key = frozenset(arg.items())
+    handles = {st: module._table.handle(c) for st, c in arg.items()}
+    key = frozenset(handles.items())
     f = module._state_fields.get(key)
     if f is None:
         terms = [(c, _basis_field(module, st)) for st, c in arg.items()]
         if not terms:
             raise ValueError("the zero vector has no field")
         f = terms[0][1] if len(terms) == 1 and terms[0][0] == ONE \
-            else _own(module, ScaledSum(terms), dict(arg))
+            else _own(module, ScaledSum(terms), handles)
         module._state_fields[key] = f
     return f
 
@@ -374,7 +382,7 @@ def _basis_field(module: Module, state: BasisState) -> Field:
             gf = _basis_field(module, creating_state(head.kind, head.color))
             rest = _basis_field(module, state._rest())
             f = gf.prod(rest, slot)
-    module._state_fields[state] = _own(module, f, {state: ONE})
+    module._state_fields[state] = _own(module, f, {state: 1})
     return f
 
 
@@ -436,24 +444,27 @@ def ope_singular_part(A: Field, B: Field, module: Module, order: int) -> dict:
 
 def commutator_direct(A: Field, m: int, B: Field, n: int,
                       module: Module, state: BasisState) -> dict:
-    """[A(m), B(n)]_eps on one basis state: the Borcherds sum at r = 0."""
+    """[A(m), B(n)]_eps on one basis state, as handles of the module's
+    table: the Borcherds sum at r = 0."""
     return _borcherds(A, m, 0, B, n, A.parity & B.parity, module, state)
 
 
 def bracket_from_ope(A: Field, m: int, B: Field, n: int, order: int,
                      module: Module, state: BasisState) -> dict:
-    """[A(m), B(n)]_eps = sum_j C(m, j) (A_j B)(m + n - j), j < order.
+    """[A(m), B(n)]_eps = sum_j C(m, j) (A_j B)(m + n - j), j < order,
+    on one basis state, as handles of the module's table.
 
     When the module's home owns A and B, A_j B is the home's field of
     its state, Y(A_j B vac, z), which check_borcherds certifies against
     the expansion, on the home and on every module of it; everywhere
     else it is the NthProduct expansion."""
+    table = module._table
     out = {}
     for j in range(order):
         c = gbinom(m, j)
         P = _product_field(A, B, j, module) if c else None
         if P is not None:
-            _add(out, P.act(m + n - j, module, state), c, module._table)
+            _add(out, P.act(m + n - j, module, state), table.handle(c), table)
     return out
 
 
@@ -522,7 +533,7 @@ def generate_closure(module: Module, generators, depth2: int,
     gens = list(generators.values()) if isinstance(generators, dict) \
         else list(generators)
     spaces = closure_spans(module, gens, depth2)
-    states = [StateVector(sp.rows[pivot])
+    states = [StateVector(sp.row(pivot))
               for sp in spaces for pivot in sorted(sp.rows)]
     if len(states) > 64:
         raise ValueError("closure exceeds 64 fields")
@@ -551,19 +562,6 @@ def locality_table(named, module: Module, depth2: int, window: int) -> dict:
 
 # -- axiom suites -----------------------------------------------------------
 
-def sweep(points, lhs, rhs) -> dict:
-    """Certify lhs(**p) == rhs(**p) at every point p of an ordered
-    iterable of dicts; returns the number of points checked and, in
-    order, each point where the sides differ, basis states as strings."""
-    checked, failures = 0, []
-    for p in points:
-        checked += 1
-        if lhs(**p) != rhs(**p):
-            failures.append({k: str(v) if isinstance(v, BasisState) else v
-                             for k, v in p.items()})
-    return {"checked": checked, "failures": failures}
-
-
 def window_points(module: Module, depth2: int, window: int):
     """{"m", "n", "state"} for m, n in [-window, window] and every basis
     state of grade <= depth2/2, m-major."""
@@ -581,11 +579,12 @@ def bracket_sweep(module: Module, depth2: int, window: int, cases) -> dict:
     checked, failures = 0, []
     for label, A, sa, B, sb, terms in cases:
         def rhs(m, n, state, **_):
+            table = module._table
             out = {}
             for coeff, C, slot in terms(m, n):
                 if coeff:
-                    _add(out, C.act(slot, module, state), coeff,
-                         module._table)
+                    _add(out, C.act(slot, module, state), table.handle(coeff),
+                         table)
             return out
 
         swept = sweep(({**label, **p}
@@ -652,7 +651,7 @@ def check_vosa_axioms(module: Module, fields: dict, omega: StateVector,
     def translated(field, n, state):
         # [T, A(n)] u, to match -n A(n-1) u
         f = fields[field]
-        return module.operator_T(f.act(n, module, state)) \
+        return module.operator_T(module.vector(f.act(n, module, state))) \
             - f.apply(n, module, module.operator_T(StateVector.basis(state)))
 
     def misparity(field, n, state):
@@ -759,8 +758,8 @@ def check_borcherds(module: Module, depth2: int = 2, window: int = 2) -> dict:
 
     def rhs(a, b, n, m, v):
         ab = state_field(module, a).act(n, module, b)
-        return state_field(module, ab).apply(
-            m, module, StateVector.basis(v)) if ab else {}
+        return state_field(module, module.vector(ab)).act(m, module, v) \
+            if ab else {}
 
     swept = sweep(points(), lhs, rhs)
     return {**swept, "valid": not swept["failures"]}

@@ -18,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .scalars import (ZERO, Coefficients, Scalar, _add, _exact_int, _json_key,
-                      _json_list)
+from .certify import sweep
+from .scalars import ZERO, Scalar, _acc, _exact_int, _json_key, _json_list
 
 
 # signs of itertools.permutations of a triple, in the order it yields them
@@ -67,50 +67,72 @@ class LieAlgebra:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> dict:
-        """Check realness, antisymmetry, Jacobi and the normalization.
+        """Sweep realness, antisymmetry, Jacobi and the normalization.
 
         Returns a report with one entry per check and, when the
-        normalization holds, the dual Coxeter number g.  Jacobi and the
-        invariant form are contracted over the nonzero entries only.
+        normalization holds, the dual Coxeter number g.  When a check
+        fails, `failures` maps it to its failing points, with 1-based
+        indices: the triples (a, b, c) of a non-real entry, of a tensor
+        entry that some transposition does not negate, or of a Jacobi
+        sum that is not zero, and the pairs (b, d) where the invariant
+        form is not 2 g delta_bd.  Jacobi and the invariant form are
+        contracted over the nonzero entries only.
         """
-        tensor, brackets = self._tensor, self._brackets
-        checks = {"real": all(v.is_real() for v in self.gamma.values())}
-        # antisymmetry is structural for the stored triples; verify the
-        # expanded tensor anyway
-        checks["antisymmetric"] = all(
-            val == -tensor.get((b, a, c), ZERO)
-            and val == -tensor.get((a, c, b), ZERO)
-            for (a, b, c), val in tensor.items())
+        tensor, brackets, span = self._tensor, self._brackets, range(self.dim)
 
-        # sum_e Gamma_ab^e Gamma_ec^f plus its cyclic shifts in (a, b, c):
-        # any nonzero one is reached from a pair (a, b) with [X_a, X_b] != 0
-        jacobi = True
-        for (a, b), ab in brackets.items():
-            for c in range(self.dim):
-                total = {}
-                for pairs, d in ((ab, c), (brackets.get((b, c), ()), a),
-                                 (brackets.get((c, a), ()), b)):
-                    for e, x in pairs:
-                        for f, y in brackets.get((e, d), ()):
-                            total[f] = total.get(f, ZERO) + x * y
-                if any(total.values()):
-                    jacobi = False
-        checks["jacobi"] = jacobi
+        def entry(a, b, c):
+            return tensor.get((a - 1, b - 1, c - 1), ZERO)
+
+        def jacobi_sum(a, b, c):
+            # sum_e Gamma_ab^e Gamma_ec^f plus its cyclic shifts in
+            # (a, b, c), by f: any nonzero one is reached from a pair
+            # (a, b) with [X_a, X_b] != 0
+            a, b, c = a - 1, b - 1, c - 1
+            total = {}
+            for pairs, d in ((brackets[a, b], c),
+                             (brackets.get((b, c), ()), a),
+                             (brackets.get((c, a), ()), b)):
+                for e, x in pairs:
+                    for f, y in brackets.get((e, d), ()):
+                        total[f] = total.get(f, ZERO) + x * y
+            return {f: v for f, v in total.items() if v}
+
         # K_bd = sum_{a,c} Gamma_ac^b Gamma_ac^d
         form = {}
         for pairs in brackets.values():
             for b, x in pairs:
                 for d, y in pairs:
                     form[b, d] = form.get((b, d), ZERO) + x * y
-        diagonal = [form.get((b, b), ZERO) / 2 for b in range(self.dim)]
-        g_value = diagonal[0] if diagonal else None
-        norm_ok = all(v == g_value for v in diagonal) and not any(
-            v for (b, d), v in form.items() if b != d)
-        checks["normalized"] = norm_ok
+        g_value = form.get((0, 0), ZERO) / 2 if self.dim else None
+
+        def triples(keys):
+            return ({"a": a + 1, "b": b + 1, "c": c + 1} for a, b, c in keys)
+
+        failures = {
+            "real": sweep(triples(self.gamma), lambda a, b, c: True,
+                          lambda a, b, c: entry(a, b, c).is_real()),
+            # structural for the stored triples; verify the expanded
+            # tensor anyway
+            "antisymmetric": sweep(
+                triples(tensor), lambda a, b, c: (entry(a, b, c),) * 2,
+                lambda a, b, c: (-entry(b, a, c), -entry(a, c, b))),
+            "jacobi": sweep(
+                ({"a": a + 1, "b": b + 1, "c": c + 1} for a, b in brackets
+                 for c in span), jacobi_sum, lambda a, b, c: {}),
+            "normalized": sweep(
+                ({"b": b + 1, "d": d + 1} for b in span for d in span),
+                lambda b, d: form.get((b - 1, d - 1), ZERO),
+                lambda b, d: 2 * g_value if b == d else ZERO),
+        }
+        failures = {name: rep["failures"] for name, rep in failures.items()}
+        checks = {name: not found for name, found in failures.items()}
         report = {"name": self.name, "dim": self.dim, "checks": checks,
                   "valid": all(checks.values())}
-        if norm_ok and g_value is not None:
+        if checks["normalized"] and g_value is not None:
             report["dual_coxeter"] = g_value
+        if not report["valid"]:
+            report["failures"] = {name: found for name, found
+                                  in failures.items() if found}
         return report
 
     def dual_coxeter(self) -> Scalar:
@@ -205,12 +227,11 @@ def sl2_floor(j2: int):
         if j2 - 2 * k:
             h[(k, k)] = Scalar.of(j2 - 2 * k)
 
-    table = Coefficients()
-
     def combine(coeff_e, coeff_f, coeff_h):
         out = {}
         for mat, coeff in ((e, coeff_e), (f, coeff_f), (h, coeff_h)):
-            _add(out, mat, coeff, table)
+            for key, val in mat.items():
+                _acc(out, key, val * coeff)
         return out
 
     half_i_root2 = Scalar({-2: Fraction(1, 2)})   # i*sqrt(2)/2

@@ -3,7 +3,7 @@
 Echelon is the one elimination over Scalars: it reduces sparse rows
 incrementally, and back-substitutes them once for the right kernel,
 which answers every rank, kernel and linear solve.  It works over the
-full field (radicals allowed).
+full field (radicals allowed), on handles of a table of its own.
 The inertia of a symmetric form is restricted to rational entries, where
 signs are decidable: its congruence elimination runs fraction-free on
 the integer matrix left after clearing denominators once, and a
@@ -19,41 +19,53 @@ from .scalars import ONE, Coefficients, Scalar, _add, _ratio
 
 
 class Echelon:
-    """Incremental row reduction: sparse rows {key: Scalar}, each scaled
-    to lead with 1 and kept under its leading (least) key.  The rows'
-    coefficients are made through the echelon's own table."""
+    """Incremental row reduction: sparse rows {key: handle} of the
+    echelon's own table, each scaled to lead with 1 and kept under its
+    leading (least) key.  Vectors come in and go out as Scalars."""
 
     def __init__(self):
         self.rows = {}
         self._table = Coefficients()
 
     def add(self, vec: dict) -> bool:
-        """Reduce vec against the rows; keep it and return True when it
-        is independent of them."""
-        v = dict(vec)
+        """Reduce the Scalar vector vec against the rows; keep it and
+        return True when it is independent of them."""
+        table = self._table
+        v = {key: table.handle(c) for key, c in vec.items()}
+        minus = table.handle(-1)
         while v:
             pivot = min(v)
             row = self.rows.get(pivot)
             if row is None:
                 row = self.rows[pivot] = {}
-                _add(row, v, v[pivot].inverse(), self._table)
+                inverse = table.values[v[pivot]].inverse()
+                _add(row, v, table.handle(inverse), table)
                 return True
-            _add(v, row, -v[pivot], self._table)
+            _add(v, row, table.product(v[pivot], minus), table)
         return False
 
     def __len__(self):
         return len(self.rows)
 
+    def row(self, pivot) -> dict:
+        """The row kept under pivot, as Scalars."""
+        values = self._table.values
+        return {key: values[c] for key, c in self.rows[pivot].items()}
+
     def kernel(self, ncols: int) -> list[dict]:
-        """The right kernel over columns 0..ncols-1: for each free column f
-        the x with x_f = 1 and x_p = -(reduced row p)_f at each pivot p.
-        The rows are left reduced: zero at every pivot but their own."""
+        """The right kernel over columns 0..ncols-1, as Scalar vectors:
+        for each free column f the x with x_f = 1 and x_p = -(reduced
+        row p)_f at each pivot p.  The rows are left reduced: zero at
+        every pivot but their own."""
+        table = self._table
+        minus = table.handle(-1)
         # last pivot first, so the rows subtracted are reduced already
         for q in sorted(self.rows, reverse=True):
             row = self.rows[q]
             for p in [p for p in row if p != q and p in self.rows]:
-                _add(row, self.rows[p], -row[p], self._table)
-        return [{f: ONE} | {p: -row[f] for p, row in self.rows.items()
+                _add(row, self.rows[p], table.product(row[p], minus), table)
+        values = table.values
+        return [{f: ONE} | {p: -values[row[f]] for p, row in self.rows.items()
                             if f in row}
                 for f in range(ncols) if f not in self.rows]
 

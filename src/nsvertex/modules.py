@@ -160,8 +160,9 @@ def grade_str(n2: int) -> str:
 
 class StateVector(dict):
     """A finite linear combination of basis states: the dict that maps
-    each basis state to its nonzero Scalar coefficient, so it equals a
-    mode action with the same entries."""
+    each basis state to its nonzero Scalar coefficient.  A mode or
+    field action maps states to handles of its module's table instead;
+    Module.vector reads one as a StateVector."""
 
     __slots__ = ()
 
@@ -177,9 +178,11 @@ class StateVector(dict):
         return StateVector({state: ONE})
 
     def _plus(self, other: dict, coeff) -> "StateVector":
-        out, table = StateVector(), Coefficients()
-        _add(out, self, ONE, table)
-        _add(out, other, coeff, table)
+        out = StateVector()
+        out.update(self)
+        k = Scalar.of(coeff)
+        for state, c in other.items():
+            _acc(out, state, c if k is ONE else c * k)
         return out
 
     def __add__(self, other):
@@ -231,16 +234,16 @@ class Module:
         self._gram_cache = {}
         self._basis_cache = {}
         self._bracket_cache = {}
-        # every coefficient that the memos hold is made through this one
-        # table, the home's, so equal coefficients are one object
+        # every coefficient that the memos hold is a handle of this one
+        # table, the home's, so equal coefficients are one integer
         self._table = home._table if home else Coefficients()
         # the modes that have passed check_mode
         self._checked_modes = set()
-        # the state-field map of fields.py: a basis state or frozen
-        # vector -> its field
+        # the state-field map of fields.py: a basis state, or the
+        # frozenset of a vector's (state, handle) pairs -> its field
         self._state_fields = {}
-        # on a vacuum module, each field of that map -> its state: the
-        # one record of the fields that the module owns
+        # on a vacuum module, each field of that map -> its state, as
+        # handles: the one record of the fields that the module owns
         self._own_states = {}
         # (A, B, j) -> the own field of the state A_j B, or None for 0
         self._product_fields = {}
@@ -317,10 +320,18 @@ class Module:
 
     # -- mode application ------------------------------------------------
 
+    def vector(self, handles: dict) -> StateVector:
+        """A vector of handles of the module's table, such as a memo's
+        action, as the StateVector of their Scalars."""
+        values = self._table.values
+        out = StateVector()
+        out.update((state, values[h]) for state, h in handles.items())
+        return out
+
     def apply_to_basis(self, mode: Mode, state: BasisState) -> dict:
-        """mode . state as a frozen dict; callers must not mutate the
-        result.  A mode is checked against the module the first time it
-        acts here."""
+        """mode . state as a frozen dict of handles of the module's
+        table (see vector); callers must not mutate the result.  A mode
+        is checked against the module the first time it acts here."""
         key = (mode, state)
         out = self._apply_cache.get(key)
         if out is None:
@@ -331,60 +342,65 @@ class Module:
         return out
 
     def _bracket(self, m1: Mode, m2: Mode) -> list:
-        """self.bracket(m1, m2), memoized with each coefficient interned;
-        callers must not change it."""
+        """self.bracket(m1, m2), memoized with each coefficient a handle
+        of the module's table; callers must not change it."""
         key = (m1, m2)
         out = self._bracket_cache.get(key)
         if out is None:
-            intern = self._table.intern
+            handle = self._table.handle
             out = self._bracket_cache[key] = [
-                (intern(c), m) for c, m in self.bracket(m1, m2)]
+                (handle(c), m) for c, m in self.bracket(m1, m2)]
         return out
 
     def _apply_uncached(self, mode: Mode, state: BasisState) -> dict:
         if mode.n2 > state.grade2:
             return {}
         word = state.word
+        table = self._table
         if not word:
             if mode.n2 > 0:
                 return {}
             if mode.n2 == 0:
                 out = {}
                 for coeff, fl in self.floor_action0(mode, state.floor):
-                    _add(out, {BasisState((), fl): ONE}, coeff, self._table)
+                    _add(out, {BasisState((), fl): 1}, table.handle(coeff),
+                         table)
                 return out
-            return {state._prepend(mode): ONE}
+            return {state._prepend(mode): 1}
         head = word[0]
         if mode.n2 < 0:
             k, k1 = mode_key(mode), mode_key(head)
             if k > k1 or (k == k1 and not mode_parity(mode.kind)):
-                return {state._prepend(mode): ONE}
+                return {state._prepend(mode): 1}
             if k == k1:
                 # square of an odd mode: m^2 = (1/2)[m, m]_+
                 rest = state._rest()
+                half = table.handle(Fraction(1, 2))
                 out = {}
                 for coeff, bmode in self._bracket(mode, head):
-                    _add(out, {rest: ONE} if bmode is None
+                    _add(out, {rest: 1} if bmode is None
                          else self.apply_to_basis(bmode, rest),
-                         coeff * Fraction(1, 2), self._table)
+                         table.product(coeff, half), table)
                 return out
         rest = state._rest()
-        sign = -1 if mode_parity(mode.kind) and mode_parity(head.kind) else 1
-        table = self._table
+        odd = mode_parity(mode.kind) and mode_parity(head.kind)
+        sign = table.handle(-1 if odd else 1)
         out = {}
         for st, c in self.apply_to_basis(mode, rest).items():
-            _add(out, self.apply_to_basis(head, st),
-                 table.times(c, -1) if sign < 0 else c, table)
+            _add(out, self.apply_to_basis(head, st), table.product(c, sign),
+                 table)
         for coeff, bmode in self._bracket(mode, head):
-            _add(out, {rest: ONE} if bmode is None
+            _add(out, {rest: 1} if bmode is None
                  else self.apply_to_basis(bmode, rest), coeff, table)
         return out
 
     def apply(self, mode: Mode, vec: dict) -> StateVector:
-        out = StateVector()
+        table = self._table
+        out = {}
         for state, coeff in vec.items():
-            _add(out, self.apply_to_basis(mode, state), coeff, self._table)
-        return out
+            _add(out, self.apply_to_basis(mode, state), table.handle(coeff),
+                 table)
+        return self.vector(out)
 
     # -- inner products --------------------------------------------------
 
@@ -401,7 +417,7 @@ class Module:
         basis = self.level_basis(n2)
         index = {b: i for i, b in enumerate(basis)}
         block = [[None] * len(basis) for _ in basis]
-        intern = self._table.intern
+        values = self._table.values
         for i, b in enumerate(basis):
             if b.word:
                 head = b.word[0]
@@ -409,16 +425,15 @@ class Module:
                 low_index, low = self._block(n2 + head.n2)
                 w = low[low_index[b._rest()]]
                 adj = adjoint_mode(head)
-                row = (_dot((c, w[low_index[t]]) for t, c in
+                row = (_dot((values[c], w[low_index[t]]) for t, c in
                             self.apply_to_basis(adj, basis[j]).items())
                        for j in range(i, len(basis)))
             else:
                 row = (self.floor_pairing(b.floor, basis[j].floor)
                        for j in range(i, len(basis)))
             for j, x in enumerate(row, i):
-                block[i][j] = x = intern(x)
-                y = x.conjugate()
-                block[j][i] = y if y is x else intern(y)
+                block[i][j] = x
+                block[j][i] = x.conjugate()
         memo = self._gram_cache[n2] = index, block
         return memo
 
@@ -488,16 +503,20 @@ class Module:
     # -- translation -----------------------------------------------------
 
     def operator_T(self, vec: dict) -> StateVector:
-        out = StateVector()
+        table = self._table
+        out = {}
         for state, coeff in vec.items():
-            _add(out, self._translate_basis(state), coeff, self._table)
-        return out
+            _add(out, self._translate_basis(state), table.handle(coeff),
+                 table)
+        return self.vector(out)
 
     def _translate_basis(self, state: BasisState) -> dict:
-        if not state.word:
-            return self.translation_floor(state.floor)
-        head, rest = state.word[0], state._rest()
+        """T applied to a basis state, as handles."""
         table = self._table
+        if not state.word:
+            return {st: table.handle(c) for st, c
+                    in self.translation_floor(state.floor).items()}
+        head, rest = state.word[0], state._rest()
         out = {}
         for st, c in self._translate_basis(rest).items():
             _add(out, self.apply_to_basis(head, st), c, table)
@@ -505,7 +524,8 @@ class Module:
         kappa = -slot_of_index2(GENERATOR_WEIGHT2[head.kind], head.n2)
         if kappa:
             shifted = Mode(head.kind, head.color, head.n2 - 2)
-            _add(out, self.apply_to_basis(shifted, rest), kappa, table)
+            _add(out, self.apply_to_basis(shifted, rest), table.handle(kappa),
+                 table)
         return out
 
 

@@ -15,16 +15,15 @@ terms, ``gcd(_d, *_t.values()) == 1`` (zero is ``_d = 1`` with the
 empty dict), so two scalars are equal exactly when both fields are, and
 an operation is integer arithmetic followed by one gcd.
 
-_add, the one sparse accumulate out += coeff * vec on dicts of scalars
-keyed by basis states or columns, lives here with the representation it
-reads; modules, fields and the row reduction share it.  So does _dot,
-the kernel of every Gram entry, sum conj(a) * b.
-
-Every scalar that _add makes goes through a Coefficients table, which
-holds one Scalar per exact value and memoizes arithmetic keyed by the
-id()s of the Scalars that it holds and so keeps alive.  A module owns
-one table, and a caller with no module one for its lifetime; no table
-is process-wide.
+Inside the engine a coefficient is a handle: a small integer that
+numbers a value in a Coefficients table, which holds one Scalar per
+exact value and memoizes products and sums keyed by pairs of handles.
+_add, the one sparse accumulate out += k * vec on dicts of handles
+keyed by basis states or columns, lives here with the table it reads;
+modules, fields and the row reduction share it.  A module owns one
+table, and an echelon its own; no table is process-wide.  Scalars
+appear at the boundary only, where _acc adds them one entry at a time
+and _dot, the kernel of every Gram entry, sums conj(a) * b.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from numbers import Number
 
 
 def _exact_int(value, name: str) -> int:
@@ -415,100 +415,101 @@ class Scalar:
     __repr__ = __str__
 
 
+# an element of a number field: certify keeps it in a failing point as
+# it keeps an int or a Fraction
+Number.register(Scalar)
+
+
 class Coefficients:
-    """One table of coefficient values, and the memo of their arithmetic.
+    """One table of coefficient values, numbered, and the memo of their
+    arithmetic.
 
-    `values` maps the exact key of a value (the common denominator and
-    the sorted (radicand, numerator) pairs) to the one Scalar of that
-    value that the table owns, and `owned` holds the id() of each.
-    `products` maps id(k) to {id(c): c * k}, `sums` maps (id(a), id(b))
-    to a + b, and `multiples` maps (id(c), n) to c * n for an integer n.
-    The identity rule: an entry is stored only when its Scalar operands
-    are the table's own, which the table keeps alive, so an id in a key
-    always names the object that it was stored for.  Every memo value
-    is interned when it is made, so it is the table's own too."""
+    A handle is the index of a value in `values`, the list of the
+    table's Scalars: handle 0 is 0 and handle 1 is 1.  `handles` maps
+    the exact key of a value (the common denominator and the sorted
+    (radicand, numerator) pairs) to its handle, so a value has one
+    handle and two coefficients of a table are equal exactly when their
+    handles are.  `products` maps a handle k to {c: the handle of c *
+    k}, and `sums` maps a pair (a, b) of handles to the handle of a + b.
+    Memo keys and values are integers, which hash in C, and a handle is
+    valid in its own table only."""
 
-    __slots__ = ("values", "owned", "products", "sums", "multiples",
-                 "__weakref__")
+    __slots__ = ("values", "handles", "products", "sums", "__weakref__")
 
     def __init__(self):
-        self.values = {}
-        self.owned = set()
+        self.values = []
+        self.handles = {}
         self.products = {}
         self.sums = {}
-        self.multiples = {}
-        self.intern(_ZERO)
-        self.intern(_ONE)
+        self.handle(_ZERO)
+        self.handle(_ONE)
 
-    def intern(self, c: Scalar) -> Scalar:
-        """The table's Scalar equal to c: c itself if the table holds no
-        equal value yet, which it then stores."""
-        if id(c) in self.owned:
-            return c
+    def handle(self, value) -> int:
+        """The handle of a Scalar or a number: of the value that the
+        table holds, or of value itself, which it then stores.  An int
+        that the table holds is found without making a Scalar."""
+        if type(value) is int:
+            h = self.handles.get((1, (1, value)) if value else (1,))
+            if h is not None:
+                return h
+        c = value if type(value) is Scalar else Scalar.of(value)
         t = c._t
         key = (c._d, *t.items()) if len(t) < 2 else (c._d, *sorted(t.items()))
-        own = self.values.setdefault(key, c)
-        if own is c:
-            self.owned.add(id(c))
-        return own
+        h = self.handles.get(key)
+        if h is None:
+            h = self.handles[key] = len(self.values)
+            self.values.append(c)
+        return h
 
-    def times(self, c: Scalar, n: int) -> Scalar:
-        """c * n for an integer n, interned; memoized when c is the
-        table's own."""
-        key = (id(c), n)
-        out = self.multiples.get(key)
-        if out is None:
-            out = self.intern(c * n)
-            if id(c) in self.owned:
-                self.multiples[key] = out
-        return out
+    def product(self, c: int, k: int) -> int:
+        """The handle of c * k for handles c and k, memoized."""
+        if c == 1 or k == 1:
+            return k if c == 1 else c
+        memo = self.products.get(k)
+        if memo is None:
+            memo = self.products[k] = {}
+        p = memo.get(c)
+        if p is None:
+            values = self.values
+            p = memo[c] = self.handle(values[c] * values[k])
+        return p
 
 
-def _add(out: dict, vec: dict, coeff, table: Coefficients):
-    """out += coeff * vec on dicts of Scalars, dropping the entries that
-    vanish.  vec is only read, so it may be a cached action; coeff is a
-    Scalar or a number.  A unit coeff, or an entry that is ONE, passes
-    the other factor through as the same object.
-
-    Every Scalar that _add makes goes through the table: coeff is
-    interned first, and each product and running sum is read from the
-    table's memo, or computed, interned and, when both operands are the
-    table's own, stored there."""
-    if not vec:
+def _add(out: dict, vec: dict, k: int, table: Coefficients):
+    """out += k * vec on dicts of handles of the table, dropping the
+    entries that vanish.  vec is only read, so it may be a cached
+    action; k is a handle.  A unit factor passes the other one through,
+    and every other product and running sum is read from the table's
+    memo, or computed once, numbered and stored there."""
+    if not k or not vec:
         return
-    owned, sums, intern = table.owned, table.sums, table.intern
-    k = coeff if type(coeff) is Scalar else _coerce(coeff)
-    if id(k) not in owned:
-        k = intern(k)
-    if k is _ZERO:
-        return
-    unit = k is _ONE
-    products = table.products.setdefault(id(k), {})
+    values, sums = table.values, table.sums
+    unit = k == 1
+    if not unit:
+        products = table.products.get(k)
+        if products is None:
+            products = table.products[k] = {}
     for key, c in vec.items():
         if unit:
             p = c
-        elif c is _ONE:
+        elif c == 1:
             p = k
         else:
-            p = products.get(id(c))
+            p = products.get(c)
             if p is None:
-                p = intern(c * k)
-                if id(c) in owned:
-                    products[id(c)] = p
+                p = products[c] = table.handle(values[c] * values[k])
         cur = out.get(key)
         if cur is None:
             out[key] = p
             continue
-        pair = (id(cur), id(p))
+        pair = cur, p
         s = sums.get(pair)
         if s is None:
-            s = intern(cur + p)
-            if id(cur) in owned and id(p) in owned:
-                sums[pair] = s
-        if s is _ZERO:
-            del out[key]
-        else:
+            s = sums[pair] = table.handle(values[cur] + values[p])
+        if s:
             out[key] = s
+        else:
+            del out[key]
 
 
 def _dot(pairs) -> Scalar:

@@ -39,7 +39,8 @@ class GramOracle:
             else:
                 head, rest = b1.word[0], BasisState(b1.word[1:], b1.floor)
                 out = ZERO
-                moved = self.module.apply_to_basis(adjoint_mode(head), b2)
+                moved = self.module.vector(
+                    self.module.apply_to_basis(adjoint_mode(head), b2))
                 for t, c in moved.items():
                     out = out + c.conjugate() * self._inner_same_grade(rest, t)
             self._cache[key] = out

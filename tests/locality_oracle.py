@@ -6,8 +6,9 @@ coefficient of z^(-p-1) w^(-q-1) in (z-w)^N [A(z), B(w)]_eps,
 
   sum_j (-1)^j C(N,j) [A(p+N-j)B(q+j) - (-1)^(N+eps) B(q+N-j)A(p+j)],
 
-takes every term for j = 0 .. N through Field.act: no output-grade
-cut, no merged compositions and no memo across points.  Trial orders,
+takes every term for j = 0 .. N through Field.act and sums it in plain
+Scalar arithmetic: no output-grade cut, no merged compositions, no
+coefficient table and no memo across points.  Trial orders,
 parities, points and witnesses run in the library's order.
 """
 
@@ -16,20 +17,20 @@ from __future__ import annotations
 import math
 
 from nsvertex.fields import NotLocalError
-from nsvertex.scalars import Coefficients, _add
+from nsvertex.scalars import _acc
 
 
 def coefficient(A, p, N, B, q, eps, module, state) -> dict:
-    """The locality coefficient T_N(p, q) on one basis state."""
+    """The locality coefficient T_N(p, q) on one basis state, in Scalars."""
     swap = 1 if (N + eps) % 2 else -1
-    table = Coefficients()
     out = {}
     for j in range(N + 1):
         c = (-1) ** j * math.comb(N, j)
         for X, nx, Y, ny, k in ((A, p + N - j, B, q + j, c),
                                 (B, q + N - j, A, p + j, c * swap)):
-            for st, d in Y.act(ny, module, state).items():
-                _add(out, X.act(nx, module, st), d * k, table)
+            for st, d in module.vector(Y.act(ny, module, state)).items():
+                for s, e in module.vector(X.act(nx, module, st)).items():
+                    _acc(out, s, e * d * k)
     return out
 
 

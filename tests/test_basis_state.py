@@ -1,10 +1,12 @@
-"""Basis states carry their grade.
+"""Basis states are interned and carry their grade.
 
-``BasisState(word, floor)`` stores the doubled grade of its word as a
-third field, and ``_rest`` and ``_prepend`` derive states from it
-without summing the word again.  On every basis state up to grade 3
-of three modules, the field must equal -sum n2, derived states must
-equal and hash like fresh ones, states must survive pickle and copy,
+``BasisState(word, floor)`` returns the one live state of that word and
+floor, which stores the doubled grade of its word, and ``_rest`` and
+``_prepend`` derive states from it without summing the word again.  On
+every basis state up to grade 3 of three modules, the grade must equal
+-sum n2; a fresh, a derived, an unpickled or a copied state, and the
+state of the same word and floor in a module built apart, must be the
+very same object; states must sort as their (word, floor) tuples do,
 and ``StateVector.sorted_items`` must order by grade, then word, then
 floor.
 """
@@ -41,14 +43,15 @@ def test_derived_states_equal_fresh_ones(states):
     derived = 0
     for s in states:
         fresh = BasisState(s.word, s.floor)
-        assert fresh == s and hash(fresh) == hash(s)
+        assert fresh is s and fresh == s and hash(fresh) == hash(s)
+        assert BasisState(tuple(s.word), s.floor) is s
         if s.word:
             rest = s._rest()
             want = BasisState(s.word[1:], s.floor)
-            assert rest == want and hash(rest) == hash(want)
+            assert rest is want and hash(rest) == hash(want)
+            assert s._rest() is rest
             again = rest._prepend(s.word[0])
-            assert again == s and hash(again) == hash(s)
-            assert again.grade2 == s.grade2
+            assert again is s and again.grade2 == s.grade2
             derived += 1
     assert derived
 
@@ -59,7 +62,7 @@ def test_pickle_and_copy_round_trip(states):
                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] \
                 + [copy.copy(s), copy.deepcopy(s)]:
             assert type(twin) is BasisState
-            assert twin == s and twin.grade2 == s.grade2
+            assert twin is s and twin.grade2 == s.grade2
 
 
 def test_sorted_items_order_by_grade_word_and_floor(states):
@@ -68,3 +71,36 @@ def test_sorted_items_order_by_grade_word_and_floor(states):
     vec = StateVector((s, 1) for s in shuffled)
     assert [s for s, _ in vec.sorted_items()] == sorted(
         states, key=lambda s: (-sum(m.n2 for m in s.word), s.word, s.floor))
+
+
+def test_states_sort_as_their_word_and_floor_tuples(states):
+    shuffled = list(states)
+    random.Random(1).shuffle(shuffled)
+    want = sorted(shuffled, key=lambda s: (s.word, s.floor))
+    assert sorted(shuffled) == want
+    assert min(shuffled) is want[0] and max(shuffled) is want[-1]
+    for a, b in zip(want, want[1:]):
+        assert a < b and b > a and not b < a and a != b
+
+
+def test_modules_built_apart_share_their_states():
+    # two constructions, and the bare fermion module whose words the
+    # super construction's fermion part repeats
+    first = super_construction(sl2(), 1).module.basis_upto(4)
+    second = super_construction(sl2(), 1).module.basis_upto(4)
+    assert all(a is b for a, b in zip(first, second))
+    assert len(first) == len(second)
+    fermions = FockModule(colors=3).basis_upto(4)
+    shared = {s.word: s for s in first}
+    assert all(shared[s.word] is s for s in fermions)
+    assert len(fermions) > 10
+
+
+def test_states_are_distinct_objects_per_word_and_floor():
+    floor = FockModule(sl2(), 1, 3, 1)
+    states = floor.basis_upto(4)
+    assert len({id(s) for s in states}) == len(states) \
+        == len({(s.word, s.floor) for s in states})
+    vac0, vac1 = BasisState((), 0), BasisState((), 1)
+    assert vac0 is not vac1 and vac0 != vac1
+    assert vac0 != ((), 0) and vac0 != ((), 0, 0)

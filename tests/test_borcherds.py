@@ -7,7 +7,8 @@ fields._borcherds evaluates the right side of the Borcherds identity,
 and stops each composition order at the grading bound of its first
 factor.  The oracle here takes every term up to j = r for r >= 0, and
 up to a fixed J well past any grading bound otherwise, each through
-Field.act and _add, so a cutoff that dropped a nonzero term shows up as
+Field.act and summed in plain Scalar arithmetic, outside the
+coefficient table, so a cutoff that dropped a nonzero term shows up as
 a difference.  The kernel serves n-th products (p = 0), brackets
 (r = 0) and locality coefficients (r = N).
 """
@@ -21,35 +22,39 @@ from nsvertex.fields import (_borcherds, _order_bound, commutator_direct,
                              locality_order, realize, state_field)
 from nsvertex.liealg import sl2
 from nsvertex.modules import VermaModule
-from nsvertex.scalars import Coefficients, _add
+from nsvertex.scalars import _acc
 
 # on states of grade <= 1 a field of weight <= 2 vanishes at slots above
 # 2, so with p, q >= -2 every term past j = 4 is zero; J leaves room
 J = 10
 
 
+def axpy(out: dict, vec: dict, coeff):
+    """out += coeff * vec on dicts of Scalars, entry by entry."""
+    for key, c in vec.items():
+        _acc(out, key, c * coeff)
+
+
 def compose(X, nx, Y, ny, module, state, memo) -> dict:
-    """X(nx) Y(ny) state, memoized: terms recur across (p, r, q)."""
+    """X(nx) Y(ny) state in Scalars, memoized: terms recur across
+    (p, r, q)."""
     key = (X, nx, Y, ny, state)
     out = memo.get(key)
     if out is None:
         out = memo[key] = {}
-        table = Coefficients()
-        for st, c in Y.act(ny, module, state).items():
-            _add(out, X.act(nx, module, st), c, table)
+        for st, c in module.vector(Y.act(ny, module, state)).items():
+            axpy(out, module.vector(X.act(nx, module, st)), c)
     return out
 
 
 def uncut(A, p, r, B, q, module, state, memo) -> tuple:
     """The two orders of the sum, sum_j (-1)^j C(r,j) A(p+r-j)B(q+j) and
     sum_j (-1)^j C(r,j) B(q+r-j)A(p+j), each term taken in full."""
-    ab, ba, table = {}, {}, Coefficients()
+    ab, ba = {}, {}
     for j in range(r + 1 if r >= 0 else J):
         c = (-1) ** j * gbinom(r, j)
-        _add(ab, compose(A, p + r - j, B, q + j, module, state, memo), c,
-             table)
-        _add(ba, compose(B, q + r - j, A, p + j, module, state, memo), c,
-             table)
+        axpy(ab, compose(A, p + r - j, B, q + j, module, state, memo), c)
+        axpy(ba, compose(B, q + r - j, A, p + j, module, state, memo), c)
     return ab, ba
 
 
@@ -64,12 +69,12 @@ def _assert_kernel_matches(fields, module):
             ab, ba = uncut(A, p, r, B, q, module, state, memo)
             for eps in (0, 1):
                 want = dict(ab)
-                _add(want, ba, 1 if (r + eps) % 2 else -1, Coefficients())
+                axpy(want, ba, 1 if (r + eps) % 2 else -1)
                 point = (str(A), p, r, str(B), q, eps, str(state))
-                assert _borcherds(A, p, r, B, q, eps, module,
-                                  state) == want, point
-                assert _borcherds(A, p, r, B, q, eps, module, state,
-                                  shared) == want, point
+                assert module.vector(_borcherds(
+                    A, p, r, B, q, eps, module, state)) == want, point
+                assert module.vector(_borcherds(
+                    A, p, r, B, q, eps, module, state, shared)) == want, point
 
 
 def test_kernel_matches_uncut_sum_on_ns_verma():
@@ -110,11 +115,12 @@ def test_the_anticommutator_of_a_mode_with_itself_is_twice_its_square():
     G = cons.fields["G"]
     nonzero = 0
     for m, state in product(range(-3, 4), module.basis_upto(2)):
-        square, want, table = {}, {}, Coefficients()
-        for st, c in G.act(m, module, state).items():
-            _add(square, G.act(m, module, st), c, table)
-        _add(want, square, 2, table)
-        assert commutator_direct(G, m, G, m, module, state) == want, \
+        square, want = {}, {}
+        for st, c in module.vector(G.act(m, module, state)).items():
+            axpy(square, module.vector(G.act(m, module, st)), c)
+        axpy(want, square, 2)
+        assert module.vector(commutator_direct(G, m, G, m, module,
+                                               state)) == want, \
             (m, str(state))
         nonzero += bool(want)
     assert nonzero

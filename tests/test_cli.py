@@ -230,9 +230,17 @@ NON_JACOBI = ('{"name":"x","dim":5,"gamma":[{"a":1,"b":2,"c":3,"val":1},'
 def test_validate_names_the_failing_checks(capsys):
     code, out, err = run(capsys, ["validate", "--algebra", NON_JACOBI])
     assert code == 1
-    assert json.loads(out)["checks"] == {
+    report = json.loads(out)
+    assert report["checks"] == {
         "real": True, "antisymmetric": True, "jacobi": False,
         "normalized": False}
+    # X_1 brackets into both triples, so the Jacobi sums that mix them
+    # fail, and only X_1 has the norm 2 g of the first diagonal entry
+    assert report["failures"] == {
+        "jacobi": [{"a": a, "b": b, "c": c} for a, b in
+                   ((2, 3), (3, 2), (4, 5), (5, 4))
+                   for c in ((4, 5) if a < 4 else (2, 3))],
+        "normalized": [{"b": b, "d": b} for b in (2, 3, 4, 5)]}
     assert err == "algebra x: INVALID: jacobi, normalized\n"
     code, out, err = run(capsys, ["sugawara", "--algebra", NON_JACOBI,
                                   "--level", "1"])

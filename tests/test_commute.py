@@ -45,8 +45,9 @@ def _assert_matches_trees(fields, module, fresh) -> int:
             tree = field_from_tree(field_to_tree(f))
             for n in SLOTS:
                 for state in states:
-                    assert f.act(n, module, state) \
-                        == tree.act(n, fresh, state), (str(f), n, str(state))
+                    assert module.vector(f.act(n, module, state)) \
+                        == fresh.vector(tree.act(n, fresh, state)), \
+                        (str(f), n, str(state))
             checked.add(f)
         todo = [f for f in _composites(module) if f not in checked]
     return len(checked)

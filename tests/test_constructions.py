@@ -89,7 +89,7 @@ def test_currents_rotate_fermions_in_adjoint():
                         for c, coeff in gamma:
                             rhs = rhs + psi[c].apply(m + n, mod, u).scaled(
                                 I * coeff)
-                        assert lhs == rhs
+                        assert mod.vector(lhs) == rhs
 
 
 def test_current_square_is_four_g_omega():

@@ -28,8 +28,8 @@ PSI = lambda n2, color=0: Mode("psi", color, n2)
 
 
 def derivative_act(f, n, mod, st):
-    """(dA)(n) = -n A(n-1) on a basis state, in closed form."""
-    return {s: c * (-n) for s, c in f.act(n - 1, mod, st).items()} if n else {}
+    """(dA)(n) = -n A(n-1) on a basis state, in closed form, in Scalars."""
+    return mod.vector(f.act(n - 1, mod, st)).scaled(-n)
 
 
 def fermion_setup():
@@ -76,15 +76,18 @@ def test_generator_realize_and_annihilate():
     assert not psi.apply(-1, mod, one)
 
 
-def test_raw_action_equals_the_vector_of_its_entries():
+def test_raw_action_holds_handles_of_the_module_table():
     mod, psi, omega = fermion_setup()
     L = state_field(mod, omega)
-    b = BasisState((PSI(-1),), 0)
-    raw = L.act(0, mod, b)          # L(0) = L_{-1} = T
+    b = BasisState((PSI(-3), PSI(-1)), 0)
+    raw = L.act(1, mod, b)          # L(1) = L_0 = 2 on grade 2
     assert type(raw) is dict
-    assert raw == StateVector({BasisState((PSI(-3),), 0): 1})
-    assert raw == L.apply(0, mod, StateVector.basis(b))
-    assert realize(psi, mod) == psi.act(-1, mod, BasisState((), 0))
+    assert all(type(h) is int for h in raw.values())
+    assert mod._table.values[raw[b]] == Scalar.of(2)
+    assert mod.vector(raw) == StateVector({b: 2})
+    assert mod.vector(raw) == L.apply(1, mod, StateVector.basis(b))
+    assert realize(psi, mod) == mod.vector(psi.act(-1, mod,
+                                                   BasisState((), 0)))
 
 
 def test_fermion_virasoro_field():
@@ -162,7 +165,8 @@ def test_derivative_field():
     assert realize(dpsi, mod) == StateVector.basis(BasisState((PSI(-3),), 0))
     st = BasisState((PSI(-1),), 0)
     for n in range(-3, 3):
-        assert dpsi.act(n, mod, st) == derivative_act(psi, n, mod, st)
+        assert mod.vector(dpsi.act(n, mod, st)) \
+            == derivative_act(psi, n, mod, st)
 
 
 def test_identity_is_product_unit():
@@ -193,7 +197,7 @@ def test_virasoro_fermion_commutator():
                 got = commutator_direct(L, slot_L, psi, slot_psi, mod, b)
                 want = psi.apply(slot_out, mod,
                                  StateVector.basis(b)).scaled(coeff)
-                assert got == want
+                assert mod.vector(got) == want
 
 
 def test_bracket_from_products_matches_direct():
@@ -263,7 +267,8 @@ def test_derivative_is_identity_slot_product():
         assert via_id.weight2 == f.weight2 + 2
         for n in range(-4, 5):
             for st in states:
-                assert via_id.act(n, mod, st) == derivative_act(f, n, mod, st)
+                assert mod.vector(via_id.act(n, mod, st)) \
+                    == derivative_act(f, n, mod, st)
 
 
 def test_translated_state_realizes_derivative_field():
@@ -277,7 +282,8 @@ def test_translated_state_realizes_derivative_field():
             B = state_field(mod, shifted)
             for n in range(-3, 4):
                 for st in mod.level_basis(2):
-                    assert B.act(n, mod, st) == derivative_act(A, n, mod, st)
+                    assert mod.vector(B.act(n, mod, st)) \
+                        == derivative_act(A, n, mod, st)
 
 
 def test_generate_closure_fermion():
@@ -382,8 +388,8 @@ def super_setup():
     lowest composite of the closure at grade 1, all module state fields."""
     cons = super_construction(sl2(), 1)
     mod = cons.module
-    rows = closure_spans(mod, list(cons.fields.values()), 2)[2].rows
-    composite = state_field(mod, StateVector(rows[min(rows)]))
+    span = closure_spans(mod, list(cons.fields.values()), 2)[2]
+    composite = state_field(mod, StateVector(span.row(min(span.rows))))
     assert isinstance(composite, ScaledSum)
     return mod, [cons.fields["G"], state_field(mod, cons.omega),
                  cons.fields["psi1"], cons.fields["x1"], composite]
@@ -410,10 +416,10 @@ def test_bracket_through_state_fields_matches_product_trees():
                     for b in mod.basis_upto(2):
                         tree = StateVector()
                         for j in range(ORDER):
-                            tree = tree + StateVector(A.prod(B, j).act(
+                            tree = tree + mod.vector(A.prod(B, j).act(
                                 m + n - j, mod, b)).scaled(gbinom(m, j))
                         got = bracket_from_ope(A, m, B, n, ORDER, mod, b)
-                        assert got == tree
+                        assert mod.vector(got) == tree
                         checked += 1
     assert checked == 15 * 9 * 10
 

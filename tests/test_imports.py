@@ -1,5 +1,5 @@
 """No source file imports a name that it never reads, or the collector,
-or keeps a process-global memo.
+keeps a process-global memo, or calls id().
 
 A name moved from one module to another leaves its old import behind
 unless something notices; this test reads every file of the package,
@@ -11,9 +11,14 @@ its memory by reference counting and never drives the cyclic
 collector, whose state belongs to the caller.  And no function
 writes into a module-level dict, list or set, or is memoized by
 functools: every memo lives with the module or the call that it serves,
-so it is freed with them.  Two functools caches are the exceptions:
-scalars._mul_rad, which holds integer pairs of radicands, and
-cli._parser, which holds the one argument parser.
+so it is freed with them; a weak container counts as a container.
+Three exceptions: the functools caches scalars._mul_rad, which holds
+integer pairs of radicands, and cli._parser, which holds the one
+argument parser, and modules._STATES, the intern map of basis states,
+which holds them weakly and so keeps none alive.  No file of the
+package calls the builtin id() either: a memo keyed by the id() of an
+object can answer for another object that reuses a freed one's id, so
+every memo key is a value.
 """
 
 import ast
@@ -85,7 +90,8 @@ def test_no_source_file_imports_gc():
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
               ast.SetComp)
 FACTORIES = frozenset({"dict", "list", "set", "defaultdict", "OrderedDict",
-                       "Counter", "deque"})
+                       "Counter", "deque", "WeakValueDictionary",
+                       "WeakKeyDictionary", "WeakSet"})
 MUTATORS = frozenset({"append", "extend", "insert", "add", "update",
                       "setdefault", "pop", "popitem", "remove", "discard",
                       "clear"})
@@ -182,4 +188,27 @@ def test_no_function_keeps_a_process_global_memo():
     found = {path.name: memos for path in files
              if (memos := global_memos(path.read_text()))}
     assert found == {"scalars.py": ["_mul_rad: functools cache"],
-                     "cli.py": ["_parser: functools cache"]}
+                     "cli.py": ["_parser: functools cache"],
+                     "modules.py": ["_state: writes _STATES"]}
+
+
+def calls_id(source: str) -> list:
+    """The line of each call of a function named id in the source, in
+    order."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "id")
+
+
+def test_id_calls_are_found():
+    source = ("def f(x, memo):\n    return memo.get(id(x))\n"
+              "def g(obj):\n    return obj.id(3), identity(obj)\n"
+              "seen = {id(object())}\n")
+    assert calls_id(source) == [2, 5]
+
+
+def test_no_source_file_calls_id():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 5
+    assert {path.name: lines for path in files
+            if (lines := calls_id(path.read_text()))} == {}

@@ -218,7 +218,7 @@ def test_echelon_kernel_matches_dense_oracle(m):
     # the rows are left in the reduced row echelon form
     rows, pivots = oracle.row_reduce(m)
     assert sorted(ech.rows) == pivots
-    assert [ech.rows[p] for p in pivots] == [
+    assert [ech.row(p) for p in pivots] == [
         {j: x for j, x in enumerate(row) if x} for row in rows]
 
 

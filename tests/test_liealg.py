@@ -198,3 +198,21 @@ def test_empty_algebra_has_no_dual_coxeter_number():
 def test_dim_must_be_a_nonnegative_int(dim):
     with pytest.raises(ValueError, match="dim must be a nonnegative integer"):
         LieAlgebra("x", dim, {})
+
+
+def test_validate_names_the_failing_points_of_a_corrupted_table():
+    lie = sl2()
+    assert "failures" not in lie.validate()
+    # Gamma_21^3 doubled in the expanded tensor: the transpositions of
+    # the entries that meet it no longer negate them
+    lie._tensor[1, 0, 2] = lie._tensor[1, 0, 2] * 2
+    report = lie.validate()
+    assert report["checks"] == {"real": True, "antisymmetric": False,
+                                "jacobi": True, "normalized": True}
+    assert report["valid"] is False
+    assert report["failures"] == {"antisymmetric": [
+        {"a": 1, "b": 2, "c": 3}, {"a": 2, "b": 1, "c": 3},
+        {"a": 2, "b": 3, "c": 1}]}
+    # a complex entry names its sorted triple
+    bad = LieAlgebra("badc", 3, {(0, 1, 2): Scalar({-1: 1})})
+    assert bad.validate()["failures"]["real"] == [{"a": 1, "b": 2, "c": 3}]

@@ -48,6 +48,12 @@ def assert_matches(lie: LieAlgebra):
             for c in span:
                 assert lie.gamma_entry(a, b, c) == old.gamma_entry(a, b, c)
     report, want = lie.validate(), old.validate()
+    # the oracle names no failing point: the report's failures, present
+    # only when a check fails, list exactly the checks that fail
+    failures = report.pop("failures", {})
+    assert list(failures) == [name for name, ok in report["checks"].items()
+                              if not ok]
+    assert all(failures.values())
     assert report == want
     assert list(report) == list(want)
     assert list(report["checks"]) == list(want["checks"])

@@ -20,15 +20,18 @@ def echelon(matrix):
 
 
 def test_add_passes_unit_factors_through_unchanged():
-    c = Scalar.root(3)
-    out, table = {}, Coefficients()
-    _add(out, {"a": ONE, "b": c}, c, table)
-    assert out["a"] is c and out == {"a": c, "b": Scalar.of(3)}
-    _add(out, {"b": c}, ONE, table)
+    table = Coefficients()
+    one, c = table.handle(ONE), table.handle(Scalar.root(3))
+    assert one == 1
+    out = {}
+    _add(out, {"a": one, "b": c}, c, table)
+    assert out["a"] == c and out["b"] == table.handle(3)
+    _add(out, {"b": c}, one, table)
     _add(out, {"c": c}, 1, table)
-    assert out["c"] is c and out["b"] == Scalar.of(3) + c
-    _add(out, {"d": ONE}, 2, table)
-    assert out["d"] == Scalar.of(2)
+    assert out["c"] == c
+    assert table.values[out["b"]] == Scalar.of(3) + Scalar.root(3)
+    _add(out, {"d": one}, table.handle(2), table)
+    assert table.values[out["d"]] == Scalar.of(2)
 
 
 def test_kernel_of_rank_one_matrix_with_radicals():
@@ -54,7 +57,7 @@ def test_echelon_pivots():
     ech = echelon(m)
     assert sorted(ech.rows) == [1]
     assert ech.kernel(3) == [{0: s(1)}, {1: s(-2), 2: s(1)}]
-    assert ech.rows[1] == {1: s(1), 2: s(2)}
+    assert ech.row(1) == {1: s(1), 2: s(2)}
 
 
 def test_kernel_back_substitutes_last_pivot_first():
@@ -65,8 +68,8 @@ def test_kernel_back_substitutes_last_pivot_first():
     assert sorted(ech.rows) == [0, 1, 2]
     [v] = ech.kernel(4)
     assert v == {0: s(-4), 1: s(6), 2: s(-3), 3: s(1)}
-    assert ech.rows == {0: {0: s(1), 3: s(4)}, 1: {1: s(1), 3: s(-6)},
-                        2: {2: s(1), 3: s(3)}}
+    assert {p: ech.row(p) for p in ech.rows} == {
+        0: {0: s(1), 3: s(4)}, 1: {1: s(1), 3: s(-6)}, 2: {2: s(1), 3: s(3)}}
 
 
 def test_inertia_diagonal():

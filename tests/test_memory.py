@@ -11,7 +11,10 @@ construction's vacuum module, whose memos and coefficient table it
 shares, and the home holds no floor.  A coefficient table, with its
 product and sum memos, is held by its module and that module's floors
 alone and dies with them, and no call grows a container that the
-package keeps at module level."""
+package keeps at module level.  The intern map of basis states holds
+them weakly: a state lives as long as a memo, a vector or a caller
+holds it, so a dropped module frees its states and the map shrinks
+back."""
 
 import contextlib
 import gc
@@ -26,7 +29,7 @@ from nsvertex.constructions import (super_construction, susy_report,
                                     vertex_module, weight_report)
 from nsvertex.fields import creating_state, field_from_tree, state_field
 from nsvertex.liealg import sl2
-from nsvertex.modules import Module, StateVector, VermaModule
+from nsvertex.modules import _STATES, Module, StateVector, VermaModule
 
 AXIOMS = ["axioms", "--construction", "super", "--depth", "1/2"]
 CALLS = [
@@ -115,7 +118,7 @@ def test_a_dropped_construction_frees_its_table_and_memos():
         cons = super_construction(sl2(), 1)
         assert susy_report(cons, depth2=1, window=1)["valid"]
         table = cons.module._table
-        memos = ("values", "owned", "products", "sums", "multiples")
+        memos = ("values", "handles", "products", "sums")
         assert all(getattr(table, memo) for memo in memos)
         # the table alone holds each memo: its one reference, and the
         # argument of getrefcount
@@ -124,6 +127,29 @@ def test_a_dropped_construction_frees_its_table_and_memos():
         ref = weakref.ref(table)
         del cons, table
         assert ref() is None
+
+
+def test_repeated_cli_calls_leave_the_intern_map_no_larger():
+    with _no_collector():
+        before = len(_STATES)
+        for _ in range(2):
+            for argv in CALLS:
+                _run_quietly(argv)
+                assert len(_STATES) <= before, argv
+
+
+def test_a_dropped_construction_frees_its_states():
+    with _no_collector():
+        before = len(_STATES)
+        cons = super_construction(sl2(), 1)
+        assert susy_report(cons, depth2=1, window=1)["valid"]
+        # every state that a mode has acted on
+        acted_on = {state for _, state in cons.module._apply_cache}
+        refs = [weakref.ref(state) for state in acted_on]
+        assert len(refs) > 100 and len(_STATES) >= before + len(refs)
+        del cons, acted_on
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert len(_STATES) <= before
 
 
 def _container_sizes() -> dict:

@@ -588,15 +588,20 @@ def test_parity_index_mismatch_rejected():
 
 
 def test_memos_hold_one_scalar_per_coefficient_value():
-    # every cached coefficient of a module is the one Scalar of its value
-    # that the module stored first, so repeated values cost one object
+    # every cached coefficient of a module is the handle of the one
+    # Scalar of its value in the module's table, so repeated values cost
+    # one object and equal values are equal handles
     cons = super_construction(sl2(), 1)
     susy_report(cons, depth2=1, window=1)
     module = cons.module
+    values = module._table.values
     coeffs = [c for out in module._apply_cache.values() for c in out.values()]
-    # both triangles of each Gram block: the mirrored conjugates too
-    coeffs += [x for _, block in module._gram_cache.values()
-               for row in block for x in row]
     coeffs += [c for out in module._slot_cache.values() for c in out.values()]
     assert len(coeffs) > 2000 and module._gram_cache
-    assert len({id(c) for c in coeffs}) == len(set(coeffs))
+    assert all(type(c) is int and 0 < c < len(values) for c in coeffs)
+    used = [values[c] for c in set(coeffs)]
+    assert len(set(used)) == len(used)
+    # the Gram blocks are Scalars: both triangles, the mirrored
+    # conjugates too
+    assert all(type(x) is Scalar for _, block in module._gram_cache.values()
+               for row in block for x in row)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from nsvertex.certify import sweep
 from nsvertex.cli import _json_ready, main
 from nsvertex.constructions import (boson_sugawara, current_bracket_report,
                                     fermion_vosa, g_fermion_system,
@@ -27,7 +28,7 @@ from nsvertex.fields import (Field, GeneratorField, IdentityField,
                              check_borcherds, check_vosa_axioms,
                              commutator_direct, field_from_tree,
                              locality_order, locality_table, state_field,
-                             sweep, window_points)
+                             window_points)
 from nsvertex.liealg import sl2
 from nsvertex.modules import (BasisState, FockModule, Mode, StateVector,
                               VermaModule)
@@ -83,8 +84,8 @@ def test_bracket_sweep_with_doubled_c_fails_where_a_hand_loop_does():
                 rhs = L.apply(m + n + 1, module, u).scaled(m - n)
                 if m + n == 0:
                     rhs = rhs + u.scaled(c2 * Fraction(m ** 3 - m, 12))
-                if commutator_direct(L, m + 1, L, n + 1, module,
-                                     state) != rhs:
+                if module.vector(commutator_direct(L, m + 1, L, n + 1, module,
+                                                   state)) != rhs:
                     expect.append({"m": m, "n": n, "state": str(state)})
     # the central term differs only at m + n = 0 with m^3 != m
     assert expect and {(p["m"], p["n"]) for p in expect} == {(-2, 2), (2, -2)}
@@ -170,7 +171,7 @@ def test_susy_report_names_failing_points():
     if m + n == 1:
         r = Fraction(2 * m - 1, 2)
         rhs = rhs + u.scaled(c * Fraction(1, 3) * (r * r - Fraction(1, 4)))
-    assert commutator_direct(G, m, G, n, module, state) != rhs
+    assert module.vector(commutator_direct(G, m, G, n, module, state)) != rhs
 
 
 def test_sweep_visits_points_in_order_and_prints_states():
@@ -239,7 +240,9 @@ class Warped(Field):
         self.psi = GeneratorField("psi")
 
     def _act(self, n, module, state):
-        return {st: c * 2 ** (n * n)
+        table = module._table
+        scale = table.handle(2 ** (n * n))
+        return {st: table.product(c, scale)
                 for st, c in self.psi.act(n, module, state).items()}
 
 
@@ -354,9 +357,8 @@ def test_susy_report_names_each_generator_of_a_doubled_g():
     state = next(s for s in module.basis_upto(1) if str(s) == first["state"])
     a, m, n = first["a"] - 1, first["m"], first["n"]
     doubled = commutator_direct(cons.fields["G"], m, B[a], n, module, state)
-    assert doubled and doubled == {
-        s: 2 * c for s, c in commutator_direct(G, m, B[a], n, module,
-                                               state).items()}
+    assert doubled and module.vector(doubled) == module.vector(
+        commutator_direct(G, m, B[a], n, module, state)).scaled(2)
 
 
 def test_current_algebra_sweep_order_and_count():
@@ -388,11 +390,11 @@ def borcherds_hand_loop(module, depth2, nwin=2, window=2):
             N = locality_order(A, B, module, depth2=depth2,
                                window=window)["order"]
             for n in range(-nwin, N):
-                prod_state = A.act(n, module, sb)
+                prod_state = module.vector(A.act(n, module, sb))
                 U = state_field(module, prod_state) if prod_state else None
                 for m in range(-window, window + 1):
                     for v in vac_states:
-                        lhs = A.prod(B, n).act(m, module, v)
+                        lhs = module.vector(A.prod(B, n).act(m, module, v))
                         if U is None:
                             rhs = StateVector()
                         else:
@@ -418,7 +420,9 @@ def test_failing_borcherds_sweep_matches_hand_loop(monkeypatch):
 
     def doubled(self, m, module, state):
         out = real(self, m, module, state)
-        return {s: c * 2 for s, c in out.items()} if self.k == 0 else out
+        table = module._table
+        return {s: table.product(c, table.handle(2))
+                for s, c in out.items()} if self.k == 0 else out
 
     monkeypatch.setattr(NthProduct, "_act", doubled)
     rep = check_borcherds(FockModule(colors=1), depth2=3)
