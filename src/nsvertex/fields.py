@@ -577,14 +577,19 @@ def bracket_sweep(module: Module, depth2: int, window: int, cases) -> dict:
     (coeff, C, slot) that terms(m, n) lists.  Cases are swept in order,
     and each adds its label's keys to its points."""
     checked, failures = 0, []
+    table = module._table
     for label, A, sa, B, sb, terms in cases:
+        last = handles = None   # points run m-major, states innermost
+
         def rhs(m, n, state, **_):
-            table = module._table
+            nonlocal last, handles
+            if last != (m, n):
+                last = m, n
+                handles = [(table.handle(coeff), C, slot)
+                           for coeff, C, slot in terms(m, n) if coeff]
             out = {}
-            for coeff, C, slot in terms(m, n):
-                if coeff:
-                    _add(out, C.act(slot, module, state), table.handle(coeff),
-                         table)
+            for k, C, slot in handles:
+                _add(out, C.act(slot, module, state), k, table)
             return out
 
         swept = sweep(({**label, **p}

@@ -6,16 +6,18 @@ which answers every rank, kernel and linear solve.  It works over the
 full field (radicals allowed), on handles of a table of its own.
 The inertia of a symmetric form is restricted to rational entries, where
 signs are decidable: its congruence elimination runs fraction-free on
-the integer matrix left after clearing denominators once, and a
+the integer matrix left after clearing denominators once, computes one
+triangle of each symmetric Schur complement and mirrors it, and a
 negative-norm witness is solved for only when one exists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
-from .scalars import ONE, Coefficients, Scalar, _add, _ratio
+from .scalars import ONE, Coefficients, Scalar, _add
 
 
 class Echelon:
@@ -71,8 +73,13 @@ class Echelon:
 
 
 def _integer_matrix(matrix) -> list[list[int]]:
-    """The rational matrix times the least common multiple of its denominators."""
-    ratios = [list(map(_ratio, row)) for row in matrix]
+    """The rational matrix times the least common multiple of its
+    denominators.  Its entries are Scalars, ints or Fractions; a Scalar
+    is rational when it has no term or its one term has radicand 1."""
+    ratios = [[(x._t.get(1, 0), x._d)
+               if type(x) is Scalar and len(x._t) == (1 in x._t)
+               else Scalar.of(x).as_fraction().as_integer_ratio()
+               for x in row] for row in matrix]
     den = lcm(*(d for row in ratios for _, d in row))
     return [[n * (den // d) for n, d in row] for row in ratios]
 
@@ -85,14 +92,15 @@ def _swap(a: list[list[int]], idx: list[int], i: int, k: int):
     idx[i], idx[k] = idx[k], idx[i]
 
 
-def _content_free(block: list[list[int]]) -> list[list[int]]:
-    """The block divided by the gcd of its entries."""
-    g = 0
-    for row in block:
-        g = gcd(g, *row)
-        if g == 1:
-            return block
-    return [[x // g for x in row] for row in block] if g else block
+def _content_free(tri: list[list[int]]) -> list[list[int]]:
+    """The symmetric rows of the upper triangle tri (row i holds columns
+    i and on) divided by the gcd of its entries; column i of tri, padded
+    on the left, gives the part of row i below the diagonal."""
+    g = gcd(*chain.from_iterable(tri))
+    if g > 1:
+        tri = [[x // g for x in row] for row in tri]
+    cols = zip(*[[0] * i + row for i, row in enumerate(tri)])
+    return [[*col[:i], *row] for i, (col, row) in enumerate(zip(cols, tri))]
 
 
 def _orthogonal_witness(a0: list[list[int]], done: list[int],
@@ -132,10 +140,12 @@ def inertia_with_witness(matrix) -> tuple[int, int, int, list[Fraction] | None]:
     common denominator of its entries, and after each pivot the remaining
     block is a positive multiple of the rational Schur complement: it is
     rescaled by the pivot's absolute value and divided by the gcd of its
-    entries.  Every zero test and sign, and so the pivot order, is that of
-    the rational elimination.  Only the order of the pivots is kept; the
-    witness is built at the first negative pivot or hyperbolic pair, from
-    one rational solve on the pivots eliminated before it.
+    entries.  Each step computes only the block's entries on and above
+    the diagonal, and mirrors them.  Every zero test and sign, and so the
+    pivot order, is that of the rational elimination.  Only the order of
+    the pivots is kept; the witness is built at the first negative pivot
+    or hyperbolic pair, from one rational solve on the pivots eliminated
+    before it.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -165,9 +175,10 @@ def inertia_with_witness(matrix) -> tuple[int, int, int, list[Fraction] | None]:
                 if witness is None:
                     witness = _orthogonal_witness(a0, done, {idx[0]: 1})
                 sign, d = -1, -d
-            # |pivot| * (a - b b^T / pivot), with b the pivot's column
-            col = [sign * a[r][0] for r in range(1, m)]
-            block = [[d * x - a[r][0] * c for x, c in zip(a[r][1:], col)]
+            # |pivot| * (a - b b^T / pivot) on and above the diagonal
+            b = a[0]
+            col = [sign * x for x in b]
+            block = [[d * x - b[r] * c for x, c in zip(a[r][r:], col[r:])]
                      for r in range(1, m)]
             width = 1
         else:
@@ -188,12 +199,12 @@ def inertia_with_witness(matrix) -> tuple[int, int, int, list[Fraction] | None]:
                 witness = _orthogonal_witness(
                     a0, done, {idx[0]: 1, idx[1]: -1 if off > 0 else 1})
             sign, off = (1, off) if off > 0 else (-1, -off)
-            # |off| * (a - (b1 b2^T + b2 b1^T) / off), b1 and b2 the pair's columns
-            b1 = [sign * a[r][0] for r in range(2, m)]
-            b2 = [a[r][1] for r in range(2, m)]
+            # |off| * (a - (b1 b2^T + b2 b1^T) / off) on and above the diagonal
+            b1 = [sign * x for x in a[0]]
+            b2 = a[1]
             block = [[off * x - c1 * d2 - c2 * d1
-                      for x, d1, d2 in zip(a[r][2:], b1, b2)]
-                     for r, c1, c2 in zip(range(2, m), b1, b2)]
+                      for x, d1, d2 in zip(a[r][r:], b1[r:], b2[r:])]
+                     for r, c1, c2 in zip(range(2, m), b1[2:], b2[2:])]
             width = 2
         a = _content_free(block)
         done.extend(idx[:width])

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import gcd, lcm
 from numbers import Number
 
@@ -175,7 +176,7 @@ class Scalar:
         return Fraction(self._t[1], self._d)
 
     def is_real(self) -> bool:
-        return all(r > 0 for r in self._t)
+        return not self._t or min(self._t) > 0
 
     @property
     def terms(self) -> dict:
@@ -515,12 +516,30 @@ def _add(out: dict, vec: dict, k: int, table: Coefficients):
 def _dot(pairs) -> Scalar:
     """sum conj(a) * b over the (a, b) pairs of Scalars.
 
-    The products' integer numerators are summed per radicand over one
-    running denominator, the lcm of the products' denominators, and one
-    Scalar is made at the end."""
-    t = {}
-    d = 1
+    While the pairs are rational, their products are summed on one
+    integer numerator over one running denominator, the lcm of the
+    products' denominators; from the first radical or i on, numerators
+    are summed per radicand.  One Scalar is made at the end."""
+    pairs = iter(pairs)
+    num, d = 0, 1
     for a, b in pairs:
+        x, y = a._t, b._t
+        if not (x and y):
+            continue
+        if len(x) != 1 or len(y) != 1 or 1 not in x or 1 not in y:
+            break
+        e = a._d * b._d
+        if e == d:
+            num += x[1] * y[1]
+        else:
+            up = e // gcd(d, e)
+            d *= up
+            num = num * up + x[1] * y[1] * (d // e)
+    else:
+        g = gcd(num, d)
+        return _new(d // g, {1: num // g}) if num else _ZERO
+    t = {1: num} if num else {}
+    for a, b in chain([(a, b)], pairs):
         e = a._d * b._d
         f = 1
         if e != d:
@@ -555,14 +574,6 @@ def _acc(d: dict, key, coeff: Scalar):
         d[key] = cur
     elif key in d:
         del d[key]
-
-
-def _ratio(x) -> tuple[int, int]:
-    """Numerator and denominator of a rational Scalar, int or Fraction."""
-    if isinstance(x, Scalar) and x.is_rational():
-        return x._t.get(1, 0), x._d
-    x = x.as_fraction() if isinstance(x, Scalar) else Fraction(x)
-    return x.numerator, x.denominator
 
 
 def _coerce(value):

@@ -93,7 +93,7 @@ def test_ns_kac_points_of_the_first_three_models():
 
 
 @pytest.mark.parametrize("sector,c,h,p,pp,r,s,depth2", [
-    ("ns", Fraction(7, 10), Fraction(1, 10), 3, 5, 1, 3, 16),
+    ("ns", Fraction(7, 10), Fraction(1, 10), 3, 5, 1, 3, 20),
     ("virasoro", Fraction(1, 2), Fraction(1, 16), 3, 4, 1, 2, 20),
     *ns_kac_points(8),
 ])

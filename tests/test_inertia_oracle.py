@@ -3,9 +3,10 @@
 ``tests/inertia_oracle.py`` keeps the earlier elimination, which runs in
 ``Fraction`` and carries the congruence rows through every pivot.  The
 integer elimination must return the same ``(pos, zero, neg, witness)``
-tuple, witness entries included, on every rational symmetric matrix and
-on every level of the ghost tables.  The examples are derandomized, so
-every run draws the same ones.
+tuple, witness entries included, on every rational symmetric matrix,
+with ``Fraction`` and with ``Scalar`` entries, and on every level of the
+ghost tables.  The examples are derandomized, so every run draws the
+same ones.
 """
 
 from fractions import Fraction
@@ -31,11 +32,14 @@ sparse_entries = st.one_of(st.just(Fraction(0)), entries)
 
 
 def _assert_matches(matrix):
+    """The integer elimination matches the oracle on the matrix and on
+    its entries as Scalars, the entries ghost_report passes."""
     want = oracle.inertia_with_witness(matrix)
-    got = inertia_with_witness(matrix)
-    assert got == want
-    if want[3] is not None:
-        assert all(type(x) is Fraction for x in got[3])
+    for m in matrix, [[Scalar.of(x) for x in row] for row in matrix]:
+        got = inertia_with_witness(m)
+        assert got == want
+        if want[3] is not None:
+            assert all(type(x) is Fraction for x in got[3])
 
 
 def _symmetric(draw, n, diagonal, off_diagonal):
@@ -150,6 +154,12 @@ def dense(draw):
 @given(dense())
 def test_scalar_matrices_match_oracle(m):
     _assert_matches([[Scalar.of(x) for x in row] for row in m])
+
+
+def test_imaginary_entries_are_not_rational():
+    with pytest.raises(ValueError) as err:
+        inertia_with_witness([[Scalar.root(-1)]])
+    assert str(err.value) == "not rational: i"
 
 
 @pytest.mark.parametrize("algebra,c,h,depth2", [
